@@ -7,6 +7,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 from scipy.stats import poisson as _poisson
 
 from .field import FieldConfig
@@ -21,6 +22,7 @@ class TruncationError(RuntimeError):
 
 
 S_SUPPORT_CAP = 4096
+_MIX_CHUNK = 512        # mixture components evaluated per block
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
 
 
@@ -105,6 +107,23 @@ def poisson_dist(mean: float, tail_tol: float = 1e-9) -> IntDist:
     return IntDist(probs, tail_tol).truncated()
 
 
+def _p_z_prefix(k: int, b: int, z_max: int) -> list[float]:
+    """[p_1, .., p_{z_max}] of the p_z recursion, one multiplication per step.
+
+    Each entry is the product p_z computes, taken in the same order, so
+    reading entry z - 1 gives p_z(z, k, b) bit for bit.
+    """
+    val = ((b - 1) / b) ** (k - 1)
+    out = [val]
+    for m in range(2, z_max + 1):
+        if m >= b - 1:
+            out.extend([0.0] * (z_max - m + 1))
+            break
+        val *= ((b - m) / (b - m + 1)) ** (k - m)
+        out.append(val)
+    return out
+
+
 def p_z(z: int, k: int, b: int) -> float:
     """Probability weight of z resolvable relays among k over b RACH slots.
 
@@ -115,14 +134,35 @@ def p_z(z: int, k: int, b: int) -> float:
     """
     if k < 1 or b < 2 or z < 1:
         raise ValueError("require k >= 1, b >= 2, z >= 1")
-    if z == 1:
-        return ((b - 1) / b) ** (k - 1)
-    if z >= b - 1:
-        return 0.0
-    val = ((b - 1) / b) ** (k - 1)
-    for m in range(2, z + 1):
-        val *= ((b - m) / (b - m + 1)) ** (k - m)
-    return val
+    return _p_z_prefix(k, b, z)[-1]
+
+
+@lru_cache(maxsize=4096)
+def _p_j_weights(k: int, b: int) -> np.ndarray:
+    """[p_j(0), .., p_j(k)] before normalization, built in one pass.
+
+    p_z at b-1 slots is evaluated once for the z that can be nonzero (z = 1,
+    and z = 2..b-3); the z at or beyond b-2 add a zero term and are skipped.
+    Each j's alternating sum still runs over z in order, so every weight has
+    the rounding of the term-by-term sum. The j = 0 weight is the complement
+    of the j >= 1 weights, summed in order of j.
+    """
+    z_max = min(k - 1, max(1, b - 3))
+    pz = _p_z_prefix(k, b - 1, z_max) if z_max >= 1 else []
+    acc = np.ones(k)                      # acc[j - 1] for j = 1..k
+    comb = np.ones(k, dtype=object)       # comb[n] = C(n, z) as exact ints
+    for z, pz_val in enumerate(pz, start=1):
+        comb[z:] = np.cumsum(comb[z - 1:k - 1])   # hockey-stick identity
+        # float(+-C(j-1, z)) * p_z is how Python multiplies int by float
+        signed = comb[z:] if z % 2 == 0 else -comb[z:]
+        acc[z:] += signed.astype(float) * pz_val
+    heads = ((b - 1) / b) ** (k - 1) * acc
+    heads = np.where(heads > 0.0, heads, 0.0)
+    vals = np.empty(k + 1)
+    vals[0] = max(0.0, 1.0 - sum(heads.tolist()))
+    vals[1:] = heads
+    vals.flags.writeable = False
+    return vals
 
 
 def p_j(j: int, k: int, b: int) -> float:
@@ -138,27 +178,18 @@ def p_j(j: int, k: int, b: int) -> float:
         raise ValueError("require k >= 1 and b >= 3")
     if not (0 <= j <= k):
         raise ValueError(f"j must be in [0, {k}], got {j}")
-    if j == 0:
-        head = sum(p_j(jj, k, b) for jj in range(1, k + 1))
-        return max(0.0, 1.0 - head)
-    acc = 1.0
-    for z in range(1, j):
-        acc += (-1) ** z * math.comb(j - 1, z) * p_z(z, k, b - 1)
-    return max(0.0, ((b - 1) / b) ** (k - 1) * acc)
-
-
-@lru_cache(maxsize=4096)
-def _p_j_pmf_cached(k: int, b: int) -> tuple:
-    vals = np.array([p_j(j, k, b) for j in range(k + 1)])
-    s = vals.sum()
-    if s <= 0:
-        raise ValueError("degenerate resolvability pmf")
-    return tuple(vals / s)
+    return float(_p_j_weights(k, b)[j])
 
 
 def p_j_pmf(k: int, b: int) -> np.ndarray:
     """Vector [p_j(0), .., p_j(k)] normalized to sum exactly to one."""
-    return np.array(_p_j_pmf_cached(k, b))
+    if k < 1 or b < 3:
+        raise ValueError("require k >= 1 and b >= 3")
+    vals = _p_j_weights(k, b)
+    s = vals.sum()
+    if s <= 0:
+        raise ValueError("degenerate resolvability pmf")
+    return vals / s
 
 
 @dataclass(frozen=True)
@@ -247,26 +278,30 @@ def x_c(x_h_prev: float, j_prev: int, rho: float, epsilon: float) -> float:
     return x_h_prev - math.sqrt(max(0.0, radicand))
 
 
-def _arc_positions(x0: float, y: np.ndarray, dst_x: float | None) -> np.ndarray:
-    """Contour through (x0, 0) as an arc centered on the destination.
+def _arc_positions(x0: float | np.ndarray, y: np.ndarray,
+                   dst_x: float | None) -> np.ndarray:
+    """Contours through (x0, 0) as arcs centered on the destination.
 
-    dst_x = None is the large-radius (flat) limit. An arc that would sit past
-    the destination degenerates to the flat line through x0.
+    The result has shape x0.shape + y.shape. dst_x = None is the large-radius
+    (flat) limit. An arc that would sit past the destination degenerates to
+    the flat line through x0.
     """
-    if dst_x is None or dst_x <= x0:
-        return np.full(y.shape, x0)
+    x0 = np.asarray(x0, dtype=float)[..., None]
+    if dst_x is None:
+        return np.broadcast_to(x0, x0.shape[:-1] + y.shape)
     r = dst_x - x0
-    return dst_x - np.sqrt(np.maximum(r * r - y * y, 0.0))
+    arc = dst_x - np.sqrt(np.maximum(r * r - y * y, 0.0))
+    return np.where(dst_x <= x0, x0, arc)
 
 
 def areas(
-    x_c_pos: float,
-    x_h_prev: float,
-    x_h: float,
-    x_h_prev2: float,
+    x_c_pos: float | np.ndarray,
+    x_h_prev: float | np.ndarray,
+    x_h: float | np.ndarray,
+    x_h_prev2: float | np.ndarray,
     w: float,
     dst_x: float | None = None,
-) -> tuple[float, float, float, float]:
+) -> tuple:
     """Areas between decision/coverage contours across the strip.
 
     Returns (A_D, A_R, A_D_minus, A_R_minus): the fresh decode band, the full
@@ -274,11 +309,17 @@ def areas(
     band, and the sliver between the decision arc and the previous contour.
     Contours are arcs centered on the destination through their on-axis
     positions (flat lines when dst_x is None), integrated across y.
+
+    The positions may be arrays that broadcast together; the four areas are
+    then arrays of that shape, all from one quadrature matmul per band.
     """
-    eps = 1e-9 * max(1.0, abs(x_h))
-    if not (x_h_prev2 <= x_h_prev + eps and x_h_prev <= x_h + eps):
+    x_c_pos, x_h_prev, x_h, x_h_prev2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x_c_pos, x_h_prev, x_h,
+                                                x_h_prev2)))
+    eps = 1e-9 * np.maximum(1.0, np.abs(x_h))
+    if not np.all((x_h_prev2 <= x_h_prev + eps) & (x_h_prev <= x_h + eps)):
         raise ValueError("contours must satisfy x_h_prev2 <= x_h_prev <= x_h")
-    if x_c_pos > x_h_prev + eps:
+    if np.any(x_c_pos > x_h_prev + eps):
         raise ValueError("decision arc cannot lie ahead of the previous contour")
 
     y = 0.5 * w * _GL_NODES
@@ -287,9 +328,12 @@ def areas(
     c_p = _arc_positions(x_h_prev, y, dst_x)
     c_h = _arc_positions(x_h, y, dst_x)
     c_p2 = _arc_positions(x_h_prev2, y, dst_x)
-    a_d = float(wt @ np.maximum(c_h - c_p, 0.0))
-    a_r_minus = float(wt @ np.maximum(c_p - c_c, 0.0))
-    a_d_minus = float(wt @ np.maximum(c_p - c_p2, 0.0))
+    a_d = np.maximum(c_h - c_p, 0.0) @ wt
+    a_r_minus = np.maximum(c_p - c_c, 0.0) @ wt
+    a_d_minus = np.maximum(c_p - c_p2, 0.0) @ wt
+    if a_d.ndim == 0:
+        a_d, a_r_minus, a_d_minus = float(a_d), float(a_r_minus), \
+            float(a_d_minus)
     return a_d, a_d + a_r_minus, a_d_minus, a_r_minus
 
 
@@ -314,7 +358,6 @@ class HopRecursionState:
     i: int
     dist_k_prev: IntDist        # relays formed at hop i-1
     dist_k_prev2: IntDist       # relays formed at hop i-2
-    dist_s: IntDist             # S_{i-2} = sum of relay counts through hop i-2
     x_anchor_prev: float        # mean on-axis contour of hop i-1
     x_anchor_prev2: float       # mean on-axis contour of hop i-2
     tail_tol: float = 1e-9
@@ -335,21 +378,26 @@ class HopStatistics:
     dists_k: list[IntDist] = dc_field(default_factory=list)
     dists_l: list[IntDist] = dc_field(default_factory=list)
 
-    def as_table(self) -> list[tuple]:
-        return [(r.hop, r.e_k, r.e_l, r.e_nr, r.xh0) for r in self.rows]
-
 
 def _mixture_poisson(means: np.ndarray, weights: np.ndarray,
                      tail_tol: float) -> IntDist:
-    """Sum_w Poisson(mean_w), truncated to the tail tolerance."""
+    """Sum_w Poisson(mean_w), truncated to the tail tolerance.
+
+    Components are evaluated in blocks of _MIX_CHUNK rows with the Poisson
+    log-mass xlogy(n, m) - gammaln(n + 1) - m and reduced by a weights @ pmf
+    matmul, so memory stays at one block whatever the component count.
+    """
     top = float(means.max(initial=0.0))
     hi = int(_poisson.isf(tail_tol * 0.1, top)) + 2 if top > 0 else 1
     ns = np.arange(hi)
+    log_fact = gammaln(ns + 1.0)
+    keep = weights > 0.0
+    means, weights = means[keep], weights[keep]
     probs = np.zeros(hi)
-    for m, wgt in zip(means, weights):
-        if wgt <= 0.0:
-            continue
-        probs += wgt * _poisson.pmf(ns, m)
+    for lo in range(0, means.size, _MIX_CHUNK):
+        m = means[lo:lo + _MIX_CHUNK, None]
+        pmf = np.exp(xlogy(ns, m) - log_fact - m)
+        probs += weights[lo:lo + _MIX_CHUNK] @ pmf
     return IntDist(probs, tail_tol).truncated()
 
 
@@ -374,7 +422,6 @@ def init_recursion(
         i=2,
         dist_k_prev=dist_k1,
         dist_k_prev2=IntDist.point_mass(1, tail_tol),  # the source itself
-        dist_s=IntDist.point_mass(0, tail_tol),        # S_0 = 0
         x_anchor_prev=r1,
         x_anchor_prev2=0.0,
         tail_tol=tail_tol,
@@ -399,48 +446,36 @@ def propagate_hop(
     """
     eps = field_cfg.epsilon
     rho = field_cfg.rho
+    w = field_cfg.w
     p_wk = 1.0 - eps
     tol = state.tail_tol
     r1 = model.r1
     dst_x = field_cfg.length
+    anchor = state.x_anchor_prev
+
+    def decode_bands(x0: float, dist: IntDist) -> np.ndarray:
+        """Fresh decode area per relay count k >= 1 with positive mass."""
+        ks = np.flatnonzero(dist.probs[1:] > 0.0) + 1
+        out = np.zeros(dist.support)
+        out[ks] = areas(x0, x0, x_h_step(x0, ks, model), x0, w, dst_x)[0]
+        return out
 
     k_prev = state.dist_k_prev
-    k_vals = np.arange(k_prev.support)
     k_mask = k_prev.probs > 0.0
-
     if state.i == 2:
         # the previous decode band is the source's full disc
         a_decode_prev = np.full(state.dist_k_prev2.support,
-                                first_hop_areas(r1, field_cfg.w)[0])
+                                first_hop_areas(r1, w)[0])
     else:
-        a_decode_prev = np.zeros(state.dist_k_prev2.support)
-        for k2 in range(state.dist_k_prev2.support):
-            if state.dist_k_prev2.probs[k2] <= 0.0 or k2 < 1:
-                continue
-            x_h = x_h_step(state.x_anchor_prev2, k2, model)
-            a_d, *_ = areas(state.x_anchor_prev2, state.x_anchor_prev2, x_h,
-                            state.x_anchor_prev2, field_cfg.w, dst_x)
-            a_decode_prev[k2] = a_d
+        a_decode_prev = decode_bands(state.x_anchor_prev2, state.dist_k_prev2)
+    a_decode = decode_bands(anchor, k_prev)
 
-    # fresh decode band per previous relay count
-    a_decode = np.zeros(k_prev.support)
-    a_sliver = {}
-    for k in k_vals[k_mask]:
-        if k < 1:
-            continue
-        x_h = x_h_step(state.x_anchor_prev, int(k), model)
-        a_d, *_ = areas(state.x_anchor_prev, state.x_anchor_prev, x_h,
-                        state.x_anchor_prev, field_cfg.w, dst_x)
-        a_decode[k] = a_d
-
-    def sliver(j_eff: int) -> float:
-        if j_eff in a_sliver:
-            return a_sliver[j_eff]
-        xc = x_c(state.x_anchor_prev, j_eff, rho, eps)
-        _, _, _, a_rm = areas(xc, state.x_anchor_prev, state.x_anchor_prev,
-                              state.x_anchor_prev, field_cfg.w, dst_x)
-        a_sliver[j_eff] = a_rm
-        return a_rm
+    # sliver between the decision arc and the previous contour, by j_eff
+    ks = np.flatnonzero(k_mask[1:]) + 1
+    k_max = int(ks[-1])
+    x_cs = [x_c(anchor, j, rho, eps) for j in range(1, k_max + 1)]
+    a_sliver = np.zeros(k_max + 1)
+    a_sliver[1:] = areas(x_cs, anchor, anchor, anchor, w, dst_x)[3]
 
     # decoders: Poisson over the fresh band + sleep-staggered previous band
     p_l = _mixture_poisson(eps * rho * a_decode[k_mask],
@@ -453,32 +488,25 @@ def propagate_hop(
     # relays: mix over (j, previous count); j = 0 falls back to the arc
     # through the farthest relay
     means_r, weights_r = [], []
-    means_nr, weights_nr = [], []
-    j_marginal: dict[int, float] = {}
-    for k in k_vals[k_mask]:
-        if k < 1:
-            continue
-        wk = float(k_prev.probs[k])
-        jp = p_j_pmf(int(k), b)
-        for j in range(0, int(k) + 1):
-            wj = wk * jp[j]
-            if wj <= 0.0:
-                continue
-            j_eff = int(k) if j == 0 else j
-            a_r = a_decode[k] + sliver(j_eff)
-            means_r.append(eps * rho * (a_decode[k] + sliver(j_eff)))
-            weights_r.append(wj)
-            means_nr.append(1.0 / math.expm1(eps * rho * a_r))
-            weights_nr.append(wj)
-            j_marginal[j_eff] = j_marginal.get(j_eff, 0.0) + wj
+    j_marginal = np.zeros(k_max + 1)
+    for k in ks:
+        wj = k_prev.probs[k] * p_j_pmf(int(k), b)
+        j_eff = np.arange(k + 1)
+        j_eff[0] = k
+        pos = wj > 0.0
+        j_eff, wj = j_eff[pos], wj[pos]
+        means_r.append(eps * rho * (a_decode[k] + a_sliver[j_eff]))
+        weights_r.append(wj)
+        np.add.at(j_marginal, j_eff, wj)
+    means_r = np.concatenate(means_r)
+    weights_r = np.concatenate(weights_r)
 
-    p_k = _mixture_poisson(np.asarray(means_r), np.asarray(weights_r), tol)
-    e_nr = float(np.dot(means_nr, weights_nr))
+    p_k = _mixture_poisson(means_r, weights_r, tol)
+    e_nr = float(np.dot(1.0 / np.expm1(means_r), weights_r))
 
-    j_effs = np.asarray(sorted(j_marginal))
-    p_k_minus = _mixture_poisson(
-        eps * rho * p_wk * np.asarray([sliver(int(j)) for j in j_effs]),
-        np.asarray([j_marginal[int(j)] for j in j_effs]), tol)
+    j_effs = np.flatnonzero(j_marginal > 0.0)
+    p_k_minus = _mixture_poisson(eps * rho * p_wk * a_sliver[j_effs],
+                                 j_marginal[j_effs], tol)
     dist_k_raw = p_k.convolve(p_k_minus)
     dist_k = dist_k_raw.zero_truncated().truncated()
 
@@ -495,7 +523,6 @@ def propagate_hop(
         i=state.i + 1,
         dist_k_prev=dist_k,
         dist_k_prev2=k_prev,
-        dist_s=state.dist_s.convolve(k_prev),
         x_anchor_prev=x_anchor,
         x_anchor_prev2=state.x_anchor_prev,
         tail_tol=tol,

@@ -23,6 +23,9 @@ SCENARIOS = (
     "calibrate",
 )
 
+# scenarios that run the analytic hop recursion, which needs b >= 3
+RECURSION_SCENARIOS = ("analytic", "retransmissions")
+
 
 class ConfigError(ValueError):
     """Invalid configuration; carries line-referenced diagnostics."""
@@ -89,6 +92,9 @@ class ExperimentSpec:
             diags.append(f"trials must be >= 1, got {self.trials}")
         if self.b < 2:
             diags.append(f"b (RACH slots) must be >= 2, got {self.b}")
+        elif self.b < 3 and self.scenario in RECURSION_SCENARIOS:
+            diags.append(f"b (RACH slots) must be >= 3 for scenario "
+                         f"'{self.scenario}' (analytic recursion), got {self.b}")
         if self.workers < 0:
             diags.append("workers must be >= 0")
         for name, cfg in (("field", self.field), ("phy", self.phy),

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from omrsim.analytic import (
     CalibrationError,
     IntDist,
     ProgressModel,
+    _mixture_poisson,
     areas,
     calibrate_progress,
     first_hop_areas,
@@ -106,6 +108,63 @@ def test_p_j_close_to_enumeration_when_b_large():
 def test_p_zero_decreases_with_b():
     p0 = [p_j_pmf(4, b)[0] for b in (4, 6, 10, 16)]
     assert all(a >= v for a, v in zip(p0, p0[1:]))
+
+
+def _printed_p_z(z, k, b):
+    """p_z transcribed from the printed recursion, term by term."""
+    if z == 1:
+        return ((b - 1) / b) ** (k - 1)
+    if z >= b - 1:
+        return 0.0
+    val = ((b - 1) / b) ** (k - 1)
+    for m in range(2, z + 1):
+        val *= ((b - m) / (b - m + 1)) ** (k - m)
+    return val
+
+
+def _printed_p_j_pmf(k, b):
+    """[p_j(0), .., p_j(k)] from the printed inclusion-exclusion formula.
+
+    Every z term is added, zero or not; only the p_z values (which do not
+    depend on j) are computed once. j = 0 takes the complement.
+    """
+    pz = [None] + [_printed_p_z(z, k, b - 1) for z in range(1, k)]
+    heads = []
+    for j in range(1, k + 1):
+        acc = 1.0
+        for z in range(1, j):
+            acc += (-1) ** z * math.comb(j - 1, z) * pz[z]
+        heads.append(max(0.0, ((b - 1) / b) ** (k - 1) * acc))
+    vals = np.array([max(0.0, 1.0 - sum(heads))] + heads)
+    return vals / vals.sum()
+
+
+@pytest.mark.parametrize("b", [3, 4, 8, 16, 24, 40])
+def test_p_j_pmf_bit_identical_to_printed_formula(b):
+    for k in range(1, 171):
+        got = p_j_pmf(k, b)
+        assert np.array_equal(got, _printed_p_j_pmf(k, b)), (k, b)
+        scalar = np.array([p_j(j, k, b) for j in range(k + 1)])
+        assert np.array_equal(scalar / scalar.sum(), got), (k, b)
+
+
+def test_mixture_poisson_matches_per_component_sum():
+    rng = np.random.default_rng(11)
+    n = 1300                               # more than two blocks of 512
+    means = rng.uniform(0.0, 40.0, n)
+    weights = rng.uniform(0.0, 1.0, n)
+    means[[0, 700]] = 0.0                  # point masses at zero
+    weights[[5, 600, 1299]] = 0.0          # skipped components
+    weights /= weights.sum()
+    got = _mixture_poisson(means, weights, 1e-9)
+    ns = np.arange(got.support)
+    ref = np.zeros(got.support)
+    for m, w in zip(means, weights):
+        if w > 0.0:
+            ref += w * poisson.pmf(ns, m)
+    ref /= ref.sum()
+    np.testing.assert_allclose(got.probs, ref, rtol=1e-13, atol=0.0)
+    got.check_normalized()
 
 
 # ------------------------------------------------------------- progress law

@@ -88,6 +88,35 @@ def test_cli_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["analytic", "retransmissions"])
+def test_cli_recursion_scenarios_reject_two_slots(tmp_path, capsys, scenario):
+    cfg = tmp_path / "b2.cfg"
+    cfg.write_text("b_rach_slots = 2\n")
+    assert main(["--config", str(cfg), "--scenario", scenario,
+                 "--validate-only"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and ">= 3" in err and scenario in err
+    # the simulation alone runs with two slots
+    assert main(["--config", str(cfg), "--scenario", "omr-trials",
+                 "--validate-only"]) == 0
+
+
+def test_cli_analytic_prints_dumped_pmfs(tmp_path, capsys):
+    cfg = tmp_path / "dump.cfg"
+    cfg.write_text("dump_pmfs = true\nlength_m = 800\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--scenario", "analytic", "--trials",
+                 "2", "--seed", "3", "--workers", "1", "--out",
+                 str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].endswith("analytic_hops.csv")
+    pmfs = [p for p in printed if os.path.basename(p).startswith("pmf_K_hop")]
+    with open(printed[0], encoding="utf-8") as fh:
+        hops = len(fh.readlines()) - 1
+    assert len(pmfs) == hops >= 1
+    assert all(os.path.exists(p) for p in printed)
+
+
 def test_cli_missing_config(capsys):
     assert main(["--config", "/nonexistent/x.cfg"]) == 2
 
