@@ -30,7 +30,6 @@ class PhyConfig:
     p_t: float = 2.0            # transmit power over the full band, W (33 dBm)
     gamma_t: float = 10 ** 0.5  # detection SINR threshold, linear (5 dB)
     tau: float = 0.2            # detection reliability bound on outage probability
-    n_h: int = 8                # mean multipath tap count (bookkeeping only)
     t_cp: float = 1.0e-5        # cyclic prefix duration, s
     t_p: float = 0.01           # packet duration, s
     t_id: float = 5.0e-4        # packet-ID listening duration, s

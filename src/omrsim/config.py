@@ -71,7 +71,6 @@ class ExperimentSpec:
     mcs_list: list = dc_field(
         default_factory=lambda: ["DQPSK", "8-DPSK", "16-DPSK"])
     w_list: list = dc_field(default_factory=lambda: [100.0, 150.0, 200.0])
-    t_s_list: list = dc_field(default_factory=lambda: [1e-3, 2e-3, 3.5e-3, 5e-3])
     bcl_p_t_dbm: float = 33.0
     coding_gain_db: float = 0.0
     dump_pmfs: bool = False
@@ -145,7 +144,6 @@ _KEYMAP = {
     "p_t_dbm": ("phy", "p_t", lambda s: dbm_to_watts(float(s))),
     "gamma_t_db": ("phy", "gamma_t", lambda s: db_to_linear(float(s))),
     "tau": ("phy", "tau", float),
-    "n_taps": ("phy", "n_h", int),
     "t_cp_s": ("phy", "t_cp", float),
     "t_p_s": ("phy", "t_p", float),
     "t_id_s": ("phy", "t_id", float),
@@ -175,7 +173,6 @@ _LIST_KEYS = {
     "b_list": ("b_list", int),
     "mcs_list": ("mcs_list", str),
     "w_list_m": ("w_list", float),
-    "t_s_list_s": ("t_s_list", float),
 }
 
 

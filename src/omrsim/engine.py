@@ -35,7 +35,6 @@ class PacketHeader:
     packet_id: int
     strip_width: float
     b: int                      # RACH slot count
-    hop_index: int = 0
 
     def validate(self) -> None:
         if self.b < 2:
@@ -81,10 +80,6 @@ class TrialResult:
     delay_spread_s: float     # forwarding delay spread at the destination
     seed: int
     n_deployed: int
-
-    def k_series(self) -> dict[int, int]:
-        """Relay-set size per hop index (relays formed at hop i)."""
-        return {rec.hop: rec.k for rec in self.records if rec.k > 0}
 
 
 def rach_round(k: int, b: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -768,10 +763,3 @@ def propagation_delays(
     arrivals = np.hypot(sets[-1][:, 0] - dst[0], sets[-1][:, 1] - dst[1]) + dps[-1]
     spread_s = float(arrivals.max() - arrivals.min()) / SPEED_OF_LIGHT
     return dps, spread_s
-
-
-def trial_delay_spread(trial: TrialResult) -> float:
-    """Forwarding delay spread at the destination for a completed trial."""
-    if not trial.reached:
-        raise ValueError("delay spread is defined for reached trials only")
-    return trial.delay_spread_s

@@ -7,14 +7,16 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import calibrate_progress, run_recursion
-from .baseline import BclConfig, run_bcl
+from .analytic import CalibrationError, calibrate_progress, run_recursion
+from .baseline import run_bcl
 from .channel import PhyConfig, detection_constant
-from .config import ExperimentSpec, dbm_to_watts
-from .engine import RetransmitPolicy, run_trial, run_two_packet_trial
+from .config import ConfigError, ExperimentSpec, dbm_to_watts, watts_to_dbm
+from .engine import run_trial, run_two_packet_trial
 from .field import FieldConfig, Point2D
 from .metrics import edp_and_cost, mcs_table, trial_e2e
 
@@ -26,7 +28,6 @@ SUMMARY_COLUMNS = ["protocol", "p_t_dbm", "rho_per_km2", "B", "mcs",
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -35,12 +36,15 @@ def _write_csv(path: str, header: list[str], rows) -> None:
                              for v in row])
 
 
-def _write_plot_recipe(path: str, title: str, x: str, y: str, data_csv: str,
-                       series: str | None = None, notes: str = "") -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _write_figure(spec: ExperimentSpec, stem: str, header: list[str], rows,
+                  title: str, x: str, y: str, series: str | None = None,
+                  notes: str = "") -> str:
+    """Write <stem>.csv and its plain-text plot recipe; returns the CSV path."""
+    path = os.path.join(spec.out_dir, f"{stem}.csv")
+    _write_csv(path, header, rows)
     lines = [
         f"title = {title}",
-        f"data = {os.path.basename(data_csv)}",
+        f"data = {stem}.csv",
         f"x = {x}",
         f"y = {y}",
     ]
@@ -48,66 +52,89 @@ def _write_plot_recipe(path: str, title: str, x: str, y: str, data_csv: str,
         lines.append(f"series_by = {series}")
     if notes:
         lines.append(f"notes = {notes}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(spec.out_dir, f"{stem}.plot.txt"), "w",
+              encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    return path
 
 
-def _trial_seeds(seed: int, trials: int) -> list[int]:
-    root = np.random.SeedSequence(seed)
-    return [int(s.generate_state(1)[0]) for s in root.spawn(trials)]
+class TrialSummary(NamedTuple):
+    """What a sweep keeps of one OMR trial."""
+
+    seed: int
+    reached: bool
+    q: int                  # hops traversed
+    delay_spread_s: float
+    rows: list              # TRACE_COLUMNS rows, one per hop
+    energy_j: float
+    delay_s: float
 
 
-def _one_omr_trial(args):
-    field_kw, phy_kw, pol_kw, b, seed = args
-    res = run_trial(FieldConfig(**field_kw), PhyConfig(**phy_kw),
-                    RetransmitPolicy(**pol_kw), b, seed)
+def _one_omr_trial(args) -> TrialSummary:
+    field, phy, policy, b, seed = args
+    res = run_trial(field, phy, policy, b, seed)
     rows = [(res.seed, r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0,
              res.delay_spread_s) for r in res.records]
-    e, l = trial_e2e(res.records, PhyConfig(**phy_kw))
-    return res.seed, res.reached, res.q, res.delay_spread_s, rows, e, l
+    e, l = trial_e2e(res.records, phy)
+    return TrialSummary(res.seed, res.reached, res.q, res.delay_spread_s,
+                        rows, e, l)
 
 
-def run_omr_batch(spec: ExperimentSpec, field: FieldConfig, phy: PhyConfig,
-                  trials: int, seed: int):
-    """Run trials (parallel when spec.workers != 1), deterministic order."""
-    args = [
-        (field.__dict__, phy.__dict__, spec.policy.__dict__, spec.b, s)
-        for s in _trial_seeds(seed, trials)
-    ]
+def run_sweep(spec: ExperimentSpec,
+              points: list[tuple]) -> list[list[TrialSummary]]:
+    """Run the trials of every (field, phy, b, trials, seed) point.
+
+    Returns one batch per point, in point order, each in trial-seed order.
+    A point's trial seeds are spawned from its own seed, so its batch does
+    not depend on the other points or on the worker count. All points share
+    one worker pool; the run is inline when spec.workers == 1 or there are
+    fewer than 8 trials in all.
+    """
+    args = [(field, phy, spec.policy, b, int(s.generate_state(1)[0]))
+            for field, phy, b, trials, seed in points
+            for s in np.random.SeedSequence(seed).spawn(trials)]
     workers = spec.workers if spec.workers > 0 else (os.cpu_count() or 1)
-    if workers == 1 or trials < 8:
+    if workers == 1 or len(args) < 8:
         out = [_one_omr_trial(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             out = list(pool.map(_one_omr_trial, args, chunksize=16))
-    order = {a[-1]: i for i, a in enumerate(args)}
-    out.sort(key=lambda item: order[item[0]])
-    return out
+    rest = iter(out)
+    return [list(islice(rest, trials)) for _, _, _, trials, _ in points]
 
 
-def _omr_point_metrics(batch, phy: PhyConfig):
-    """Delivery-normalized energy, mean delivered delay, EDP and cost."""
-    delivered = [b for b in batch if b[1]]
-    total_energy = sum(b[5] for b in batch)
-    if not delivered:
-        return math.nan, math.nan, math.nan, math.nan, 0
-    e_per_delivery = total_energy / len(delivered)
-    l_mean = float(np.mean([b[6] for b in delivered]))
-    edp, cost = edp_and_cost(e_per_delivery, l_mean, phy.r, phy.t_p)
-    return e_per_delivery, l_mean, edp, cost, len(delivered)
+def run_omr_batch(spec: ExperimentSpec, field: FieldConfig, phy: PhyConfig,
+                  trials: int, seed: int) -> list[TrialSummary]:
+    """One sweep point of `trials` trials at spec.b slots."""
+    return run_sweep(spec, [(field, phy, spec.b, trials, seed)])[0]
+
+
+def _omr_row(batch, phy: PhyConfig, p_dbm: float, rho_km2: float, b: int,
+             mcs: str = "", cost_b: float | None = None) -> tuple:
+    """A point's summary row: delivery-normalized energy, mean delivered
+    delay, EDP and cost; the cost ratio is blank without a baseline cost."""
+    delivered = [t for t in batch if t.reached]
+    e = l = edp = cost = math.nan
+    if delivered:
+        e = sum(t.energy_j for t in batch) / len(delivered)
+        l = float(np.mean([t.delay_s for t in delivered]))
+        edp, cost = edp_and_cost(e, l, phy.r, phy.t_p)
+    ratio = ""
+    if cost_b is not None:
+        ratio = cost / cost_b if cost == cost else math.nan
+    return ("omr", p_dbm, rho_km2, b, mcs, e, l, edp, cost, ratio,
+            len(delivered), len(batch))
 
 
 def scenario_omr_trials(spec: ExperimentSpec) -> list[str]:
     batch = run_omr_batch(spec, spec.field, spec.phy, spec.trials, spec.seed)
     trace_path = os.path.join(spec.out_dir, "omr_trace.csv")
-    rows = [row for b in batch for row in b[4]]
-    _write_csv(trace_path, TRACE_COLUMNS, rows)
-    e, l, edp, cost, delivered = _omr_point_metrics(batch, spec.phy)
+    _write_csv(trace_path, TRACE_COLUMNS,
+               [row for t in batch for row in t.rows])
     summary = os.path.join(spec.out_dir, "summary.csv")
-    _write_csv(summary, SUMMARY_COLUMNS, [(
-        "omr", round(10 * math.log10(spec.phy.p_t) + 30, 6),
-        spec.field.rho * 1e6, spec.b, "", e, l, edp, cost, "",
-        delivered, spec.trials)])
+    _write_csv(summary, SUMMARY_COLUMNS, [_omr_row(
+        batch, spec.phy, round(watts_to_dbm(spec.phy.p_t), 6),
+        spec.field.rho * 1e6, spec.b)])
     return [trace_path, summary]
 
 
@@ -126,24 +153,29 @@ def scenario_bcl_trials(spec: ExperimentSpec) -> list[str]:
     return [hop_path, summary]
 
 
-def calibrate_from_batch(spec: ExperimentSpec, field: FieldConfig,
-                         phy: PhyConfig, trials: int, seed: int):
-    """Fit the per-hop progress law from a fresh batch of trials."""
-    batch = run_omr_batch(spec, field, phy, trials, seed)
+def _fit_progress(batch, phy: PhyConfig):
+    """Fit the per-hop progress law to a batch's contour advances."""
     u = detection_constant(phy).u
     ks, dxs = [], []
     for b in batch:
         # failed trials still advanced the contour for a few hops; their
         # samples are as real as any
         prev_x = None
-        for (_, hop, k_prev, _, _, _, xh0, _) in b[4]:
+        for (_, hop, k_prev, _, _, _, xh0, _) in b.rows:
             if hop >= 2 and prev_x is not None \
                     and not math.isnan(xh0) and not math.isnan(prev_x):
                 ks.append(k_prev)
                 dxs.append(xh0 - prev_x)
             prev_x = xh0
-    model, mape = calibrate_progress(np.asarray(ks, dtype=float),
-                                     np.asarray(dxs, dtype=float), u)
+    return calibrate_progress(np.asarray(ks, dtype=float),
+                              np.asarray(dxs, dtype=float), u)
+
+
+def calibrate_from_batch(spec: ExperimentSpec, field: FieldConfig,
+                         phy: PhyConfig, trials: int, seed: int):
+    """Fit the per-hop progress law from a fresh batch of trials."""
+    batch = run_omr_batch(spec, field, phy, trials, seed)
+    model, mape = _fit_progress(batch, phy)
     return model, mape, batch
 
 
@@ -161,167 +193,141 @@ def scenario_analytic(spec: ExperimentSpec) -> list[str]:
     model, mape, _ = calibrate_from_batch(
         spec, spec.field, spec.phy, max(200, spec.trials // 5), spec.seed + 1)
     stats = run_recursion(spec.field, model, spec.b)
-    path = os.path.join(spec.out_dir, "analytic_hops.csv")
-    _write_csv(path, ["hop", "E_K", "E_L", "E_nr", "xH0"],
-               [(r.hop, r.e_k, r.e_l, r.e_nr, r.xh0) for r in stats.rows])
-    out = [path]
+    out = [_write_figure(
+        spec, "analytic_hops", ["hop", "E_K", "E_L", "E_nr", "xH0"],
+        [(r.hop, r.e_k, r.e_l, r.e_nr, r.xh0) for r in stats.rows],
+        "Per-hop relay/decoder expectations", "hop", "E_K,E_L,E_nr",
+        notes=f"progress fit MAPE = {mape:.4f}")]
     if spec.dump_pmfs:
         for i, dist in enumerate(stats.dists_k, start=1):
             p = os.path.join(spec.out_dir, f"pmf_K_hop{i}.csv")
             _write_csv(p, ["k", "prob"], list(enumerate(dist.probs)))
             out.append(p)
-    _write_plot_recipe(os.path.join(spec.out_dir, "analytic_hops.plot.txt"),
-                       "Per-hop relay/decoder expectations", "hop",
-                       "E_K,E_L,E_nr", path,
-                       notes=f"progress fit MAPE = {mape:.4f}")
     return out
+
+
+def _bcl_reference(spec: ExperimentSpec, field: FieldConfig, phy: PhyConfig,
+                   rho_km2: float, mcs: str = ""):
+    """The BCL summary row a sweep's cost ratios divide by, and its cost."""
+    phy_b = phy.with_tx_power(dbm_to_watts(spec.bcl_p_t_dbm))
+    res = run_bcl(spec.bcl, field, phy_b, max(100, spec.trials // 5),
+                  spec.seed + 17)
+    edp, cost = edp_and_cost(res.e2e_energy_j, res.e2e_delay_s, phy_b.r,
+                             phy_b.t_p)
+    return ("bcl", spec.bcl_p_t_dbm, rho_km2, "", mcs, res.e2e_energy_j,
+            res.e2e_delay_s, edp, cost, 1.0, res.delivered, res.trials), cost
+
+
+def _power_grid(spec: ExperimentSpec) -> list[tuple]:
+    """(rho_km2, p_t_dbm, point) of the density-major density x power sweep."""
+    return [(rho_km2, pdbm, (replace(spec.field, rho=rho_km2 * 1e-6),
+                             spec.phy.with_tx_power(dbm_to_watts(pdbm)),
+                             spec.b, spec.trials, spec.seed + int(pdbm * 10)))
+            for rho_km2 in spec.rho_per_km2_list
+            for pdbm in spec.p_t_dbm_list]
 
 
 def scenario_compare_power(spec: ExperimentSpec) -> list[str]:
     """Cost-ratio curve against transmit power for each density."""
+    grid = _power_grid(spec)
+    batches = run_sweep(spec, [point for *_, point in grid])
     rows = []
-    for rho_km2 in spec.rho_per_km2_list:
-        field = replace(spec.field, rho=rho_km2 * 1e-6)
-        phy_b = spec.phy.with_tx_power(dbm_to_watts(spec.bcl_p_t_dbm))
-        bcl = run_bcl(spec.bcl, field, phy_b, max(100, spec.trials // 5),
-                      spec.seed + 17)
-        edp_b, cost_b = edp_and_cost(bcl.e2e_energy_j, bcl.e2e_delay_s,
-                                     phy_b.r, phy_b.t_p)
-        rows.append(("bcl", spec.bcl_p_t_dbm, rho_km2, "", "",
-                     bcl.e2e_energy_j, bcl.e2e_delay_s, edp_b, cost_b, 1.0,
-                     bcl.delivered, bcl.trials))
-        for pdbm in spec.p_t_dbm_list:
-            phy = spec.phy.with_tx_power(dbm_to_watts(pdbm))
-            batch = run_omr_batch(spec, field, phy, spec.trials,
-                                  spec.seed + int(pdbm * 10))
-            e, l, edp, cost, delivered = _omr_point_metrics(batch, phy)
-            ratio = cost / cost_b if cost == cost else math.nan
-            rows.append(("omr", pdbm, rho_km2, spec.b, "", e, l, edp, cost,
-                         ratio, delivered, spec.trials))
-    path = os.path.join(spec.out_dir, "compare_power.csv")
-    _write_csv(path, SUMMARY_COLUMNS, rows)
-    _write_plot_recipe(os.path.join(spec.out_dir, "compare_power.plot.txt"),
-                       "End-to-end cost ratio vs transmit power",
-                       "p_t_dbm", "cost_ratio", path, series="rho_per_km2")
-    return [path]
+    for i, ((rho_km2, pdbm, (field, phy, *_)), batch) in enumerate(
+            zip(grid, batches)):
+        if i % len(spec.p_t_dbm_list) == 0:  # a density's rows open with BCL
+            bcl_row, cost_b = _bcl_reference(spec, field, spec.phy, rho_km2)
+            rows.append(bcl_row)
+        rows.append(_omr_row(batch, phy, pdbm, rho_km2, spec.b, cost_b=cost_b))
+    return [_write_figure(spec, "compare_power", SUMMARY_COLUMNS, rows,
+                          "End-to-end cost ratio vs transmit power", "p_t_dbm",
+                          "cost_ratio", series="rho_per_km2")]
 
 
 def scenario_compare_b(spec: ExperimentSpec) -> list[str]:
-    rows = []
     field = spec.field
-    phy_b = spec.phy.with_tx_power(dbm_to_watts(spec.bcl_p_t_dbm))
-    bcl = run_bcl(spec.bcl, field, phy_b, max(100, spec.trials // 5),
-                  spec.seed + 17)
-    _, cost_b = edp_and_cost(bcl.e2e_energy_j, bcl.e2e_delay_s, phy_b.r,
-                             phy_b.t_p)
-    for b in spec.b_list:
-        batch = run_omr_batch(replace(spec, b=b), field, spec.phy,
-                              spec.trials, spec.seed + b)
-        e, l, edp, cost, delivered = _omr_point_metrics(batch, spec.phy)
-        rows.append(("omr", round(10 * math.log10(spec.phy.p_t) + 30, 6),
-                     field.rho * 1e6, b, "", e, l, edp, cost, cost / cost_b,
-                     delivered, spec.trials))
-    path = os.path.join(spec.out_dir, "compare_B.csv")
-    _write_csv(path, SUMMARY_COLUMNS, rows)
-    _write_plot_recipe(os.path.join(spec.out_dir, "compare_B.plot.txt"),
-                       "End-to-end cost ratio vs RACH slot count", "B",
-                       "cost_ratio", path)
-    return [path]
+    _, cost_b = _bcl_reference(spec, field, spec.phy, field.rho * 1e6)
+    batches = run_sweep(spec, [(field, spec.phy, b, spec.trials, spec.seed + b)
+                               for b in spec.b_list])
+    p_dbm = round(watts_to_dbm(spec.phy.p_t), 6)
+    rows = [_omr_row(batch, spec.phy, p_dbm, field.rho * 1e6, b, cost_b=cost_b)
+            for b, batch in zip(spec.b_list, batches)]
+    return [_write_figure(spec, "compare_B", SUMMARY_COLUMNS, rows,
+                          "End-to-end cost ratio vs RACH slot count", "B",
+                          "cost_ratio")]
 
 
 def scenario_compare_mcs(spec: ExperimentSpec) -> list[str]:
     """Per-MCS cost against the baseline running coherent QPSK."""
     table = {m.name: m for m in mcs_table(spec.coding_gain_db)}
-    rows = []
-    qpsk = table["QPSK-coherent"]
-    phy_b = replace(spec.phy, p_t=dbm_to_watts(spec.bcl_p_t_dbm),
-                    gamma_t=qpsk.gamma_t, r=qpsk.rate(spec.phy.symbol_rate))
-    bcl = run_bcl(spec.bcl, spec.field, phy_b, max(100, spec.trials // 5),
-                  spec.seed + 17)
-    edp_b, cost_b = edp_and_cost(bcl.e2e_energy_j, bcl.e2e_delay_s, phy_b.r,
-                                 phy_b.t_p)
-    rows.append(("bcl", spec.bcl_p_t_dbm, spec.field.rho * 1e6, "",
-                 "QPSK-coherent", bcl.e2e_energy_j, bcl.e2e_delay_s, edp_b,
-                 cost_b, 1.0, bcl.delivered, bcl.trials))
-    for name in spec.mcs_list:
+    names = ["QPSK-coherent", *spec.mcs_list]
+    for name in names:
         if name not in table:
             raise ValueError(f"unknown MCS '{name}'")
-        entry = table[name]
-        phy = replace(spec.phy, gamma_t=entry.gamma_t,
-                      r=entry.rate(spec.phy.symbol_rate))
-        batch = run_omr_batch(spec, spec.field, phy, spec.trials,
-                              spec.seed + entry.bits_per_symbol)
-        e, l, edp, cost, delivered = _omr_point_metrics(batch, phy)
-        rows.append(("omr", round(10 * math.log10(phy.p_t) + 30, 6),
-                     spec.field.rho * 1e6, spec.b, name, e, l, edp, cost,
-                     cost / cost_b, delivered, spec.trials))
-    path = os.path.join(spec.out_dir, "compare_mcs.csv")
-    _write_csv(path, SUMMARY_COLUMNS, rows)
-    _write_plot_recipe(os.path.join(spec.out_dir, "compare_mcs.plot.txt"),
-                       "End-to-end cost ratio per modulation scheme", "mcs",
-                       "cost_ratio", path)
-    return [path]
+    bcl_phy, *phys = [replace(spec.phy, gamma_t=table[name].gamma_t,
+                              r=table[name].rate(spec.phy.symbol_rate))
+                      for name in names]
+    bcl_row, cost_b = _bcl_reference(spec, spec.field, bcl_phy,
+                                     spec.field.rho * 1e6, names[0])
+    batches = run_sweep(spec, [
+        (spec.field, phy, spec.b, spec.trials,
+         spec.seed + table[name].bits_per_symbol)
+        for name, phy in zip(spec.mcs_list, phys)])
+    rows = [bcl_row] + [
+        _omr_row(batch, phy, round(watts_to_dbm(phy.p_t), 6),
+                 spec.field.rho * 1e6, spec.b, name, cost_b)
+        for name, phy, batch in zip(spec.mcs_list, phys, batches)]
+    return [_write_figure(spec, "compare_mcs", SUMMARY_COLUMNS, rows,
+                          "End-to-end cost ratio per modulation scheme", "mcs",
+                          "cost_ratio")]
 
 
 def scenario_delay_spread(spec: ExperimentSpec) -> list[str]:
+    grid = [(rho_km2, w) for rho_km2 in spec.rho_per_km2_list
+            for w in spec.w_list]
+    batches = run_sweep(spec, [
+        (replace(spec.field, rho=rho_km2 * 1e-6, w=w), spec.phy, spec.b,
+         spec.trials, spec.seed + int(w) + int(rho_km2))
+        for rho_km2, w in grid])
     rows = []
-    for rho_km2 in spec.rho_per_km2_list:
-        for w in spec.w_list:
-            field = replace(spec.field, rho=rho_km2 * 1e-6, w=w)
-            batch = run_omr_batch(spec, field, spec.phy, spec.trials,
-                                  spec.seed + int(w) + int(rho_km2))
-            spreads = np.asarray([b[3] for b in batch if b[1]])
-            rows.append((rho_km2, w, spreads.size,
-                         float(spreads.mean()) if spreads.size else math.nan,
-                         float(spreads.std()) if spreads.size else math.nan,
-                         float(np.mean(spreads > spec.phy.t_cp))
-                         if spreads.size else math.nan))
-    path = os.path.join(spec.out_dir, "delay_spread.csv")
-    _write_csv(path, ["rho_per_km2", "w_m", "delivered", "spread_mean_s",
-                      "spread_std_s", "frac_above_t_cp"], rows)
-    _write_plot_recipe(os.path.join(spec.out_dir, "delay_spread.plot.txt"),
-                       "Forwarding delay spread vs strip width", "w_m",
-                       "spread_mean_s,spread_std_s", path,
-                       series="rho_per_km2")
-    return [path]
+    for (rho_km2, w), batch in zip(grid, batches):
+        spreads = np.asarray([b.delay_spread_s for b in batch if b.reached])
+        rows.append((rho_km2, w, spreads.size,
+                     float(spreads.mean()) if spreads.size else math.nan,
+                     float(spreads.std()) if spreads.size else math.nan,
+                     float(np.mean(spreads > spec.phy.t_cp))
+                     if spreads.size else math.nan))
+    return [_write_figure(spec, "delay_spread", [
+        "rho_per_km2", "w_m", "delivered", "spread_mean_s", "spread_std_s",
+        "frac_above_t_cp"], rows, "Forwarding delay spread vs strip width",
+        "w_m", "spread_mean_s,spread_std_s", series="rho_per_km2")]
 
 
 def scenario_retransmissions(spec: ExperimentSpec) -> list[str]:
     """Per-hop expected retransmissions: recursion vs Monte Carlo."""
-    from .analytic import CalibrationError
-
+    grid = _power_grid(spec)
     rows = []
-    for rho_km2 in spec.rho_per_km2_list:
-        for pdbm in spec.p_t_dbm_list:
-            field = replace(spec.field, rho=rho_km2 * 1e-6)
-            phy = spec.phy.with_tx_power(dbm_to_watts(pdbm))
-            ana = {}
-            try:
-                model, mape, batch = calibrate_from_batch(
-                    spec, field, phy, spec.trials, spec.seed + int(pdbm * 10))
-                stats = run_recursion(field, model, spec.b)
-                ana = {r.hop: r.e_nr for r in stats.rows}
-            except (CalibrationError, ValueError):
-                # sweep point too sparse to calibrate; keep the raw counts
-                batch = run_omr_batch(spec, field, phy, spec.trials,
-                                      spec.seed + int(pdbm * 10))
-            nr_by_hop: dict[int, list] = {}
-            for b in batch:
-                for (_, hop, _, _, _, n_r, _, _) in b[4]:
-                    nr_by_hop.setdefault(hop, []).append(n_r)
-            for hop in sorted(nr_by_hop):
-                mc = nr_by_hop[hop]
-                rows.append((rho_km2, pdbm, hop, float(np.mean(mc)),
-                             float(np.std(mc) / math.sqrt(len(mc))),
-                             ana.get(hop, math.nan), len(mc)))
-    path = os.path.join(spec.out_dir, "retransmissions.csv")
-    _write_csv(path, ["rho_per_km2", "p_t_dbm", "hop", "E_nr_mc", "se_mc",
-                      "E_nr_analytic", "n"], rows)
-    _write_plot_recipe(os.path.join(spec.out_dir, "retransmissions.plot.txt"),
-                       "Expected retransmissions per hop", "hop",
-                       "E_nr_mc,E_nr_analytic", path,
-                       series="rho_per_km2,p_t_dbm")
-    return [path]
+    for (rho_km2, pdbm, (field, phy, *_)), batch in zip(
+            grid, run_sweep(spec, [point for *_, point in grid])):
+        ana = {}
+        try:
+            model, _ = _fit_progress(batch, phy)
+            ana = {r.hop: r.e_nr
+                   for r in run_recursion(field, model, spec.b).rows}
+        except (CalibrationError, ValueError):
+            pass  # sweep point too sparse to calibrate; keep the raw counts
+        nr_by_hop: dict[int, list] = {}
+        for b in batch:
+            for (_, hop, _, _, _, n_r, _, _) in b.rows:
+                nr_by_hop.setdefault(hop, []).append(n_r)
+        for hop in sorted(nr_by_hop):
+            mc = nr_by_hop[hop]
+            rows.append((rho_km2, pdbm, hop, float(np.mean(mc)),
+                         float(np.std(mc) / math.sqrt(len(mc))),
+                         ana.get(hop, math.nan), len(mc)))
+    return [_write_figure(spec, "retransmissions", [
+        "rho_per_km2", "p_t_dbm", "hop", "E_nr_mc", "se_mc", "E_nr_analytic",
+        "n"], rows, "Expected retransmissions per hop", "hop",
+        "E_nr_mc,E_nr_analytic", series="rho_per_km2,p_t_dbm")]
 
 
 def scenario_two_packets(spec: ExperimentSpec) -> list[str]:
@@ -331,8 +337,9 @@ def scenario_two_packets(spec: ExperimentSpec) -> list[str]:
         interference_radius=spec.interference_radius,
         stagger_slots=spec.two_stagger_slots,
     )
+    flows = (("a", res.flow_a), ("b", res.flow_b))
     out = []
-    for name, flow in (("a", res.flow_a), ("b", res.flow_b)):
+    for name, flow in flows:
         path = os.path.join(spec.out_dir, f"two_packets_flow_{name}.csv")
         _write_csv(path, ["hop", "K", "L", "j", "n_r", "n_r_interference",
                           "xH0", "reached"],
@@ -343,10 +350,8 @@ def scenario_two_packets(spec: ExperimentSpec) -> list[str]:
     summary = os.path.join(spec.out_dir, "two_packets_summary.csv")
     _write_csv(summary, ["flow", "reached", "hops", "interference_tagged",
                          "slots_used"],
-               [("a", res.flow_a.reached, res.flow_a.q,
-                 res.interference_tagged, res.slots_used),
-                ("b", res.flow_b.reached, res.flow_b.q,
-                 res.interference_tagged, res.slots_used)])
+               [(name, flow.reached, flow.q, res.interference_tagged,
+                 res.slots_used) for name, flow in flows])
     out.append(summary)
     return out
 
@@ -369,8 +374,6 @@ def run(spec: ExperimentSpec) -> list[str]:
     """Execute one scenario; returns the paths written."""
     diags = spec.validate()
     if diags:
-        from .config import ConfigError
-
         raise ConfigError(diags)
     os.makedirs(spec.out_dir, exist_ok=True)
     try:

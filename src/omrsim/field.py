@@ -60,12 +60,6 @@ def in_strip(p: Point2D, strip: Strip) -> bool:
     return abs(lateral) <= strip.width / 2.0
 
 
-def lateral_offsets(xs: np.ndarray, ys: np.ndarray, strip: Strip) -> np.ndarray:
-    """Signed lateral offsets of many points from the strip axis."""
-    ux, uy, _ = strip.axis_frame()
-    return -(xs - strip.src.x) * uy + (ys - strip.src.y) * ux
-
-
 def dist(a: Point2D, b: Point2D) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 

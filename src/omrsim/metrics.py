@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .channel import PhyConfig
-
-
-@dataclass(frozen=True)
-class HopCost:
-    energy_j: float
-    hop_time_s: float
-    n_r: float
-
-    def __post_init__(self):
-        if self.energy_j < 0:
-            raise ValueError("hop energy cannot be negative")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from omrsim.metrics import edp_and_cost, trial_e2e
 
 from rach_oracle import j_distribution
 
+pytestmark = pytest.mark.acceptance
+
 GOLDEN_PHY = PhyConfig()          # 33 dBm, gamma_t 5 dB, tau 0.2, alpha 3
 GOLDEN_FIELD = FieldConfig()      # rho 1500 km^-2, eps 0.25, L 2 km, w 200 m
 GOLDEN_POLICY = RetransmitPolicy()

@@ -1,0 +1,107 @@
+"""The sweep runner: per-point results, one worker pool, named trial summaries."""
+
+import csv
+import math
+from dataclasses import replace
+
+import pytest
+
+from omrsim import experiments
+from omrsim.config import ExperimentSpec, dbm_to_watts
+from omrsim.experiments import TrialSummary, run, run_omr_batch, run_sweep
+
+SHORT_FIELD = replace(ExperimentSpec().field, length=600.0)
+
+
+def _spec(out_dir, scenario="omr-trials", trials=4, workers=1):
+    spec = ExperimentSpec(scenario=scenario, trials=trials, seed=3,
+                          out_dir=str(out_dir), workers=workers)
+    spec.field = SHORT_FIELD
+    return spec
+
+
+def _same(a, b) -> bool:
+    # repr is exact for floats and lets the NaN contours compare equal
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_matches_per_point_batches(tmp_path, workers):
+    spec = _spec(tmp_path, workers=workers)
+    phy = spec.phy
+    points = [
+        (SHORT_FIELD, phy, 24, 3, 11),
+        (replace(SHORT_FIELD, rho=1.2e-3), phy, 8, 4, 12),
+        (SHORT_FIELD, phy.with_tx_power(dbm_to_watts(30.0)), 24, 2, 13),
+    ]
+    batches = run_sweep(spec, points)
+    assert [len(b) for b in batches] == [3, 4, 2]
+    for (field, point_phy, b, trials, seed), batch in zip(points, batches):
+        alone = run_omr_batch(replace(spec, b=b, workers=1), field,
+                              point_phy, trials, seed)
+        assert _same(batch, alone)
+
+
+@pytest.mark.parametrize("scenario", ["compare-power", "compare-B",
+                                      "delay-spread"])
+def test_one_pool_per_scenario(tmp_path, monkeypatch, scenario):
+    real = experiments.ProcessPoolExecutor
+    created = []
+
+    def counting_pool(*args, **kwargs):
+        created.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+    spec = _spec(tmp_path, scenario, trials=4, workers=2)
+    spec.rho_per_km2_list = [1500.0]
+    spec.p_t_dbm_list = [30.0, 33.0]
+    spec.b_list = [8, 24]
+    spec.w_list = [100.0, 200.0]
+    run(spec)
+    assert len(created) == 1
+
+
+def test_trial_summary_named_fields_match_index(tmp_path):
+    batch = run_omr_batch(_spec(tmp_path), SHORT_FIELD, ExperimentSpec().phy,
+                          3, 7)
+    for summary in batch:
+        assert isinstance(summary, TrialSummary)
+        assert len(summary) == len(TrialSummary._fields) == 7
+        for i, name in enumerate(TrialSummary._fields):
+            assert getattr(summary, name) is summary[i]
+
+
+def test_retransmissions_runs_sparse_point_once(tmp_path, monkeypatch):
+    real = experiments.run_trial
+    calls = []
+
+    def counting_trial(*args, **kwargs):
+        calls.append(args[-1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_trial", counting_trial)
+    spec = _spec(tmp_path, "retransmissions", trials=3)
+    spec.rho_per_km2_list = [1500.0]
+    spec.p_t_dbm_list = [33.0]
+    (path,) = run(spec)
+    # three short trials give far fewer than the 100 progress samples a
+    # calibration needs, so the point keeps only its Monte Carlo counts
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(math.isnan(float(r["E_nr_analytic"])) for r in rows)
+    assert len(calls) == spec.trials
+
+
+def test_compare_mcs_rejects_unknown_name_before_any_work(tmp_path,
+                                                          monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the MCS names were checked")
+
+    monkeypatch.setattr(experiments, "run_bcl", no_work)
+    monkeypatch.setattr(experiments, "run_trial", no_work)
+    spec = _spec(tmp_path, "compare-mcs", trials=2)
+    spec.mcs_list = ["DQPSK", "NOT-A-SCHEME"]
+    with pytest.raises(ValueError, match="unknown MCS 'NOT-A-SCHEME'"):
+        run(spec)
+    assert (tmp_path / "error_manifest.txt").exists()
