@@ -11,7 +11,7 @@ phy = PhyConfig()
 policy = RetransmitPolicy()
 
 res = run_trial(field, phy, policy, b=24, seed=7)
-print(f"trial over {res.n_deployed} nodes: reached = {res.reached} "
+print(f"trial: reached = {res.reached} "
       f"in q = {res.q} hops\n")
 print("hop  transmitters  j  decoders  relays_formed  retries  contour_m")
 for r in res.records:

@@ -76,15 +76,27 @@ def mean_path_power(d: float, phy: PhyConfig) -> float:
     return (phy.lambda_c / (4.0 * math.pi * d)) ** phy.alpha
 
 
+def aggregate_power(xs, ys, relay_xs: np.ndarray, relay_ys: np.ndarray,
+                    alpha: float) -> np.ndarray:
+    """Unscaled aggregate H = sum_k d_k^-alpha at each receiver.
+
+    xs, ys hold N receivers (or one, as scalars); d^2 is built as a (K, N)
+    array over the K transmitters and summed over axis 0. A receiver on a
+    transmitter gets inf (numpy flags the division by zero).
+    """
+    d2 = (xs - relay_xs[:, None]) ** 2 + (ys - relay_ys[:, None]) ** 2
+    return np.add.reduce(d2 ** (-alpha / 2.0), axis=0)
+
+
 def sigma_s2(rx: tuple[float, float], relays, phy: PhyConfig) -> float:
     """Aggregate mean channel power at rx from a set of concurrent relays."""
-    xs = np.asarray([p[0] for p in relays], dtype=float)
-    ys = np.asarray([p[1] for p in relays], dtype=float)
-    d2 = (rx[0] - xs) ** 2 + (rx[1] - ys) ** 2
-    if np.any(d2 <= 0.0):
+    xy = np.asarray(relays, dtype=float).reshape(-1, 2)
+    with np.errstate(divide="ignore"):
+        h = float(aggregate_power(rx[0], rx[1], xy[:, 0], xy[:, 1], phy.alpha)[0])
+    if math.isinf(h):
         raise DegenerateDistanceError("receiver coincides with a relay")
     scale = (phy.lambda_c / (4.0 * math.pi)) ** phy.alpha
-    return scale * float(np.sum(d2 ** (-phy.alpha / 2.0)))
+    return scale * h
 
 
 def detection_constant(phy: PhyConfig) -> DetectionConstant:
@@ -105,11 +117,8 @@ def detection_threshold_sigma(phy: PhyConfig) -> float:
 
 
 def power_sum(x: float, y: float, relay_xs: np.ndarray, relay_ys: np.ndarray, alpha: float) -> float:
-    """Unscaled aggregate H(x, y) = sum_k d_k^-alpha."""
-    d2 = (x - relay_xs) ** 2 + (y - relay_ys) ** 2
-    if np.any(d2 <= 0.0):
-        return math.inf
-    return float(np.sum(d2 ** (-alpha / 2.0)))
+    """Unscaled aggregate H(x, y) = sum_k d_k^-alpha; inf on a relay."""
+    return float(aggregate_power(x, y, relay_xs, relay_ys, alpha)[0])
 
 
 def is_detected(rx: tuple[float, float], relays, phy: PhyConfig) -> bool:
@@ -135,30 +144,31 @@ def coverage_contour(relays, y: float, u: float, alpha: float = 3.0) -> float:
     the inputs alone (delta ~ 1e-14 m) shifts it by about 1e-6 m, so a lone
     relay at |y| = u ** (-1/alpha) has a small positive reach, or none.
     """
-    relay_xs = np.asarray([p[0] for p in relays], dtype=float)
-    relay_ys = np.asarray([p[1] for p in relays], dtype=float)
-    if relay_xs.size == 0:
+    xy = np.asarray(relays, dtype=float).reshape(-1, 2)
+    if xy.shape[0] == 0:
         raise ValueError("coverage_contour needs at least one relay")
-
+    relay_xs, relay_ys = xy.T.copy()  # contiguous rows for the many H calls
     x_lo = float(np.max(relay_xs))
 
     def h_minus_u(x: float) -> float:
         return power_sum(x, y, relay_xs, relay_ys, alpha) - u
 
-    f_lo = h_minus_u(x_lo)
-    if f_lo == 0.0:
-        return x_lo
-    if f_lo < 0.0:
-        raise ContourUndefinedError(
-            "aggregate power already below threshold at the relay front"
-        )
+    # a relay on the line y puts H = inf at x_lo, where the solve starts
+    with np.errstate(divide="ignore"):
+        f_lo = h_minus_u(x_lo)
+        if f_lo == 0.0:
+            return x_lo
+        if f_lo < 0.0:
+            raise ContourUndefinedError(
+                "aggregate power already below threshold at the relay front"
+            )
 
-    step = max(1.0, (relay_xs.size / u) ** (1.0 / alpha))
-    x_hi = x_lo + step
-    while h_minus_u(x_hi) > 0.0:
-        step *= 2.0
+        step = max(1.0, (relay_xs.size / u) ** (1.0 / alpha))
         x_hi = x_lo + step
-        if step > 1e9:
-            raise ContourUndefinedError("no contour crossing found within 1e9 m")
+        while h_minus_u(x_hi) > 0.0:
+            step *= 2.0
+            x_hi = x_lo + step
+            if step > 1e9:
+                raise ContourUndefinedError("no contour crossing found within 1e9 m")
 
-    return float(brentq(h_minus_u, x_lo, x_hi, xtol=1e-12, rtol=8.9e-16))
+        return float(brentq(h_minus_u, x_lo, x_hi, xtol=1e-12, rtol=8.9e-16))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analytic import CalibrationError
 from .config import ConfigError, ExperimentSpec, SCENARIOS, load_config
 from .experiments import run
 
@@ -64,6 +65,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         for diag in exc.diagnostics:
             print(f"config error: {diag}", file=sys.stderr)
+        return 2
+    except CalibrationError as exc:
+        print(f"calibration error: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(path)

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import (
+    SPEED_OF_LIGHT,
     ContourUndefinedError,
     PhyConfig,
+    aggregate_power,
     coverage_contour,
     detection_constant,
 )
@@ -20,19 +23,13 @@ from .field import (
     Strip,
     awake_mask,
     deploy,
-    in_strip,
 )
-
-
-class NoResolvableRelayError(RuntimeError):
-    """All previous-hop positions collided on the RACH; no decision arc exists."""
 
 
 @dataclass
 class PacketHeader:
     src: Point2D
     dst: Point2D
-    packet_id: int
     strip_width: float
     b: int                      # RACH slot count
 
@@ -79,54 +76,72 @@ class TrialResult:
     q: int                    # hops traversed (delivery hop when reached)
     delay_spread_s: float     # forwarding delay spread at the destination
     seed: int
-    n_deployed: int
+
+
+def _rach(k: int, b: int, n: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n independent RACH rounds of k relays over b slots.
+
+    Returns the (n, k) singleton-slot flags and the (n,) 1-based indices of
+    the first resolvable relay, 0 where all collided. Slots are counted with
+    one bincount over row-offset slot ids.
+    """
+    if b < 2:
+        raise ValueError("rach_round requires b >= 2")
+    slots = rng.integers(0, b, size=(n, k))
+    slots += np.arange(0, n * b, b)[:, None]
+    resolvable = np.bincount(slots.ravel(), minlength=n * b)[slots] == 1
+    return resolvable, (resolvable.argmax(axis=1) + 1) * resolvable.any(axis=1)
 
 
 def rach_round(k: int, b: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Assign k relays to b RACH slots uniformly; singleton slots are resolvable.
 
     Returns the per-relay resolvable flags (in destination-distance order) and
-    the 1-based index of the first resolvable relay, 0 if all collided.
+    the 1-based index of the first resolvable relay, 0 if all collided. Draws
+    the same slots as one row of rach_round_batch.
     """
-    if b < 2:
-        raise ValueError("rach_round requires b >= 2")
-    slots = rng.integers(0, b, size=k)
-    counts = np.bincount(slots, minlength=b)
-    resolvable = counts[slots] == 1
-    j = int(np.argmax(resolvable)) + 1 if resolvable.any() else 0
-    return resolvable, j
+    resolvable, j = _rach(k, b, 1, rng)
+    return resolvable[0], int(j[0])
 
 
 def rach_round_batch(k: int, b: int, n: int,
                      rng: np.random.Generator) -> np.ndarray:
     """First-resolvable indices of n independent RACH rounds (vectorized)."""
-    if b < 2:
-        raise ValueError("rach_round requires b >= 2")
-    slots = rng.integers(0, b, size=(n, k))
-    counts = np.zeros((n, b), dtype=np.int32)
-    rows = np.repeat(np.arange(n), k)
-    np.add.at(counts, (rows, slots.ravel()), 1)
-    resolvable = counts[rows, slots.ravel()].reshape(n, k) == 1
-    any_res = resolvable.any(axis=1)
-    return np.where(any_res, resolvable.argmax(axis=1) + 1, 0)
+    return _rach(k, b, n, rng)[1]
 
 
-def decision_contour(r_prev: list[Point2D], j: int, dst: Point2D, strip: Strip):
-    """Predicate: strictly closer to dst than the first resolvable relay, inside strip.
+def decision_distance(relay_xy: np.ndarray, j: int, dst: Point2D) -> float:
+    """Distance to dst of the decision arc set by the transmitting relays.
 
-    j is 1-based; j = 0 raises, callers apply the all-collided fallback instead
-    (progress with respect to the farthest previous relay).
+    relay_xy is sorted by distance to dst; at hop 1 it is the source alone,
+    with j = 1. The arc passes through relay j (1-based), the first
+    resolvable one; when all collided (j = 0) it falls back to the farthest
+    relay.
     """
-    if j < 1:
-        raise NoResolvableRelayError("no resolvable relay; apply the j=0 fallback")
-    ref = r_prev[j - 1]
-    d_ref = math.hypot(ref[0] - dst[0], ref[1] - dst[1])
+    d = np.hypot(relay_xy[:, 0] - dst.x, relay_xy[:, 1] - dst.y)
+    return float(d[j - 1]) if j >= 1 else float(d.max())
 
-    def predicate(p: Point2D) -> bool:
-        d = math.hypot(p[0] - dst[0], p[1] - dst[1])
-        return d < d_ref and in_strip(p, strip)
 
-    return predicate
+def eligible(xs, ys, d_ref: float, strip: Strip, width: float) -> np.ndarray:
+    """Relay rule: strictly closer to dst than the decision arc, and inside
+    the strip of the given (possibly widened) width, boundary included."""
+    _, lateral = strip.frame(xs, ys)
+    d = np.hypot(xs - strip.dst.x, ys - strip.dst.y)
+    return (d < d_ref) & (np.abs(lateral) <= width / 2.0)
+
+
+def _detects(xs, ys, relay_xy: np.ndarray, phy: PhyConfig, u: float,
+             pn_extra_fn=None) -> np.ndarray:
+    """Detection test at receivers (xs, ys) for a transmission by relay_xy.
+
+    Extra noise-plus-interference from pn_extra_fn(xs, ys) raises the
+    threshold to u (p_n + extra) / p_n.
+    """
+    h = aggregate_power(xs, ys, relay_xy[:, 0], relay_xy[:, 1], phy.alpha)
+    if pn_extra_fn is None:
+        return h >= u
+    return h >= u * (phy.p_n + pn_extra_fn(xs, ys)) / phy.p_n
 
 
 def decode_set(
@@ -149,35 +164,18 @@ def decode_set(
     relays = np.asarray(relays, dtype=float).reshape(-1, 2)
     if u is None:
         u = detection_constant(phy).u
-    rx, ry = relays[:, 0], relays[:, 1]
-    k = rx.size
-    d_cut = (k / u) ** (1.0 / phy.alpha)
-    i0, i1 = deployment.window(rx.min() - d_cut, rx.max() + d_cut)
-    if i1 <= i0:
-        return np.empty(0, dtype=np.intp)
-
-    idx = np.arange(i0, i1)
+    # a node beyond (k / u)^(1/alpha) of every transmitter cannot reach u
+    d_cut = (relays.shape[0] / u) ** (1.0 / phy.alpha)
+    i0, i1 = deployment.window(relays[:, 0].min() - d_cut,
+                               relays[:, 0].max() + d_cut)
     mask = awake_mask(
         deployment.sleep_phases[i0:i1], t_now, phy.t_p, deployment.cfg.epsilon
     )
     if seen is not None:
         mask &= ~seen[i0:i1]
-    if not mask.any():
-        return np.empty(0, dtype=np.intp)
-    idx = idx[mask]
-
-    cx = deployment.xs[idx]
-    cy = deployment.ys[idx]
-    h = np.zeros(idx.size)
-    for xk, yk in zip(rx, ry):
-        d2 = (cx - xk) ** 2 + (cy - yk) ** 2
-        h += d2 ** (-phy.alpha / 2.0)
-
-    u_eff = u
-    if pn_extra_fn is not None:
-        extra = pn_extra_fn(cx, cy)
-        u_eff = u * (phy.p_n + extra) / phy.p_n
-    return idx[h >= u_eff]
+    idx = np.flatnonzero(mask) + i0
+    return idx[_detects(deployment.xs[idx], deployment.ys[idx], relays, phy, u,
+                        pn_extra_fn)]
 
 
 def interference_pn_fn(
@@ -227,125 +225,70 @@ class _FlowState:
     def done(self) -> bool:
         return self.reached or self.failed
 
-
-def _axial_frame(strip: Strip) -> tuple[float, float]:
-    ux, uy, _ = strip.axis_frame()
-    return ux, uy
-
-
-def _to_frame(xy: np.ndarray, strip: Strip) -> np.ndarray:
-    """Rotate global coordinates into the (axial, lateral) frame of a strip."""
-    ux, uy = _axial_frame(strip)
-    dx = xy[:, 0] - strip.src.x
-    dy = xy[:, 1] - strip.src.y
-    ax = dx * ux + dy * uy
-    lat = -dx * uy + dy * ux
-    return np.column_stack([ax, lat])
+    def result(self, seed: int) -> TrialResult:
+        return TrialResult(
+            records=self.records,
+            reached=self.reached,
+            q=self.records[-1].hop if self.records else 0,
+            delay_spread_s=self.delay_spread_s,
+            seed=seed,
+        )
 
 
-def _attempt(
+class _Reception(NamedTuple):
+    decoded: np.ndarray    # nodes hearing the packet for the first time
+    relays: np.ndarray     # decoders and re-qualifying parked nodes that relay
+    dst_detected: bool
+
+    @property
+    def progressed(self) -> bool:
+        return self.dst_detected or self.relays.size > 0
+
+
+def _receive(
     state: _FlowState,
     deployment: Deployment,
     phy: PhyConfig,
     u: float,
-    rng: np.random.Generator,
+    d_ref: float,
     pn_extra_fn=None,
-) -> dict:
-    """One transmission attempt: RACH draw, decode set, relay formation, dst test."""
+) -> _Reception:
+    """What one transmission by the current relay set achieves; reads the
+    state and changes nothing."""
     hdr = state.header
     relay_xy = state.relay_xy
-    k_prev = relay_xy.shape[0]
-
-    if state.hop == 1:
-        # source position travels in the header; it is always resolvable
-        j_prev = 1
-        d_ref = math.hypot(hdr.src.x - hdr.dst.x, hdr.src.y - hdr.dst.y)
-    else:
-        d_prev = np.hypot(relay_xy[:, 0] - hdr.dst.x, relay_xy[:, 1] - hdr.dst.y)
-        _, j_prev = rach_round(k_prev, hdr.b, rng)
-        d_ref = float(d_prev[j_prev - 1]) if j_prev >= 1 else float(d_prev.max())
-
-    d_idx = decode_set(
-        deployment,
-        relay_xy,
-        state.t,
-        phy,
-        u=u,
-        seen=state.seen,
-        pn_extra_fn=pn_extra_fn,
-    )
+    decoded = decode_set(deployment, relay_xy, state.t, phy, u=u,
+                         seen=state.seen, pn_extra_fn=pn_extra_fn)
     # parked nodes (decoded on an earlier transmission, never relayed) that hear
     # this one re-read the header and re-evaluate the position criteria, which
     # matters when a retransmission widened the strip or moved the decision arc
-    park_idx = np.flatnonzero(state.parked)
-    state.seen[d_idx] = True
-    state.parked[d_idx] = True
-    if park_idx.size:
-        awake = awake_mask(
-            deployment.sleep_phases[park_idx], state.t, phy.t_p,
-            deployment.cfg.epsilon,
-        )
-        park_idx = park_idx[awake]
-    if park_idx.size:
-        px = deployment.xs[park_idx]
-        py = deployment.ys[park_idx]
-        hp = np.zeros(park_idx.size)
-        for xk, yk in zip(relay_xy[:, 0], relay_xy[:, 1]):
-            hp += ((px - xk) ** 2 + (py - yk) ** 2) ** (-phy.alpha / 2.0)
-        u_park = u
-        if pn_extra_fn is not None:
-            extra = pn_extra_fn(px, py)
-            u_park = u * (phy.p_n + extra) / phy.p_n
-        park_idx = park_idx[hp >= u_park]
-
-    # destination is an always-awake receiver applying the same detection test
-    dxs = np.asarray([hdr.dst.x])
-    dys = np.asarray([hdr.dst.y])
-    h_dst = 0.0
-    for xk, yk in zip(relay_xy[:, 0], relay_xy[:, 1]):
-        h_dst += float(((dxs[0] - xk) ** 2 + (dys[0] - yk) ** 2) ** (-phy.alpha / 2.0))
-    u_dst = u
-    if pn_extra_fn is not None:
-        extra = float(pn_extra_fn(dxs, dys)[0])
-        u_dst = u * (phy.p_n + extra) / phy.p_n
-    dst_detected = h_dst >= u_dst
-
-    # position criteria: strictly closer to dst than the decision arc, in strip
-    pool = np.concatenate([d_idx, park_idx]) if park_idx.size else d_idx
-    cx = deployment.xs[pool]
-    cy = deployment.ys[pool]
-    d_dst = np.hypot(cx - hdr.dst.x, cy - hdr.dst.y)
-    ux, uy = _axial_frame(state.strip)
-    lat = -(cx - state.strip.src.x) * uy + (cy - state.strip.src.y) * ux
-    eligible = (d_dst < d_ref) & (np.abs(lat) <= hdr.strip_width / 2.0)
-    r_idx = pool[eligible]
-
-    return {
-        "j_prev": j_prev,
-        "d_idx": d_idx,
-        "r_idx": r_idx,
-        "dst_detected": dst_detected,
-    }
+    parked = np.flatnonzero(state.parked)
+    parked = parked[awake_mask(deployment.sleep_phases[parked], state.t,
+                               phy.t_p, deployment.cfg.epsilon)]
+    parked = parked[_detects(deployment.xs[parked], deployment.ys[parked],
+                             relay_xy, phy, u, pn_extra_fn)]
+    pool = np.concatenate([decoded, parked])
+    relays = pool[eligible(deployment.xs[pool], deployment.ys[pool], d_ref,
+                           state.strip, hdr.strip_width)]
+    # the destination is an always-awake receiver applying the same test
+    dst = _detects(np.array([hdr.dst.x]), np.array([hdr.dst.y]), relay_xy,
+                   phy, u, pn_extra_fn)[0]
+    return _Reception(decoded, relays, bool(dst))
 
 
-def _contour_xh0(relay_xy: np.ndarray, strip: Strip, u: float, alpha: float) -> float:
-    frame = _to_frame(relay_xy, strip)
-    try:
-        return coverage_contour(frame, 0.0, u, alpha)
-    except ContourUndefinedError:
-        return math.nan
+def _path_step(new_xy: np.ndarray, prev_xy: np.ndarray, prev_dp: np.ndarray,
+               delta_r: float) -> np.ndarray:
+    """First-arrival path length of each new relay: the minimum over previous
+    relays of (link distance + their path), plus the first-echo excess."""
+    link = np.hypot(new_xy[:, 0:1] - prev_xy[None, :, 0],
+                    new_xy[:, 1:2] - prev_xy[None, :, 1])
+    return (link + prev_dp[None, :]).min(axis=1) + delta_r
 
 
-def _finish_delivery(state: _FlowState, phy: PhyConfig) -> None:
-    hdr = state.header
-    arrivals = (
-        np.hypot(state.relay_xy[:, 0] - hdr.dst.x, state.relay_xy[:, 1] - hdr.dst.y)
-        + state.dp
-    )
-    from .channel import SPEED_OF_LIGHT
-
-    state.delay_spread_s = float(arrivals.max() - arrivals.min()) / SPEED_OF_LIGHT
-    state.reached = True
+def _delay_spread(xy: np.ndarray, dp: np.ndarray, dst) -> float:
+    """Forwarding delay spread at dst, s: spread of the relays' arrivals."""
+    arrivals = np.hypot(xy[:, 0] - dst[0], xy[:, 1] - dst[1]) + dp
+    return float(arrivals.max() - arrivals.min()) / SPEED_OF_LIGHT
 
 
 def _advance_relays(
@@ -355,31 +298,17 @@ def _advance_relays(
     phy: PhyConfig,
 ) -> int:
     """Install the new relay set (sorted by distance to dst) and update delays."""
-    hdr = state.header
-    nx = deployment.xs[r_idx]
-    ny = deployment.ys[r_idx]
-    d_dst = np.hypot(nx - hdr.dst.x, ny - hdr.dst.y)
-    order = np.argsort(d_dst, kind="stable")
-    new_xy = np.column_stack([nx[order], ny[order]])
-
-    hop_d = np.hypot(
-        new_xy[:, 0:1] - state.relay_xy[None, :, 0],
-        new_xy[:, 1:2] - state.relay_xy[None, :, 1],
-    )
-    new_dp = (hop_d + state.dp[None, :]).min(axis=1) + phy.delta_r
-
+    dst = state.header.dst
+    new_xy = np.column_stack([deployment.xs[r_idx], deployment.ys[r_idx]])
+    new_dp = _path_step(new_xy, state.relay_xy, state.dp, phy.delta_r)
     extra = state.stragglers.pop(state.hop, None)
     if extra:
-        ex = np.asarray([(e[0], e[1]) for e in extra])
-        new_xy = np.vstack([new_xy, ex])
-        new_dp = np.concatenate([new_dp, np.asarray([e[2] for e in extra])])
-        d_all = np.hypot(new_xy[:, 0] - hdr.dst.x, new_xy[:, 1] - hdr.dst.y)
-        order = np.argsort(d_all, kind="stable")
-        new_xy = new_xy[order]
-        new_dp = new_dp[order]
-
-    state.relay_xy = new_xy
-    state.dp = new_dp
+        new_xy = np.vstack([new_xy, [e[:2] for e in extra]])
+        new_dp = np.concatenate([new_dp, [e[2] for e in extra]])
+    order = np.argsort(np.hypot(new_xy[:, 0] - dst.x, new_xy[:, 1] - dst.y),
+                       kind="stable")
+    state.relay_xy = new_xy[order]
+    state.dp = new_dp[order]
     return new_xy.shape[0]
 
 
@@ -426,120 +355,51 @@ def run_flow_hop(
     or the destination detects; it fails when the retransmission cap is spent.
     """
     hdr = state.header
-    out = _attempt(state, deployment, phy, u, rng, pn_extra_fn=pn_extra_fn)
-    k_prev = state.relay_xy.shape[0]
-
-    if out["dst_detected"]:
-        xh0 = _contour_xh0(state.relay_xy, state.strip, u, phy.alpha)
-        state.records.append(
-            HopRecord(
-                hop=state.hop,
-                k_prev=k_prev,
-                j_prev=out["j_prev"],
-                l=out["d_idx"].size,
-                k=0,
-                n_r=state.n_r,
-                xh0=xh0,
-                n_r_interference=state.n_r_interference,
-            )
-        )
-        _finish_delivery(state, phy)
+    old_xy, old_dp = state.relay_xy, state.dp
+    # the source position travels in the header; it is always resolvable
+    j_prev = 1 if state.hop == 1 else rach_round(old_xy.shape[0], hdr.b, rng)[1]
+    d_ref = decision_distance(old_xy, j_prev, hdr.dst)
+    rx = _receive(state, deployment, phy, u, d_ref, pn_extra_fn)
+    retransmit = not rx.progressed and state.n_r < policy.n_r_max
+    # tag the retransmission when the same attempt on a clean channel, from
+    # the same state, would have reached the destination or formed relays
+    if retransmit and pn_extra_fn is not None \
+            and _receive(state, deployment, phy, u, d_ref).progressed:
+        state.n_r_interference += 1
+    state.seen[rx.decoded] = True
+    state.parked[rx.decoded] = True
+    if retransmit:
+        state.n_r += 1
+        # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
+        hdr.strip_width += policy.delta_w
+        state.t += 2.0 * phy.t_p
         return
 
-    if out["r_idx"].size > 0:
-        xh0 = _contour_xh0(state.relay_xy, state.strip, u, phy.alpha)
-        old_xy, old_dp = state.relay_xy, state.dp
-        state.parked[out["r_idx"]] = False
-        k_new = _advance_relays(state, deployment, out["r_idx"], phy)
-        state.records.append(
-            HopRecord(
-                hop=state.hop,
-                k_prev=k_prev,
-                j_prev=out["j_prev"],
-                l=out["d_idx"].size,
-                k=k_new,
-                n_r=state.n_r,
-                xh0=xh0,
-                n_r_interference=state.n_r_interference,
-            )
-        )
+    k_new = 0
+    if rx.dst_detected:
+        state.delay_spread_s = _delay_spread(old_xy, old_dp, hdr.dst)
+        state.reached = True
+    elif rx.relays.size:
+        state.parked[rx.relays] = False
+        k_new = _advance_relays(state, deployment, rx.relays, phy)
+    else:
+        state.failed = True
+    try:
+        axial, lateral = state.strip.frame(old_xy[:, 0], old_xy[:, 1])
+        xh0 = coverage_contour(np.column_stack([axial, lateral]), 0.0, u,
+                               phy.alpha)
+    except ContourUndefinedError:
+        xh0 = math.nan
+    state.records.append(HopRecord(
+        hop=state.hop, k_prev=old_xy.shape[0], j_prev=j_prev,
+        l=rx.decoded.size, k=k_new, n_r=state.n_r, xh0=xh0,
+        n_r_interference=state.n_r_interference,
+    ))
+    state.n_r = state.n_r_interference = 0  # the record holds this hop's count
+    if k_new:
         _register_false_alarms(state, old_xy, old_dp, policy, rng)
         state.hop += 1
-        state.n_r = 0
-        state.n_r_interference = 0
         state.t += slot
-        return
-
-    # empty relay set: retransmission (or failure at the cap); tag it when the
-    # attempt would have succeeded without cross-flow interference
-    interference_caused = False
-    if pn_extra_fn is not None:
-        interference_caused = _attempt_would_succeed(
-            state, deployment, phy, u, out, None)
-    if state.n_r >= policy.n_r_max:
-        xh0 = _contour_xh0(state.relay_xy, state.strip, u, phy.alpha)
-        state.records.append(
-            HopRecord(
-                hop=state.hop,
-                k_prev=k_prev,
-                j_prev=out["j_prev"],
-                l=out["d_idx"].size,
-                k=0,
-                n_r=state.n_r,
-                xh0=xh0,
-                n_r_interference=state.n_r_interference,
-            )
-        )
-        state.failed = True
-        return
-    state.n_r += 1
-    if interference_caused:
-        state.n_r_interference += 1
-    # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
-    hdr.strip_width += policy.delta_w
-    state.t += 2.0 * phy.t_p
-
-
-def _attempt_would_succeed(
-    state: _FlowState,
-    deployment: Deployment,
-    phy: PhyConfig,
-    u: float,
-    failed_out: dict,
-    pn_extra_clean,
-) -> bool:
-    """Counterfactual check: would the failed attempt have formed a relay set
-    (or reached the destination) without cross-flow interference?"""
-    hdr = state.header
-    relay_xy = state.relay_xy
-    # nodes already marked seen by the interfered attempt must be re-admitted
-    seen_backup = state.seen.copy()
-    seen_backup[failed_out["d_idx"]] = False
-    d_idx = decode_set(
-        deployment, relay_xy, state.t, phy, u=u, seen=seen_backup,
-        pn_extra_fn=pn_extra_clean,
-    )
-    h_dst = 0.0
-    for xk, yk in zip(relay_xy[:, 0], relay_xy[:, 1]):
-        h_dst += float(
-            ((hdr.dst.x - xk) ** 2 + (hdr.dst.y - yk) ** 2) ** (-phy.alpha / 2.0)
-        )
-    if h_dst >= u:
-        return True
-    cx = deployment.xs[d_idx]
-    cy = deployment.ys[d_idx]
-    d_dst = np.hypot(cx - hdr.dst.x, cy - hdr.dst.y)
-    d_prev = np.hypot(relay_xy[:, 0] - hdr.dst.x, relay_xy[:, 1] - hdr.dst.y)
-    if state.hop == 1:
-        d_ref = math.hypot(hdr.src.x - hdr.dst.x, hdr.src.y - hdr.dst.y)
-    elif failed_out["j_prev"] >= 1:
-        d_ref = float(np.sort(d_prev)[failed_out["j_prev"] - 1])
-    else:
-        d_ref = float(d_prev.max())
-    ux, uy = _axial_frame(state.strip)
-    lat = -(cx - state.strip.src.x) * uy + (cy - state.strip.src.y) * ux
-    eligible = (d_dst < d_ref) & (np.abs(lat) <= hdr.strip_width / 2.0)
-    return bool(eligible.any())
 
 
 def new_flow_state(
@@ -584,7 +444,6 @@ def run_trial(
     header = PacketHeader(
         src=Point2D(0.0, 0.0),
         dst=Point2D(field_cfg.length, 0.0),
-        packet_id=seed,
         strip_width=field_cfg.w,
         b=b,
     )
@@ -599,15 +458,7 @@ def run_trial(
         run_flow_hop(state, deployment, phy, policy, u, rng, slot)
         if state.done or state.hop > max_hops:
             break
-
-    return TrialResult(
-        records=state.records,
-        reached=state.reached,
-        q=state.records[-1].hop if state.records else 0,
-        delay_spread_s=state.delay_spread_s,
-        seed=seed,
-        n_deployed=deployment.n,
-    )
+    return state.result(seed)
 
 
 @dataclass
@@ -659,10 +510,9 @@ def run_two_packet_trial(
         * (policy.n_r_max + 1)
 
     flows = []
-    for name, src, proto_ss, start in (("a", src_a, pa_ss, 0),
-                                       ("b", src_b, pb_ss, stagger_slots)):
-        header = PacketHeader(src=src, dst=dst, packet_id=hash((seed, name)),
-                              strip_width=field_cfg.w, b=b)
+    for src, proto_ss, start in ((src_a, pa_ss, 0),
+                                 (src_b, pb_ss, stagger_slots)):
+        header = PacketHeader(src=src, dst=dst, strip_width=field_cfg.w, b=b)
         header.validate()
         state = new_flow_state(header, deployment, start_t=start * slot)
         flows.append({
@@ -672,7 +522,6 @@ def run_two_packet_trial(
             "injected": False,
         })
 
-    tagged = 0
     slot_idx = 0
     while slot_idx < max_slots:
         active = [f for f in flows if not f["state"].done
@@ -696,9 +545,7 @@ def run_two_packet_trial(
                     and g["state"].hop + g["state"].n_r > 1:
                 src = f["state"].header.src
                 gx = transmitters.get(id(g), g["state"].relay_xy)
-                h = sum(((src.x - x) ** 2 + (src.y - y) ** 2) ** (-phy.alpha / 2)
-                        for x, y in gx)
-                if h >= u:
+                if _detects(src.x, src.y, gx, phy, u)[0]:
                     f["next_slot"] += 1
                     f["state"].t += slot
                     active.remove(f)
@@ -711,31 +558,21 @@ def run_two_packet_trial(
             if others:
                 ixy = np.vstack([transmitters[id(g)] for g in others])
                 pn_fn = interference_pn_fn(ixy, phy, interference_radius)
-            before = f["state"].n_r_interference \
-                + sum(r.n_r_interference for r in f["state"].records)
             hop_before = (f["state"].hop, f["state"].n_r)
             run_flow_hop(f["state"], deployment, phy, policy, u, f["rng"],
                          slot, pn_extra_fn=pn_fn)
-            after = f["state"].n_r_interference \
-                + sum(r.n_r_interference for r in f["state"].records)
-            tagged += max(0, after - before)
             retransmitted = (f["state"].hop, f["state"].n_r) == \
                 (hop_before[0], hop_before[1] + 1)
             f["next_slot"] += 2 if retransmitted else 1
         slot_idx += 1
 
-    results = []
-    for f in flows:
-        st = f["state"]
-        results.append(TrialResult(
-            records=st.records,
-            reached=st.reached,
-            q=st.records[-1].hop if st.records else 0,
-            delay_spread_s=st.delay_spread_s,
-            seed=seed,
-            n_deployed=deployment.n,
-        ))
-    return TwoPacketResult(flow_a=results[0], flow_b=results[1],
+    # closed hops carry their tags in their records; a hop still open when
+    # the slot budget ran out carries them in the state
+    tagged = sum(f["state"].n_r_interference
+                 + sum(r.n_r_interference for r in f["state"].records)
+                 for f in flows)
+    flow_a, flow_b = (f["state"].result(seed) for f in flows)
+    return TwoPacketResult(flow_a=flow_a, flow_b=flow_b,
                            interference_tagged=tagged, slots_used=slot_idx)
 
 
@@ -751,15 +588,8 @@ def propagation_delays(
     spread at dst in seconds: (max - min) arrival over the last relay set,
     divided by the speed of light.
     """
-    from .channel import SPEED_OF_LIGHT
-
     sets = [np.asarray(h, dtype=float).reshape(-1, 2) for h in hop_positions]
     dps = [np.zeros(sets[0].shape[0])]
     for prev, cur in zip(sets, sets[1:]):
-        link = np.hypot(
-            cur[:, 0:1] - prev[None, :, 0], cur[:, 1:2] - prev[None, :, 1]
-        )
-        dps.append((link + dps[-1][None, :]).min(axis=1) + delta_r)
-    arrivals = np.hypot(sets[-1][:, 0] - dst[0], sets[-1][:, 1] - dst[1]) + dps[-1]
-    spread_s = float(arrivals.max() - arrivals.min()) / SPEED_OF_LIGHT
-    return dps, spread_s
+        dps.append(_path_step(cur, prev, dps[-1], delta_r))
+    return dps, _delay_spread(sets[-1], dps[-1], dst)

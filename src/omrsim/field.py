@@ -45,18 +45,23 @@ class Strip:
     src: Point2D = Point2D(0.0, 0.0)
     dst: Point2D = Point2D(2000.0, 0.0)
 
-    def axis_frame(self) -> tuple[float, float, float]:
-        """Unit axis vector (ux, uy) and axis length."""
-        dx = self.dst.x - self.src.x
-        dy = self.dst.y - self.src.y
-        length = math.hypot(dx, dy)
-        return dx / length, dy / length, length
+    def frame(self, xs, ys):
+        """Axial and lateral coordinates of points (scalars or arrays).
+
+        The frame has its origin at src and its axial direction toward dst;
+        a positive lateral offset lies to the left of the axis.
+        """
+        length = math.hypot(self.dst.x - self.src.x, self.dst.y - self.src.y)
+        ux = (self.dst.x - self.src.x) / length
+        uy = (self.dst.y - self.src.y) / length
+        dx = xs - self.src.x
+        dy = ys - self.src.y
+        return dx * ux + dy * uy, -dx * uy + dy * ux
 
 
 def in_strip(p: Point2D, strip: Strip) -> bool:
     """Closed-set membership: lateral offset from the axis at most width/2."""
-    ux, uy, _ = strip.axis_frame()
-    lateral = -(p[0] - strip.src.x) * uy + (p[1] - strip.src.y) * ux
+    _, lateral = strip.frame(p[0], p[1])
     return abs(lateral) <= strip.width / 2.0
 
 

@@ -10,6 +10,7 @@ from omrsim.channel import (
     ContourUndefinedError,
     DegenerateDistanceError,
     PhyConfig,
+    aggregate_power,
     coverage_contour,
     detection_constant,
     detection_threshold_sigma,
@@ -187,6 +188,21 @@ def test_contour_consistency_random_sets():
         h = power_sum(x, y, relays[:, 0], relays[:, 1], 3.0)
         assert h == pytest.approx(u, rel=1e-9)
         assert x >= relays[:, 0].max()
+
+
+def test_aggregate_power_matches_term_loops_bit_for_bit():
+    # receiver sets sum their K terms in relay order, as a per-relay loop
+    # does; a single point sums them as a 1-D np.sum does
+    rng = np.random.default_rng(12)
+    for k in range(1, 61):
+        rx, ry = rng.uniform(0, 300, k), rng.uniform(-150, 150, k)
+        xs, ys = rng.uniform(-100, 400, 7), rng.uniform(-200, 200, 7)
+        loop = np.zeros(xs.size)
+        for xk, yk in zip(rx, ry):
+            loop += ((xs - xk) ** 2 + (ys - yk) ** 2) ** -1.5
+        np.testing.assert_array_equal(aggregate_power(xs, ys, rx, ry, 3.0), loop)
+        d2 = (xs[0] - rx) ** 2 + (ys[0] - ry) ** 2
+        assert power_sum(xs[0], ys[0], rx, ry, 3.0) == float(np.sum(d2 ** -1.5))
 
 
 def test_contour_undefined_off_axis_lone_relay():

@@ -189,6 +189,17 @@ def test_delay_spread_scenario_schema(tmp_path):
         assert fh.readline().startswith("rho_per_km2,w_m,delivered")
 
 
+def test_cli_calibrate_too_few_samples_one_line(tmp_path, capsys):
+    # four trials give fewer hop samples than the progress fit needs
+    rc = main(["--config", GOLDEN, "--scenario", "calibrate", "--trials", "4",
+               "--workers", "1", "--seed", "5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("calibration error: need >= 100 samples")
+    assert "CalibrationError" in (tmp_path / "error_manifest.txt").read_text()
+
+
 def test_error_manifest_on_failure(tmp_path):
     spec = ExperimentSpec(scenario="compare-mcs", trials=2, seed=1,
                           out_dir=str(tmp_path), workers=1)

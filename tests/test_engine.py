@@ -7,16 +7,18 @@ import pytest
 
 from omrsim.channel import PhyConfig, detection_constant
 from omrsim.engine import (
-    NoResolvableRelayError,
     PacketHeader,
     RetransmitPolicy,
-    decision_contour,
+    decision_distance,
     decode_set,
+    eligible,
     new_flow_state,
     propagation_delays,
     rach_round,
+    rach_round_batch,
     run_flow_hop,
     run_trial,
+    run_two_packet_trial,
 )
 from omrsim.field import Deployment, FieldConfig, Point2D, Strip, deploy
 
@@ -56,24 +58,44 @@ def test_rach_matches_enumeration(b, k):
         assert abs(sim[jv] - p) <= max(tol, 2e-3), (jv, sim[jv], p)
 
 
+@pytest.mark.parametrize("b", [2, 3, 16, 24])
+def test_rach_round_is_one_row_of_the_batch(b):
+    # same slots, same j, same generator state afterwards
+    one, batch = np.random.default_rng(7), np.random.default_rng(7)
+    for k in range(1, 50):
+        resolvable, j = rach_round(k, b, one)
+        assert j == rach_round_batch(k, b, 1, batch)[0]
+        assert j == (int(np.argmax(resolvable)) + 1 if resolvable.any() else 0)
+    assert one.random() == batch.random()
+
+
 def test_rach_j_zero_possible_when_k_exceeds_b():
     rng = np.random.default_rng(3)
     js = [rach_round(5, 3, rng)[1] for _ in range(2000)]
     assert 0 in js
 
 
+def _relays(points, r_prev, j, strip):
+    """Relay-rule verdicts for points against the arc of r_prev's relay j."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    d_ref = decision_distance(np.asarray(r_prev, dtype=float), j, strip.dst)
+    return eligible(pts[:, 0], pts[:, 1], d_ref, strip, strip.width)
+
+
 def test_decision_contour_semantics():
     strip = Strip(width=200.0, src=Point2D(0, 0), dst=Point2D(2000, 0))
     r_prev = [Point2D(120.0, 10.0), Point2D(80.0, -40.0), Point2D(60.0, 0.0)]
-    pred = decision_contour(r_prev, 1, Point2D(2000, 0), strip)
     # the reference relay itself offers zero progress
-    assert not pred(r_prev[0])
+    assert not _relays(r_prev[0], r_prev, 1, strip)[0]
     # a point on the segment between the reference and dst, inside the strip
-    assert pred(Point2D(500.0, 5.0))
+    assert _relays(Point2D(500.0, 5.0), r_prev, 1, strip)[0]
     # closer to dst but out of strip
-    assert not pred(Point2D(500.0, 140.0))
-    with pytest.raises(NoResolvableRelayError):
-        decision_contour(r_prev, 0, Point2D(2000, 0), strip)
+    assert not _relays(Point2D(500.0, 140.0), r_prev, 1, strip)[0]
+    # all collided (j = 0): the arc falls back to the farthest relay
+    assert decision_distance(np.asarray(r_prev), 0, strip.dst) == 1940.0
+    behind_head = Point2D(100.0, 0.0)
+    assert _relays(behind_head, r_prev, 0, strip)[0]
+    assert not _relays(behind_head, r_prev, 1, strip)[0]
 
 
 def test_decision_contour_negative_progress_relaying():
@@ -82,9 +104,8 @@ def test_decision_contour_negative_progress_relaying():
     strip = Strip(width=200.0, src=Point2D(0, 0), dst=Point2D(2000, 0))
     head = Point2D(150.0, 0.0)     # unresolvable, closest to dst
     ref = Point2D(100.0, 0.0)      # first resolvable (j = 2)
-    pred = decision_contour([head, ref], 2, Point2D(2000, 0), strip)
     node = Point2D(120.0, 10.0)    # behind head, ahead of ref
-    assert pred(node)
+    assert _relays(node, [head, ref], 2, strip)[0]
     d_node = math.hypot(2000 - 120.0, 10.0)
     assert d_node > 2000 - 150.0   # negative progress w.r.t. the head relay
 
@@ -143,6 +164,44 @@ def test_decode_set_respects_sleep():
     assert decode_set(dep, relays, 0.0, PHY, u=U).size == 0
     # awake interval of the cycle
     assert decode_set(dep, relays, 0.0105, PHY, u=U).size == 1
+
+
+def test_interference_tag_counts_requalifying_parked_node():
+    # the only node that could relay is parked (decoded earlier, never
+    # relayed): under the interfered attempt nothing hears the source, on a
+    # clean channel the parked node re-qualifies, so the retransmission is
+    # tagged as caused by interference
+    dep = _tiny_deployment([0.5 * R1], [0.0])
+    hdr = PacketHeader(src=Point2D(0, 0), dst=Point2D(2000, 0),
+                       strip_width=200.0, b=16)
+    state = new_flow_state(hdr, dep)
+    state.seen[0] = state.parked[0] = True
+
+    def jammed(xs, ys):
+        return np.full(np.shape(xs), 1e3)
+
+    pol = RetransmitPolicy()
+    slot = PHY.t_p + PHY.t_guard
+    rng = np.random.default_rng(0)
+    run_flow_hop(state, dep, PHY, pol, U, rng, slot, pn_extra_fn=jammed)
+    assert (state.hop, state.n_r, state.n_r_interference) == (1, 1, 1)
+    # and on the clean channel the parked node does relay
+    run_flow_hop(state, dep, PHY, pol, U, rng, slot)
+    assert state.hop == 2 and state.records[-1].k == 1
+    assert not state.parked[0]
+
+
+def test_two_packet_tags_count_each_retransmission_once():
+    # on a short path a flow can deliver on a hop whose earlier attempts
+    # were tagged; the total counts those tags once
+    res = run_two_packet_trial(
+        FieldConfig(length=300.0), PhyConfig(), RetransmitPolicy(), 24, 2,
+        src_a=Point2D(0.0, 120.0), src_b=Point2D(0.0, -120.0))
+    assert res.flow_a.reached and res.flow_b.reached
+    in_records = sum(r.n_r_interference
+                     for flow in (res.flow_a, res.flow_b) for r in flow.records)
+    assert in_records >= 1
+    assert res.interference_tagged == in_records
 
 
 def test_propagation_delays_chain_spread_zero():
@@ -216,7 +275,7 @@ def test_trial_invariants_ordering_duplicates_strip():
                  max_strip_width=fc.w + pol.n_r_max * pol.delta_w)
     rng = np.random.default_rng(p_ss)
     hdr = PacketHeader(src=Point2D(0, 0), dst=Point2D(fc.length, 0),
-                       packet_id=1, strip_width=fc.w, b=16)
+                       strip_width=fc.w, b=16)
     state = new_flow_state(hdr, dep)
     u = detection_constant(phy).u
     slot = phy.t_p + phy.t_guard
@@ -251,6 +310,7 @@ def test_progress_strictly_decreasing_distance_large_b():
     assert all(b > a for a, b in zip(xh, xh[1:]))
 
 
+@pytest.mark.slow
 def test_retransmission_statistics_hop1_geometric():
     # hop-1 relay area is the deterministic forward half-disc within the strip,
     # so E[n_r] follows 1/(e^(eps rho A) - 1). The square-wave schedule makes
