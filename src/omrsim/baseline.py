@@ -10,6 +10,8 @@ import numpy as np
 from .channel import PhyConfig, detection_constant
 from .field import FieldConfig, deploy
 
+MAX_CYCLES_PER_HOP = 512   # empty contention cycles before a hop deadlocks
+
 
 @dataclass
 class BclConfig:
@@ -25,11 +27,6 @@ class BclConfig:
     n_p: int = 4                   # slots per contention cycle
     t_s: float = 3.5e-3            # RTS/CTS slot duration, s
     xi: float | None = None        # fraction of in-range nodes with progress
-    expectations_mode: str = "simulated"   # or "supplied"
-    supplied_eta: float = 0.0
-    supplied_m_e: float = 0.0
-    supplied_m_n: float = 1.0
-    max_cycles_per_hop: int = 512
 
     def validate(self) -> None:
         if self.n_p < 1:
@@ -40,13 +37,10 @@ class BclConfig:
             raise ValueError("d_m must be positive")
         if self.xi is not None and not (0.0 < self.xi <= 1.0):
             raise ValueError("xi must be in (0, 1]")
-        if self.expectations_mode not in ("simulated", "supplied"):
-            raise ValueError("expectations_mode must be simulated or supplied")
 
 
 @dataclass
 class CycleOutcome:
-    eta: int            # empty cycles spent before this one
     m_e: int            # empty slots before the first CTS
     m_n: int            # CTS slots used, including the final clean one
     winner_progress: float
@@ -120,7 +114,7 @@ def contention_cycle(
         best = resplit.min()
         contenders = contenders[resplit == best]
     winner = int(contenders[0])
-    return CycleOutcome(eta=0, m_e=first, m_n=m_n,
+    return CycleOutcome(m_e=first, m_n=m_n,
                         winner_progress=float(progresses[winner]),
                         winner_index=winner)
 
@@ -184,7 +178,6 @@ def run_bcl(
     dst = np.array([field_cfg.length, 0.0])
 
     ss = np.random.SeedSequence(seed)
-    etas, mes, mns, progs = [], [], [], []
     per_hop = []
     hops_per_trial = []
     delivered = 0
@@ -218,7 +211,7 @@ def run_bcl(
             eta = 0
             outcome = None
             awake_idx = None
-            while eta <= cfg.max_cycles_per_hop:
+            while eta <= MAX_CYCLES_PER_HOP:
                 awake = rng.random(fx.size) < field_cfg.epsilon
                 if awake.any():
                     awake_idx = np.flatnonzero(awake)
@@ -232,20 +225,12 @@ def run_bcl(
             holder = np.array([fx[winner], fy[winner]])
             d_hold = float(np.linalg.norm(holder - dst))
             hops += 1
-            etas.append(eta)
-            mes.append(outcome.m_e)
-            mns.append(outcome.m_n)
-            progs.append(outcome.winner_progress)
             per_hop.append((trial, hops, eta, outcome.m_e, outcome.m_n,
                             outcome.winner_progress))
 
         if alive:
             # destination in range: it always answers on the first slot
             hops += 1
-            etas.append(0)
-            mes.append(0)
-            mns.append(1)
-            progs.append(d_hold)
             per_hop.append((trial, hops, 0, 0, 1, d_hold))
             delivered += 1
             hops_per_trial.append(hops)
@@ -255,10 +240,8 @@ def run_bcl(
                          math.nan, math.nan, math.nan, math.nan,
                          0, trials, per_hop)
 
-    if cfg.expectations_mode == "supplied":
-        e_eta, e_m_e, e_m_n = cfg.supplied_eta, cfg.supplied_m_e, cfg.supplied_m_n
-    else:
-        e_eta, e_m_e, e_m_n = map(lambda v: float(np.mean(v)), (etas, mes, mns))
+    _, _, etas, mes, mns, progs = zip(*per_hop)
+    e_eta, e_m_e, e_m_n = map(lambda v: float(np.mean(v)), (etas, mes, mns))
 
     e_hops = float(np.mean(hops_per_trial))
     xi = cfg.xi if cfg.xi is not None else xi_geometric(field_cfg.length / 2.0, d_m)

@@ -9,6 +9,7 @@ from .baseline import BclConfig
 from .channel import PhyConfig
 from .engine import RetransmitPolicy
 from .field import FieldConfig
+from .metrics import mcs_table
 
 SCENARIOS = (
     "omr-trials",
@@ -111,8 +112,15 @@ class ExperimentSpec:
         axis = sweep_needs.get(self.scenario)
         if axis is not None and not axis:
             diags.append(f"scenario '{self.scenario}' needs a non-empty sweep axis")
+        if self.scenario == "compare-mcs":
+            known = [m.name for m in mcs_table()]
+            diags += [f"unknown MCS '{name}' (known: {', '.join(known)})"
+                      for name in self.mcs_list if name not in known]
         if self.interference_radius <= 0:
             diags.append("interference_radius must be positive")
+        if self.two_stagger_slots < 0:
+            diags.append(f"two_stagger_slots must be >= 0, got "
+                         f"{self.two_stagger_slots}")
         return diags
 
 
@@ -161,10 +169,6 @@ _KEYMAP = {
     "bcl_n_p": ("bcl", "n_p", int),
     "bcl_t_s_s": ("bcl", "t_s", float),
     "bcl_xi": ("bcl", "xi", lambda s: None if s.lower() == "auto" else float(s)),
-    "bcl_expectations_mode": ("bcl", "expectations_mode", str),
-    "bcl_supplied_eta": ("bcl", "supplied_eta", float),
-    "bcl_supplied_m_e": ("bcl", "supplied_m_e", float),
-    "bcl_supplied_m_n": ("bcl", "supplied_m_n", float),
 }
 
 _LIST_KEYS = {

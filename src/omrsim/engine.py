@@ -220,6 +220,8 @@ class _FlowState:
     failed: bool = False
     delay_spread_s: float = math.nan
     stragglers: dict = dc_field(default_factory=dict)  # hop -> list of (x, y, dp)
+    rng: np.random.Generator | None = None  # RACH draws and false alarms
+    next_slot: int = 0            # grid slot of the flow's next transmission
 
     @property
     def done(self) -> bool:
@@ -345,7 +347,7 @@ def run_flow_hop(
     rng: np.random.Generator,
     slot: float,
     pn_extra_fn=None,
-) -> None:
+) -> bool:
     """Process one transmission attempt of a flow, mutating its state.
 
     On an empty relay set the attempt counts as a retransmission: the strip is
@@ -353,6 +355,7 @@ def run_flow_hop(
     RACH is redrawn. A retransmission that would have succeeded without
     cross-flow interference is tagged. The hop completes when a relay set forms
     or the destination detects; it fails when the retransmission cap is spent.
+    Returns whether the attempt was a retransmission.
     """
     hdr = state.header
     old_xy, old_dp = state.relay_xy, state.dp
@@ -373,7 +376,7 @@ def run_flow_hop(
         # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
         hdr.strip_width += policy.delta_w
         state.t += 2.0 * phy.t_p
-        return
+        return True
 
     k_new = 0
     if rx.dst_detected:
@@ -400,6 +403,7 @@ def run_flow_hop(
         _register_false_alarms(state, old_xy, old_dp, policy, rng)
         state.hop += 1
         state.t += slot
+    return False
 
 
 def new_flow_state(
@@ -417,48 +421,93 @@ def new_flow_state(
     )
 
 
+def _run_flows(
+    field_cfg: FieldConfig,
+    phy: PhyConfig,
+    policy: RetransmitPolicy,
+    b: int,
+    seed: int,
+    srcs: list[Point2D],
+    dst: Point2D,
+    interference_radius: float = 0.0,
+    stagger_slots: int = 0,
+) -> tuple[list[_FlowState], int]:
+    """Forward one packet per source toward dst on one field and slot grid.
+
+    Deterministic for a given seed: the first child stream deploys the field,
+    the others drive one flow each (RACH draws, false alarms). Flow i is
+    injected i * stagger_slots slots late. When flows transmit in the same
+    slot, each one's receivers see the others' transmit sets as added
+    noise-plus-interference (within interference_radius). A source defers
+    its injection while it detects another flow's relays transmitting (carrier
+    sense applies to sources only). A flow stops when it delivers, spends its
+    retransmission cap or passes the hop cap. Returns the flow states and the
+    number of slots used.
+    """
+    field_cfg.validate()
+    phy.validate()
+    policy.validate()
+    dep_ss, *flow_ss = np.random.SeedSequence(seed).spawn(1 + len(srcs))
+    # one field covering every strip: size the lateral extent by the sources
+    w_max = field_cfg.w + policy.n_r_max * policy.delta_w
+    lateral_span = 2.0 * max(abs(src.y) for src in srcs) + w_max
+    deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
+                        max_strip_width=lateral_span)
+    u = detection_constant(phy).u
+    slot = phy.t_p + phy.t_guard
+    r1 = u ** (-1.0 / phy.alpha)
+    max_hops = max(256, int(8.0 * field_cfg.length / r1))
+    max_slots = max(512, int(16.0 * field_cfg.length / r1)) \
+        * (policy.n_r_max + 1)
+
+    flows = []
+    for i, (src, ss) in enumerate(zip(srcs, flow_ss)):
+        header = PacketHeader(src=src, dst=dst, strip_width=field_cfg.w, b=b)
+        header.validate()
+        state = new_flow_state(header, deployment,
+                               start_t=i * stagger_slots * slot)
+        state.rng = np.random.default_rng(ss)
+        state.next_slot = i * stagger_slots
+        flows.append(state)
+
+    slot_idx = 0
+    while slot_idx < max_slots:
+        live = [f for f in flows if not f.done and f.hop <= max_hops]
+        if not live:
+            break
+        txers = [f for f in live if f.next_slot == slot_idx]
+        for f in list(txers):
+            # a source that detects another flow's relays defers one slot
+            if f.hop + f.n_r == 1 and any(
+                    g is not f and g.hop + g.n_r > 1
+                    and _detects(f.header.src.x, f.header.src.y, g.relay_xy,
+                                 phy, u)[0] for g in txers):
+                f.next_slot += 1
+                f.t += slot
+                txers.remove(f)
+        # built before any hop runs, since a hop replaces its relay set
+        pn_fns = [interference_pn_fn(
+            np.vstack([g.relay_xy for g in txers if g is not f]), phy,
+            interference_radius) if len(txers) > 1 else None for f in txers]
+        for f, pn_fn in zip(txers, pn_fns):
+            retransmitted = run_flow_hop(f, deployment, phy, policy, u, f.rng,
+                                         slot, pn_extra_fn=pn_fn)
+            f.next_slot += 2 if retransmitted else 1
+        slot_idx += 1
+    return flows, slot_idx
+
+
 def run_trial(
     field_cfg: FieldConfig,
     phy: PhyConfig,
     policy: RetransmitPolicy,
     b: int,
     seed: int,
-    deployment: Deployment | None = None,
 ) -> TrialResult:
-    """Full source-to-destination trial on a fresh Poisson field.
-
-    Deterministic for a given seed: one child stream deploys the field, the
-    other drives the protocol (RACH draws, false alarms).
-    """
-    field_cfg.validate()
-    phy.validate()
-    policy.validate()
-    ss = np.random.SeedSequence(seed)
-    dep_ss, proto_ss = ss.spawn(2)
-    if deployment is None:
-        w_max = field_cfg.w + policy.n_r_max * policy.delta_w
-        deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p, max_strip_width=w_max)
-    rng = np.random.default_rng(proto_ss)
-
-    u = detection_constant(phy).u
-    header = PacketHeader(
-        src=Point2D(0.0, 0.0),
-        dst=Point2D(field_cfg.length, 0.0),
-        strip_width=field_cfg.w,
-        b=b,
-    )
-    header.validate()
-    state = new_flow_state(header, deployment)
-    slot = phy.t_p + phy.t_guard
-
-    r1 = u ** (-1.0 / phy.alpha)
-    max_hops = max(256, int(8.0 * field_cfg.length / r1))
-    max_attempts = max_hops * (policy.n_r_max + 1)
-    for _ in range(max_attempts):
-        run_flow_hop(state, deployment, phy, policy, u, rng, slot)
-        if state.done or state.hop > max_hops:
-            break
-    return state.result(seed)
+    """One packet from (0, 0) to (L, 0) on a fresh Poisson field."""
+    flows, _ = _run_flows(field_cfg, phy, policy, b, seed, [Point2D(0.0, 0.0)],
+                          Point2D(field_cfg.length, 0.0))
+    return flows[0].result(seed)
 
 
 @dataclass
@@ -483,97 +532,23 @@ def run_two_packet_trial(
 ) -> TwoPacketResult:
     """Two concurrent packets toward one destination on a shared field.
 
-    Both flows run on a common transmission-slot grid; when they transmit in
-    the same slot, each one's receivers see the other's transmit set as added
-    noise-plus-interference (within interference_radius). The second source
-    defers its injection while it can detect the other flow's transmission
-    (carrier sense applies to sources only). Retransmissions that a clean
-    channel would have avoided are tagged per flow.
+    Flow b is injected stagger_slots slots after flow a; see _run_flows for
+    the shared slot grid, interference and carrier sense. Retransmissions
+    that a clean channel would have avoided are tagged per flow.
     """
-    field_cfg.validate()
-    phy.validate()
-    policy.validate()
+    if stagger_slots < 0:
+        raise ValueError(f"stagger_slots must be >= 0, got {stagger_slots}")
     if dst is None:
         dst = Point2D(field_cfg.length, 0.0)
-
-    ss = np.random.SeedSequence(seed)
-    dep_ss, pa_ss, pb_ss = ss.spawn(3)
-    # one field covering both strips: size the lateral extent by the sources
-    w_max = field_cfg.w + policy.n_r_max * policy.delta_w
-    lateral_span = 2.0 * max(abs(src_a.y), abs(src_b.y)) + w_max
-    deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
-                        max_strip_width=lateral_span)
-    u = detection_constant(phy).u
-    slot = phy.t_p + phy.t_guard
-    r1 = u ** (-1.0 / phy.alpha)
-    max_slots = max(512, int(16.0 * field_cfg.length / r1)) \
-        * (policy.n_r_max + 1)
-
-    flows = []
-    for src, proto_ss, start in ((src_a, pa_ss, 0),
-                                 (src_b, pb_ss, stagger_slots)):
-        header = PacketHeader(src=src, dst=dst, strip_width=field_cfg.w, b=b)
-        header.validate()
-        state = new_flow_state(header, deployment, start_t=start * slot)
-        flows.append({
-            "state": state,
-            "rng": np.random.default_rng(proto_ss),
-            "next_slot": start,
-            "injected": False,
-        })
-
-    slot_idx = 0
-    while slot_idx < max_slots:
-        active = [f for f in flows if not f["state"].done
-                  and f["next_slot"] == slot_idx]
-        if not active:
-            if all(f["state"].done for f in flows):
-                break
-            slot_idx += 1
-            continue
-
-        # snapshot the transmit sets before either flow mutates its state
-        transmitters = {id(f): f["state"].relay_xy.copy() for f in active}
-
-        # source-side carrier sense at injection
-        for f in list(active):
-            other = [g for g in flows if g is not f]
-            if f["injected"] or not other:
-                continue
-            g = other[0]
-            if not g["state"].done and g["next_slot"] == slot_idx \
-                    and g["state"].hop + g["state"].n_r > 1:
-                src = f["state"].header.src
-                gx = transmitters.get(id(g), g["state"].relay_xy)
-                if _detects(src.x, src.y, gx, phy, u)[0]:
-                    f["next_slot"] += 1
-                    f["state"].t += slot
-                    active.remove(f)
-
-        slot_txers = list(active)  # flows actually transmitting this slot
-        for f in slot_txers:
-            f["injected"] = True
-            others = [g for g in slot_txers if g is not f]
-            pn_fn = None
-            if others:
-                ixy = np.vstack([transmitters[id(g)] for g in others])
-                pn_fn = interference_pn_fn(ixy, phy, interference_radius)
-            hop_before = (f["state"].hop, f["state"].n_r)
-            run_flow_hop(f["state"], deployment, phy, policy, u, f["rng"],
-                         slot, pn_extra_fn=pn_fn)
-            retransmitted = (f["state"].hop, f["state"].n_r) == \
-                (hop_before[0], hop_before[1] + 1)
-            f["next_slot"] += 2 if retransmitted else 1
-        slot_idx += 1
-
+    flows, slots_used = _run_flows(field_cfg, phy, policy, b, seed,
+                                   [src_a, src_b], dst, interference_radius,
+                                   stagger_slots)
     # closed hops carry their tags in their records; a hop still open when
     # the slot budget ran out carries them in the state
-    tagged = sum(f["state"].n_r_interference
-                 + sum(r.n_r_interference for r in f["state"].records)
-                 for f in flows)
-    flow_a, flow_b = (f["state"].result(seed) for f in flows)
-    return TwoPacketResult(flow_a=flow_a, flow_b=flow_b,
-                           interference_tagged=tagged, slots_used=slot_idx)
+    tagged = sum(f.n_r_interference
+                 + sum(r.n_r_interference for r in f.records) for f in flows)
+    return TwoPacketResult(flows[0].result(seed), flows[1].result(seed),
+                           tagged, slots_used)
 
 
 def propagation_delays(

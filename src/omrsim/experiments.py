@@ -260,9 +260,6 @@ def scenario_compare_mcs(spec: ExperimentSpec) -> list[str]:
     """Per-MCS cost against the baseline running coherent QPSK."""
     table = {m.name: m for m in mcs_table(spec.coding_gain_db)}
     names = ["QPSK-coherent", *spec.mcs_list]
-    for name in names:
-        if name not in table:
-            raise ValueError(f"unknown MCS '{name}'")
     bcl_phy, *phys = [replace(spec.phy, gamma_t=table[name].gamma_t,
                               r=table[name].rate(spec.phy.symbol_rate))
                       for name in names]
@@ -371,12 +368,16 @@ _SCENARIO_FUNCS = {
 
 
 def run(spec: ExperimentSpec) -> list[str]:
-    """Execute one scenario; returns the paths written."""
-    diags = spec.validate()
-    if diags:
-        raise ConfigError(diags)
+    """Execute one scenario; returns the paths written.
+
+    A rejected spec or a failed scenario leaves error_manifest.txt in
+    spec.out_dir.
+    """
     os.makedirs(spec.out_dir, exist_ok=True)
     try:
+        diags = spec.validate()
+        if diags:
+            raise ConfigError(diags)
         return _SCENARIO_FUNCS[spec.scenario](spec)
     except Exception as exc:
         manifest = os.path.join(spec.out_dir, "error_manifest.txt")

@@ -221,16 +221,6 @@ def test_run_bcl_first_hop_eta_matches_geometric_oracle():
     assert abs(got - oracle) < 3.0 * se
 
 
-def test_run_bcl_supplied_mode():
-    fc = FieldConfig(rho=1.5e-3, length=800.0)
-    cfg = BclConfig(expectations_mode="supplied", supplied_eta=0.5,
-                    supplied_m_e=1.0, supplied_m_n=2.0)
-    res = run_bcl(cfg, fc, PHY, trials=20, seed=4)
-    assert res.e_eta == 0.5 and res.e_m_e == 1.0 and res.e_m_n == 2.0
-    assert res.hop_delay_s == pytest.approx(
-        hop_delay(0.5, 3.0, cfg), rel=1e-12)
-
-
 def test_run_bcl_deadlock_reported():
     fc = FieldConfig(rho=1e-7, length=2000.0)
     res = run_bcl(BclConfig(), fc, PHY, trials=10, seed=5)
@@ -242,5 +232,3 @@ def test_bcl_config_validation():
         BclConfig(n_p=0).validate()
     with pytest.raises(ValueError):
         BclConfig(xi=1.5).validate()
-    with pytest.raises(ValueError):
-        BclConfig(expectations_mode="oracle").validate()

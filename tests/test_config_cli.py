@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from omrsim.channel import PhyConfig
 from omrsim.cli import main
 from omrsim.config import (
     ConfigError,
@@ -16,7 +17,9 @@ from omrsim.config import (
     validate_config,
     watts_to_dbm,
 )
+from omrsim.engine import RetransmitPolicy, run_two_packet_trial
 from omrsim.experiments import SUMMARY_COLUMNS, run
+from omrsim.field import FieldConfig, Point2D
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
 
@@ -99,6 +102,28 @@ def test_cli_recursion_scenarios_reject_two_slots(tmp_path, capsys, scenario):
     # the simulation alone runs with two slots
     assert main(["--config", str(cfg), "--scenario", "omr-trials",
                  "--validate-only"]) == 0
+
+
+def test_cli_unknown_mcs_rejected(tmp_path, capsys):
+    cfg = tmp_path / "mcs.cfg"
+    cfg.write_text("scenario = compare-mcs\nmcs_list = DQPSK, 64-QAM\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and "'64-QAM'" in err[0]
+
+
+def test_negative_stagger_rejected(tmp_path, capsys):
+    # flow b would never transmit, and the run would spend the slot budget
+    cfg = tmp_path / "stagger.cfg"
+    cfg.write_text("scenario = two-packets\ntwo_stagger_slots = -1\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "two_stagger_slots" in err[0]
+    with pytest.raises(ValueError, match="stagger_slots"):
+        run_two_packet_trial(FieldConfig(), PhyConfig(), RetransmitPolicy(),
+                             24, 1, src_a=Point2D(0.0, 120.0),
+                             src_b=Point2D(0.0, -120.0), stagger_slots=-1)
 
 
 def test_cli_analytic_prints_dumped_pmfs(tmp_path, capsys):

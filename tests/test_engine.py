@@ -204,6 +204,22 @@ def test_two_packet_tags_count_each_retransmission_once():
     assert res.interference_tagged == in_records
 
 
+def test_two_packet_outputs_pinned():
+    # the criterion-9 runs (golden field, sources 240 m apart), seeds
+    # 4400-4407: tags, slots and per-flow hop counts
+    got = []
+    for s in range(8):
+        res = run_two_packet_trial(
+            FieldConfig(), PhyConfig(), RetransmitPolicy(), 24, 4400 + s,
+            src_a=Point2D(0.0, 120.0), src_b=Point2D(0.0, -120.0))
+        got.append((res.interference_tagged, res.slots_used,
+                    res.flow_a.q, res.flow_b.q))
+    assert [g[0] for g in got] == [2, 1, 1, 0, 0, 1, 1, 1]
+    assert [g[1] for g in got] == [21, 20, 19, 19, 19, 19, 17, 19]
+    assert [g[2] for g in got] == [17, 15, 14, 19, 14, 14, 15, 14]
+    assert [g[3] for g in got] == [16, 18, 17, 13, 19, 17, 12, 17]
+
+
 def test_propagation_delays_chain_spread_zero():
     # single relay per hop: one arrival path, spread is zero
     hops = [np.array([[0.0, 0.0]]),
