@@ -3,7 +3,7 @@ detection condition, coverage contours."""
 
 import numpy as np
 
-from omrsim.channel import PhyConfig, coverage_contour, detection_constant, is_detected
+from omrsim.channel import PhyConfig, coverage_contour, detection_constant, power_sum
 from omrsim.field import FieldConfig, awake_mask, deploy
 
 cfg = FieldConfig()           # 1500 nodes/km^2, duty cycle 25%, 2 km strip
@@ -23,9 +23,9 @@ print(f"single-transmitter reach U^(-1/alpha) = {dc.single_relay_radius:.1f} m")
 # a lone transmitter at the origin: who detects it?
 relays = np.array([[0.0, 0.0]])
 for d in (0.5, 0.99, 1.01, 1.5):
-    rx = (d * dc.single_relay_radius, 0.0)
-    print(f"receiver at {d:4.2f} x reach: detected = "
-          f"{is_detected(rx, relays, phy)}")
+    h = power_sum(d * dc.single_relay_radius, 0.0, relays[:, 0], relays[:, 1],
+                  phy.alpha)
+    print(f"receiver at {d:4.2f} x reach: detected = {h >= dc.u}")
 
 # aggregation gain: several co-located transmitters push the contour out as
 # the cube root of their count

@@ -11,7 +11,7 @@ from .analytic import (
 )
 from .baseline import BclConfig, BclResult, run_bcl
 from .channel import DetectionConstant, PhyConfig, detection_constant
-from .config import ExperimentSpec, load_config, parse_config, validate_config
+from .config import ExperimentSpec, load_config, parse_config
 from .engine import (
     PacketHeader,
     RetransmitPolicy,
@@ -41,7 +41,6 @@ __all__ = [
     "ExperimentSpec",
     "load_config",
     "parse_config",
-    "validate_config",
     "PacketHeader",
     "RetransmitPolicy",
     "TrialResult",

@@ -91,13 +91,6 @@ class IntDist:
         return IntDist(p, tail_tol)
 
 
-def poisson_pmf(n, mean: float) -> np.ndarray | float:
-    """Standard Poisson mass; a zero mean collapses to a point mass at 0."""
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
-    return _poisson.pmf(n, mean)
-
-
 def poisson_dist(mean: float, tail_tol: float = 1e-9) -> IntDist:
     """Poisson pmf truncated where the upper tail drops below tail_tol."""
     if mean <= 0.0:

@@ -1,4 +1,4 @@
-"""Link abstraction: aggregate channel power, detection test, coverage contour."""
+"""Link abstraction: aggregate channel power, detection threshold, coverage contour."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
-
-
-class DegenerateDistanceError(ValueError):
-    """Receiver coincides with a transmitter; path power is undefined."""
 
 
 class ContourUndefinedError(RuntimeError):
@@ -69,13 +65,6 @@ class DetectionConstant:
         return self.u ** (-1.0 / self.alpha)
 
 
-def mean_path_power(d: float, phy: PhyConfig) -> float:
-    """Mean channel power over all taps at distance d: (lambda / 4 pi d)^alpha."""
-    if d <= 0.0:
-        raise DegenerateDistanceError(f"distance must be positive, got {d}")
-    return (phy.lambda_c / (4.0 * math.pi * d)) ** phy.alpha
-
-
 def aggregate_power(xs, ys, relay_xs: np.ndarray, relay_ys: np.ndarray,
                     alpha: float) -> np.ndarray:
     """Unscaled aggregate H = sum_k d_k^-alpha at each receiver.
@@ -88,19 +77,8 @@ def aggregate_power(xs, ys, relay_xs: np.ndarray, relay_ys: np.ndarray,
     return np.add.reduce(d2 ** (-alpha / 2.0), axis=0)
 
 
-def sigma_s2(rx: tuple[float, float], relays, phy: PhyConfig) -> float:
-    """Aggregate mean channel power at rx from a set of concurrent relays."""
-    xy = np.asarray(relays, dtype=float).reshape(-1, 2)
-    with np.errstate(divide="ignore"):
-        h = float(aggregate_power(rx[0], rx[1], xy[:, 0], xy[:, 1], phy.alpha)[0])
-    if math.isinf(h):
-        raise DegenerateDistanceError("receiver coincides with a relay")
-    scale = (phy.lambda_c / (4.0 * math.pi)) ** phy.alpha
-    return scale * h
-
-
 def detection_constant(phy: PhyConfig) -> DetectionConstant:
-    """Detection threshold on the unscaled power sum H = sum d_k^-alpha."""
+    """Detection threshold: a receiver detects iff H = sum d_k^-alpha >= U."""
     ln_term = math.log(1.0 / (1.0 - phy.tau))
     u = (
         (phy.n_s * phy.p_n / (2.0 * phy.p_t))
@@ -111,25 +89,9 @@ def detection_constant(phy: PhyConfig) -> DetectionConstant:
     return DetectionConstant(u=u, alpha=phy.alpha)
 
 
-def detection_threshold_sigma(phy: PhyConfig) -> float:
-    """Right-hand side of the detection condition on sigma_S^2."""
-    return phy.n_s * phy.p_n * phy.gamma_t / (2.0 * phy.p_t * math.log(1.0 / (1.0 - phy.tau)))
-
-
 def power_sum(x: float, y: float, relay_xs: np.ndarray, relay_ys: np.ndarray, alpha: float) -> float:
     """Unscaled aggregate H(x, y) = sum_k d_k^-alpha; inf on a relay."""
     return float(aggregate_power(x, y, relay_xs, relay_ys, alpha)[0])
-
-
-def is_detected(rx: tuple[float, float], relays, phy: PhyConfig) -> bool:
-    """Mean-SINR reliability test: outage below tau, boundary inclusive."""
-    return sigma_s2(rx, relays, phy) >= detection_threshold_sigma(phy)
-
-
-def outage_probability(rx: tuple[float, float], relays, phy: PhyConfig) -> float:
-    """P[instantaneous subcarrier SINR < gamma_t] for Rayleigh-sum fading."""
-    gamma_o = 2.0 * phy.p_t * sigma_s2(rx, relays, phy) / (phy.n_s * phy.p_n)
-    return 1.0 - math.exp(-phy.gamma_t / gamma_o)
 
 
 def coverage_contour(relays, y: float, u: float, alpha: float = 3.0) -> float:

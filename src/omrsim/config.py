@@ -26,6 +26,8 @@ SCENARIOS = (
 
 # scenarios that run the analytic hop recursion, which needs b >= 3
 RECURSION_SCENARIOS = ("analytic", "retransmissions")
+# scenarios that sweep the node density over rho_per_km2_list
+RHO_SWEEP_SCENARIOS = ("compare-power", "delay-spread", "retransmissions")
 
 
 class ConfigError(ValueError):
@@ -97,12 +99,24 @@ class ExperimentSpec:
                          f"'{self.scenario}' (analytic recursion), got {self.b}")
         if self.workers < 0:
             diags.append("workers must be >= 0")
-        for name, cfg in (("field", self.field), ("phy", self.phy),
-                          ("policy", self.policy), ("bcl", self.bcl)):
+        checks = [("field", self.field), ("phy", self.phy),
+                  ("policy", self.policy), ("bcl", self.bcl)]
+        # a swept value must pass the rule of the config it is swept into
+        if self.scenario in RHO_SWEEP_SCENARIOS:
+            checks += [("rho_per_km2_list", replace(self.field, rho=r * 1e-6))
+                       for r in self.rho_per_km2_list]
+        if self.scenario == "delay-spread":
+            checks += [("w_list_m", replace(self.field, w=w)) for w in self.w_list]
+        errors = {}  # error text -> first source, so a bad field is named once
+        for name, cfg in checks:
             try:
                 cfg.validate()
             except ValueError as exc:
-                diags.append(f"{name}: {exc}")
+                errors.setdefault(str(exc), name)
+        diags += [f"{name}: {err}" for err, name in errors.items()]
+        if self.scenario == "compare-B":
+            diags += [f"b_list: RACH slot count b must be >= 2, got {b}"
+                      for b in self.b_list if b < 2]
         sweep_needs = {
             "compare-power": self.p_t_dbm_list,
             "compare-B": self.b_list,
@@ -233,11 +247,6 @@ def parse_config(text: str) -> ExperimentSpec:
     if diags:
         raise ConfigError(diags)
     return spec
-
-
-def validate_config(text: str) -> ExperimentSpec:
-    """Parse and validate; alias kept for the documented interface."""
-    return parse_config(text)
 
 
 def load_config(path: str) -> ExperimentSpec:

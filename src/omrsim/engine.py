@@ -55,8 +55,7 @@ class RetransmitPolicy:
             raise ValueError("fa_rate must be in [0, 1)")
 
 
-@dataclass
-class HopRecord:
+class HopRecord(NamedTuple):
     """Per-transmission trace row; hop i is the i-th forwarding of the packet."""
 
     hop: int
@@ -150,7 +149,7 @@ def decode_set(
     t_now: float,
     phy: PhyConfig,
     *,
-    u: float | None = None,
+    u: float,
     seen: np.ndarray | None = None,
     pn_extra_fn=None,
 ) -> np.ndarray:
@@ -162,8 +161,6 @@ def decode_set(
     supply additive per-node noise-plus-interference power (per subcarrier).
     """
     relays = np.asarray(relays, dtype=float).reshape(-1, 2)
-    if u is None:
-        u = detection_constant(phy).u
     # a node beyond (k / u)^(1/alpha) of every transmitter cannot reach u
     d_cut = (relays.shape[0] / u) ** (1.0 / phy.alpha)
     i0, i1 = deployment.window(relays[:, 0].min() - d_cut,
@@ -409,9 +406,8 @@ def run_flow_hop(
 def new_flow_state(
     header: PacketHeader, deployment: Deployment, start_t: float = 0.0
 ) -> _FlowState:
-    strip = Strip(width=header.strip_width, src=header.src, dst=header.dst)
     return _FlowState(
-        strip=strip,
+        strip=Strip(src=header.src, dst=header.dst),
         header=header,
         relay_xy=np.asarray([[header.src.x, header.src.y]], dtype=float),
         dp=np.zeros(1),
@@ -526,11 +522,10 @@ def run_two_packet_trial(
     seed: int,
     src_a: Point2D,
     src_b: Point2D,
-    dst: Point2D | None = None,
     interference_radius: float = 600.0,
     stagger_slots: int = 0,
 ) -> TwoPacketResult:
-    """Two concurrent packets toward one destination on a shared field.
+    """Two concurrent packets toward (L, 0) on a shared field.
 
     Flow b is injected stagger_slots slots after flow a; see _run_flows for
     the shared slot grid, interference and carrier sense. Retransmissions
@@ -538,11 +533,10 @@ def run_two_packet_trial(
     """
     if stagger_slots < 0:
         raise ValueError(f"stagger_slots must be >= 0, got {stagger_slots}")
-    if dst is None:
-        dst = Point2D(field_cfg.length, 0.0)
     flows, slots_used = _run_flows(field_cfg, phy, policy, b, seed,
-                                   [src_a, src_b], dst, interference_radius,
-                                   stagger_slots)
+                                   [src_a, src_b],
+                                   Point2D(field_cfg.length, 0.0),
+                                   interference_radius, stagger_slots)
     # closed hops carry their tags in their records; a hop still open when
     # the slot budget ran out carries them in the state
     tagged = sum(f.n_r_interference

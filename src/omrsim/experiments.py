@@ -65,7 +65,7 @@ class TrialSummary(NamedTuple):
     reached: bool
     q: int                  # hops traversed
     delay_spread_s: float
-    rows: list              # TRACE_COLUMNS rows, one per hop
+    records: list           # the trial's HopRecords, one per hop
     energy_j: float
     delay_s: float
 
@@ -73,11 +73,9 @@ class TrialSummary(NamedTuple):
 def _one_omr_trial(args) -> TrialSummary:
     field, phy, policy, b, seed = args
     res = run_trial(field, phy, policy, b, seed)
-    rows = [(res.seed, r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0,
-             res.delay_spread_s) for r in res.records]
     e, l = trial_e2e(res.records, phy)
     return TrialSummary(res.seed, res.reached, res.q, res.delay_spread_s,
-                        rows, e, l)
+                        res.records, e, l)
 
 
 def run_sweep(spec: ExperimentSpec,
@@ -130,7 +128,8 @@ def scenario_omr_trials(spec: ExperimentSpec) -> list[str]:
     batch = run_omr_batch(spec, spec.field, spec.phy, spec.trials, spec.seed)
     trace_path = os.path.join(spec.out_dir, "omr_trace.csv")
     _write_csv(trace_path, TRACE_COLUMNS,
-               [row for t in batch for row in t.rows])
+               [(t.seed, r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0,
+                 t.delay_spread_s) for t in batch for r in t.records])
     summary = os.path.join(spec.out_dir, "summary.csv")
     _write_csv(summary, SUMMARY_COLUMNS, [_omr_row(
         batch, spec.phy, round(watts_to_dbm(spec.phy.p_t), 6),
@@ -161,12 +160,12 @@ def _fit_progress(batch, phy: PhyConfig):
         # failed trials still advanced the contour for a few hops; their
         # samples are as real as any
         prev_x = None
-        for (_, hop, k_prev, _, _, _, xh0, _) in b.rows:
-            if hop >= 2 and prev_x is not None \
-                    and not math.isnan(xh0) and not math.isnan(prev_x):
-                ks.append(k_prev)
-                dxs.append(xh0 - prev_x)
-            prev_x = xh0
+        for r in b.records:
+            if r.hop >= 2 and prev_x is not None \
+                    and not math.isnan(r.xh0) and not math.isnan(prev_x):
+                ks.append(r.k_prev)
+                dxs.append(r.xh0 - prev_x)
+            prev_x = r.xh0
     return calibrate_progress(np.asarray(ks, dtype=float),
                               np.asarray(dxs, dtype=float), u)
 
@@ -314,8 +313,8 @@ def scenario_retransmissions(spec: ExperimentSpec) -> list[str]:
             pass  # sweep point too sparse to calibrate; keep the raw counts
         nr_by_hop: dict[int, list] = {}
         for b in batch:
-            for (_, hop, _, _, _, n_r, _, _) in b.rows:
-                nr_by_hop.setdefault(hop, []).append(n_r)
+            for r in b.records:
+                nr_by_hop.setdefault(r.hop, []).append(r.n_r)
         for hop in sorted(nr_by_hop):
             mc = nr_by_hop[hop]
             rows.append((rho_km2, pdbm, hop, float(np.mean(mc)),

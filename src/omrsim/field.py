@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +39,8 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class Strip:
-    """Forwarding corridor of a given width around the src->dst axis."""
+    """Axis of the forwarding corridor; its width travels in the packet header."""
 
-    width: float
     src: Point2D = Point2D(0.0, 0.0)
     dst: Point2D = Point2D(2000.0, 0.0)
 
@@ -59,16 +58,6 @@ class Strip:
         return dx * ux + dy * uy, -dx * uy + dy * ux
 
 
-def in_strip(p: Point2D, strip: Strip) -> bool:
-    """Closed-set membership: lateral offset from the axis at most width/2."""
-    _, lateral = strip.frame(p[0], p[1])
-    return abs(lateral) <= strip.width / 2.0
-
-
-def dist(a: Point2D, b: Point2D) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def sleep_cycle(epsilon: float, t_p: float) -> float:
     """Length of one sleep/wake cycle: sleep block t_p, awake fraction epsilon."""
     if epsilon >= 1.0:
@@ -76,25 +65,16 @@ def sleep_cycle(epsilon: float, t_p: float) -> float:
     return t_p / (1.0 - epsilon)
 
 
-def is_awake(sleep_phase: float, t: float, t_p: float, epsilon: float) -> bool:
-    """True iff t falls in an awake interval of the phase-shifted schedule.
+def awake_mask(sleep_phases: np.ndarray, t: float, t_p: float, epsilon: float) -> np.ndarray:
+    """True where t falls in an awake interval of the phase-shifted schedule.
 
     The schedule alternates a sleep block of length t_p with an awake block of
     length t_p * epsilon / (1 - epsilon), so the long-run awake fraction is
     exactly epsilon. epsilon = 1 means always awake.
     """
     if epsilon >= 1.0:
-        return True
-    cycle = t_p / (1.0 - epsilon)
-    return (t + sleep_phase) % cycle >= t_p
-
-
-def awake_mask(sleep_phases: np.ndarray, t: float, t_p: float, epsilon: float) -> np.ndarray:
-    """Vectorized is_awake over an array of phases."""
-    if epsilon >= 1.0:
         return np.ones(sleep_phases.shape, dtype=bool)
-    cycle = t_p / (1.0 - epsilon)
-    return (t + sleep_phases) % cycle >= t_p
+    return (t + sleep_phases) % sleep_cycle(epsilon, t_p) >= t_p
 
 
 @dataclass
@@ -104,21 +84,12 @@ class Deployment:
     xs: np.ndarray
     ys: np.ndarray
     sleep_phases: np.ndarray
-    seed: int
     cfg: FieldConfig
     bounds: tuple[float, float, float, float]  # (x_lo, x_hi, y_lo, y_hi)
-    sleep_cycle_s: float = field(default=math.inf)
 
     @property
     def n(self) -> int:
         return self.xs.size
-
-    @property
-    def nodes(self) -> list[tuple[Point2D, float]]:
-        return [
-            (Point2D(float(x), float(y)), float(ph))
-            for x, y, ph in zip(self.xs, self.ys, self.sleep_phases)
-        ]
 
     def window(self, x_lo: float, x_hi: float) -> tuple[int, int]:
         """Index range [i0, i1) of nodes with x in [x_lo, x_hi]."""
@@ -162,8 +133,6 @@ def deploy(
         xs=np.ascontiguousarray(xs[order]),
         ys=np.ascontiguousarray(ys[order]),
         sleep_phases=np.ascontiguousarray(phases[order]),
-        seed=seed,
         cfg=cfg,
         bounds=(x_lo, x_hi, -y_hi, y_hi),
-        sleep_cycle_s=cycle,
     )

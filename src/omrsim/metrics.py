@@ -74,29 +74,6 @@ def edp_and_cost(e_e2e: float, l_e2e: float, r: float, t_p: float) -> tuple[floa
     return edp, edp / (r * t_p)
 
 
-def cost_ratio(edp_a: float, r_a: float, t_p_a: float,
-               edp_b: float, r_b: float, t_p_b: float) -> float:
-    """C_e2e ratio of protocol a over protocol b."""
-    return (edp_a / (r_a * t_p_a)) / (edp_b / (r_b * t_p_b))
-
-
-def omr_e2e_from_rows(rows, phy: PhyConfig) -> tuple[float, float]:
-    """Total energy and delay from per-hop tuples (e_k, e_l, e_nr).
-
-    rows hold the relay count formed at each hop; the transmitter count of
-    hop i is the relay count of hop i-1, seeded by the lone source.
-    """
-    energy = 0.0
-    nrs = []
-    k_prev = 1.0
-    for row in rows:
-        e_k, e_l, e_nr = row
-        energy += hop_energy(e_l, k_prev, e_nr, phy)
-        nrs.append(e_nr)
-        k_prev = e_k
-    return energy, e2e_delay(nrs, phy.t_p)
-
-
 def trial_e2e(records, phy: PhyConfig) -> tuple[float, float]:
     """Realized end-to-end energy and delay of one simulated trial."""
     energy = 0.0

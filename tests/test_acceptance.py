@@ -45,14 +45,14 @@ def _batch(field, phy, trials, seed):
     return run_omr_batch(_spec(trials, seed), field, phy, trials, seed)
 
 
-def _per_hop(batch, col):
-    """Column per hop from trace rows; col: 2=K_prev, 3=L, 5=n_r, 6=xH0."""
+def _per_hop(batch, name):
+    """One HopRecord field per hop over the delivered trials."""
     out = {}
     for b in batch:
-        if not b[1]:
+        if not b.reached:
             continue
-        for row in b[4]:
-            out.setdefault(row[1], []).append(row[col])
+        for r in b.records:
+            out.setdefault(r.hop, []).append(getattr(r, name))
     return out
 
 
@@ -60,11 +60,11 @@ def _k_formed(batch):
     """Relay-set size formed at each hop (transmitters of the next one)."""
     out = {}
     for b in batch:
-        if not b[1]:
+        if not b.reached:
             continue
-        for row in b[4]:
-            if row[1] >= 2:
-                out.setdefault(row[1] - 1, []).append(row[2])
+        for r in b.records:
+            if r.hop >= 2:
+                out.setdefault(r.hop - 1, []).append(r.k_prev)
     return out
 
 
@@ -87,15 +87,15 @@ def golden_model(golden_batches):
     u = detection_constant(GOLDEN_PHY).u
     ks, dxs = [], []
     for b in batches[1500.0]:
-        if not b[1]:
+        if not b.reached:
             continue
         prev_x = None
-        for (_, hop, k_prev, _, _, _, xh0, _) in b[4]:
-            if hop >= 2 and prev_x is not None and not math.isnan(xh0) \
+        for r in b.records:
+            if r.hop >= 2 and prev_x is not None and not math.isnan(r.xh0) \
                     and not math.isnan(prev_x):
-                ks.append(k_prev)
-                dxs.append(xh0 - prev_x)
-            prev_x = xh0
+                ks.append(r.k_prev)
+                dxs.append(r.xh0 - prev_x)
+            prev_x = r.xh0
     model, mape = calibrate_progress(np.asarray(ks, float),
                                      np.asarray(dxs, float), u)
     return model, mape
@@ -171,7 +171,7 @@ def test_criterion_3_delay_spread(golden_batches):
     batches, elapsed = golden_batches
     stats = {}
     for rho, batch in batches.items():
-        spreads = np.asarray([b[3] for b in batch if b[1]])
+        spreads = np.asarray([b.delay_spread_s for b in batch if b.reached])
         stats[rho] = (float(spreads.mean()), float(spreads.std()))
     mean15, std15 = stats[1500.0]
     means = [stats[r][0] for r in RHOS_KM2]
@@ -225,8 +225,8 @@ def test_criterion_5_retransmissions(golden_batches, golden_model):
     ana = {r.hop: r.e_nr for r in stats.rows}
     mc_events: dict[int, list] = {}
     for b in batches[1500.0]:
-        for row in b[4]:
-            mc_events.setdefault(row[1], []).append(row[5])
+        for r in b.records:
+            mc_events.setdefault(r.hop, []).append(r.n_r)
     hops = [h for h in sorted(set(ana) & set(mc_events)) if h >= 2]
     agree = []
     for h in hops:
@@ -246,15 +246,15 @@ def test_criterion_5_retransmissions(golden_batches, golden_model):
                for r in run_recursion(GOLDEN_FIELD, model_low, GOLDEN_B).rows}
     nr_low: dict[int, list] = {}
     for b in batch_low:
-        for row in b[4]:
-            nr_low.setdefault(row[1], []).append(row[5])
+        for r in b.records:
+            nr_low.setdefault(r.hop, []).append(r.n_r)
     low_ratio = np.mean([ana_low[h] / np.mean(nr_low[h])
                          for h in (3, 4, 5, 6) if h in ana_low and h in nr_low])
 
     # strict decrease with density, evaluated at a power where every density
     # actually retransmits (at full power the counts are all zero)
     def agg(batch):
-        per = _per_hop(batch, 5)
+        per = _per_hop(batch, "n_r")
         return float(np.mean([np.mean(per[h]) for h in (2, 3, 4, 5)
                               if h in per]))
 
@@ -276,7 +276,7 @@ def test_criterion_5_retransmissions(golden_batches, golden_model):
         phy = GOLDEN_PHY.with_tx_power(dbm_to_watts(pdbm))
         m, _, bt = calibrate_from_batch(_spec(4000, 70 + j), GOLDEN_FIELD,
                                         phy, 4000, 70 + j)
-        per = _per_hop(bt, 5)
+        per = _per_hop(bt, "n_r")
         mc_pow.append(float(np.mean([np.mean(per[h]) for h in (2, 3, 4, 5)
                                      if h in per])))
         rows = run_recursion(GOLDEN_FIELD, m, GOLDEN_B).rows
@@ -302,7 +302,7 @@ def test_criterion_6_analytic_vs_simulation(golden_batches, golden_model):
     model, _ = golden_model
     stats = run_recursion(GOLDEN_FIELD, model, GOLDEN_B)
     k_mc = _k_formed(batches[1500.0])
-    l_mc = _per_hop(batches[1500.0], 3)
+    l_mc = _per_hop(batches[1500.0], "l")
     k_ratios, l_ratios = [], []
     for h in range(1, 6):
         row = stats.rows[h - 1]
@@ -338,9 +338,9 @@ def test_criterion_7_headline_comparison():
         for pdbm in powers:
             phy = GOLDEN_PHY.with_tx_power(dbm_to_watts(pdbm))
             batch = _batch(field, phy, trials, 900 + int(10 * pdbm) + i)
-            delivered = [b for b in batch if b[1]]
-            e = sum(b[5] for b in batch) / max(len(delivered), 1)
-            l = float(np.mean([b[6] for b in delivered]))
+            delivered = [b for b in batch if b.reached]
+            e = sum(b.energy_j for b in batch) / max(len(delivered), 1)
+            l = float(np.mean([b.delay_s for b in delivered]))
             _, cost_o = edp_and_cost(e, l, phy.r, phy.t_p)
             curve.append(cost_o / cost_b)
         curves[rho] = curve

@@ -19,7 +19,6 @@ from omrsim.analytic import (
     p_j_pmf,
     p_z,
     poisson_dist,
-    poisson_pmf,
     propagate_hop,
     run_recursion,
     x_c,
@@ -301,15 +300,6 @@ def test_first_hop_areas():
 
 
 # ------------------------------------------------------------------ poisson
-
-def test_poisson_pmf_basics():
-    assert poisson_pmf(0, 0.0) == 1.0
-    assert poisson_pmf(3, 0.0) == 0.0
-    assert poisson_pmf(3, 2.0) == pytest.approx(math.exp(-2) * 8 / 6, rel=1e-12)
-    assert poisson_pmf(np.arange(200), 7.5).sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        poisson_pmf(1, -0.5)
-
 
 def test_poisson_dist_truncation_and_mean():
     d = poisson_dist(4.2, tail_tol=1e-9)

@@ -8,67 +8,15 @@ import pytest
 
 from omrsim.channel import (
     ContourUndefinedError,
-    DegenerateDistanceError,
     PhyConfig,
     aggregate_power,
     coverage_contour,
     detection_constant,
-    detection_threshold_sigma,
-    is_detected,
-    mean_path_power,
-    outage_probability,
     power_sum,
-    sigma_s2,
 )
+from omrsim.engine import _detects
 
 PAPER_PHY = PhyConfig()  # gamma_t = 5 dB, tau = 0.2, alpha = 3
-
-
-def test_mean_path_power_normalized():
-    phy = PhyConfig(lambda_c=4.0 * math.pi, alpha=3.0)
-    assert mean_path_power(1.0, phy) == pytest.approx(1.0)
-
-
-def test_mean_path_power_power_law():
-    phy = PhyConfig(alpha=3.0)
-    assert mean_path_power(40.0, phy) / mean_path_power(20.0, phy) == pytest.approx(2 ** -3.0)
-    phy4 = PhyConfig(alpha=4.0)
-    assert mean_path_power(40.0, phy4) / mean_path_power(20.0, phy4) == pytest.approx(2 ** -4.0)
-
-
-def test_mean_path_power_hand_value():
-    # independent arithmetic: (0.125 / (400 pi))^3 at d = 100 m
-    phy = PhyConfig(lambda_c=0.125, alpha=3.0)
-    expect = (0.125 / (4.0 * math.pi * 100.0)) ** 3
-    assert mean_path_power(100.0, phy) == pytest.approx(expect, rel=1e-12)
-
-
-def test_mean_path_power_degenerate():
-    with pytest.raises(DegenerateDistanceError):
-        mean_path_power(0.0, PAPER_PHY)
-
-
-def test_sigma_s2_single_and_additive():
-    phy = PAPER_PHY
-    rx = (0.0, 0.0)
-    one = sigma_s2(rx, [(30.0, 40.0)], phy)
-    assert one == pytest.approx(mean_path_power(50.0, phy), rel=1e-12)
-    two = sigma_s2(rx, [(30.0, 40.0), (30.0, 40.0)], phy)
-    assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-
-def test_sigma_s2_matches_term_sum():
-    rng = np.random.default_rng(5)
-    relays = [(float(x), float(y)) for x, y in rng.uniform(-100, 100, size=(5, 2))]
-    rx = (250.0, 10.0)
-    direct = sum(mean_path_power(math.hypot(rx[0] - x, rx[1] - y), PAPER_PHY)
-                 for x, y in relays)
-    assert sigma_s2(rx, relays, PAPER_PHY) == pytest.approx(direct, rel=1e-12)
-
-
-def test_sigma_s2_degenerate():
-    with pytest.raises(DegenerateDistanceError):
-        sigma_s2((1.0, 1.0), [(1.0, 1.0)], PAPER_PHY)
 
 
 def test_detection_constant_unity():
@@ -109,33 +57,41 @@ def test_first_hop_radius_matches_hand_evaluation():
     assert r == pytest.approx(u ** (-1.0 / 3.0), rel=1e-9)
 
 
+def _detected(rx, relays, phy) -> bool:
+    """The engine's detection test at one receiver."""
+    xy = np.asarray(relays, dtype=float).reshape(-1, 2)
+    return bool(_detects(rx[0], rx[1], xy, phy, detection_constant(phy).u)[0])
+
+
 def test_is_detected_boundary_inclusive():
     phy = PhyConfig(lambda_c=4.0 * math.pi, n_s=2, p_n=1.0, p_t=1.0,
                     gamma_t=math.log(1.25), tau=0.2)
     assert detection_constant(phy).u == pytest.approx(1.0)
     # with U = 1, the single-relay radius is exactly 1
-    assert is_detected((1.0, 0.0), [(0.0, 0.0)], phy)
-    assert not is_detected((1.0 + 1e-9, 0.0), [(0.0, 0.0)], phy)
+    assert _detected((1.0, 0.0), [(0.0, 0.0)], phy)
+    assert not _detected((1.0 + 1e-9, 0.0), [(0.0, 0.0)], phy)
 
 
 def test_multi_relay_detection_monotone():
     phy = PAPER_PHY
     r = detection_constant(phy).single_relay_radius
     rx = (1.3 * r, 0.0)
-    assert not is_detected(rx, [(0.0, 0.0)], phy)
-    assert is_detected(rx, [(0.0, 0.0), (0.5 * r, 0.0)], phy)
+    assert not _detected(rx, [(0.0, 0.0)], phy)
+    assert _detected(rx, [(0.0, 0.0), (0.5 * r, 0.0)], phy)
 
 
 def test_outage_identity():
-    # P_o < tau iff the sigma_S^2 condition holds
+    # P_o < tau iff the detection condition holds; P_o = 1 - exp(-gamma_t /
+    # gamma_o) with gamma_o = 2 p_t sigma_S^2 / (n_s p_n) the mean subcarrier
+    # SINR and sigma_S^2 = (lambda / 4 pi d)^alpha for a lone relay at d
     phy = PAPER_PHY
     r = detection_constant(phy).single_relay_radius
     for d, expect in [(0.99 * r, True), (1.01 * r, False)]:
-        rx = (d, 0.0)
-        po = outage_probability(rx, [(0.0, 0.0)], phy)
+        sigma2 = (phy.lambda_c / (4.0 * math.pi * d)) ** phy.alpha
+        gamma_o = 2.0 * phy.p_t * sigma2 / (phy.n_s * phy.p_n)
+        po = 1.0 - math.exp(-phy.gamma_t / gamma_o)
         assert (po < phy.tau) == expect
-        assert (sigma_s2(rx, [(0.0, 0.0)], phy)
-                >= detection_threshold_sigma(phy)) == expect
+        assert _detected((d, 0.0), [(0.0, 0.0)], phy) == expect
 
 
 def test_contour_single_relay_offsets():

@@ -14,7 +14,6 @@ from omrsim.config import (
     dbm_to_watts,
     load_config,
     parse_config,
-    validate_config,
     watts_to_dbm,
 )
 from omrsim.engine import RetransmitPolicy, run_two_packet_trial
@@ -43,13 +42,13 @@ def test_unit_conversions_roundtrip():
 
 def test_epsilon_out_of_range_rejected():
     with pytest.raises(ConfigError) as err:
-        validate_config("epsilon = 1.5")
+        parse_config("epsilon = 1.5")
     assert any("epsilon" in d for d in err.value.diagnostics)
 
 
 def test_rach_slot_count_rejected_with_pointer():
     with pytest.raises(ConfigError) as err:
-        validate_config("b_rach_slots = 1")
+        parse_config("b_rach_slots = 1")
     assert any(">= 2" in d for d in err.value.diagnostics)
 
 
@@ -111,6 +110,22 @@ def test_cli_unknown_mcs_rejected(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and "'64-QAM'" in err[0]
+
+
+@pytest.mark.parametrize("scenario,axis,value", [
+    ("compare-B", "b_list = 8, 1", "b must be >= 2, got 1"),
+    ("delay-spread", "w_list_m = 100, -5", "w must be positive, got -5.0"),
+    ("compare-power", "rho_per_km2_list = 900, 0",
+     "rho must be positive, got 0.0"),
+], ids=["compare-B", "delay-spread", "compare-power"])
+def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
+    # the run would fail on this sweep point after the points before it
+    cfg = tmp_path / "axis.cfg"
+    cfg.write_text(f"scenario = {scenario}\n{axis}\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and value in err[0]
 
 
 def test_negative_stagger_rejected(tmp_path, capsys):

@@ -75,15 +75,15 @@ def test_rach_j_zero_possible_when_k_exceeds_b():
     assert 0 in js
 
 
-def _relays(points, r_prev, j, strip):
+def _relays(points, r_prev, j, strip, width=200.0):
     """Relay-rule verdicts for points against the arc of r_prev's relay j."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     d_ref = decision_distance(np.asarray(r_prev, dtype=float), j, strip.dst)
-    return eligible(pts[:, 0], pts[:, 1], d_ref, strip, strip.width)
+    return eligible(pts[:, 0], pts[:, 1], d_ref, strip, width)
 
 
 def test_decision_contour_semantics():
-    strip = Strip(width=200.0, src=Point2D(0, 0), dst=Point2D(2000, 0))
+    strip = Strip(src=Point2D(0, 0), dst=Point2D(2000, 0))
     r_prev = [Point2D(120.0, 10.0), Point2D(80.0, -40.0), Point2D(60.0, 0.0)]
     # the reference relay itself offers zero progress
     assert not _relays(r_prev[0], r_prev, 1, strip)[0]
@@ -101,7 +101,7 @@ def test_decision_contour_semantics():
 def test_decision_contour_negative_progress_relaying():
     # a node behind an unresolvable head relay still relays when the first
     # resolvable one is farther back
-    strip = Strip(width=200.0, src=Point2D(0, 0), dst=Point2D(2000, 0))
+    strip = Strip(src=Point2D(0, 0), dst=Point2D(2000, 0))
     head = Point2D(150.0, 0.0)     # unresolvable, closest to dst
     ref = Point2D(100.0, 0.0)      # first resolvable (j = 2)
     node = Point2D(120.0, 10.0)    # behind head, ahead of ref
@@ -110,15 +110,14 @@ def test_decision_contour_negative_progress_relaying():
     assert d_node > 2000 - 150.0   # negative progress w.r.t. the head relay
 
 
-def _tiny_deployment(xs, ys, epsilon=1.0, t_p=0.01):
+def _tiny_deployment(xs, ys, epsilon=1.0):
     cfg = FieldConfig(rho=1e-9, epsilon=epsilon, length=2000.0, w=200.0)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     order = np.argsort(xs)
     return Deployment(
         xs=xs[order], ys=ys[order], sleep_phases=np.zeros(xs.size),
-        seed=0, cfg=cfg, bounds=(-100.0, 2100.0, -200.0, 200.0),
-        sleep_cycle_s=math.inf,
+        cfg=cfg, bounds=(-100.0, 2100.0, -200.0, 200.0),
     )
 
 
@@ -152,13 +151,11 @@ def test_decode_set_empty_when_out_of_range():
 
 def test_decode_set_respects_sleep():
     # node asleep at transmission start does not decode
-    t_p = 0.01
     cfg = FieldConfig(rho=1e-9, epsilon=0.25, length=2000.0, w=200.0)
     dep = Deployment(
         xs=np.array([30.0]), ys=np.array([0.0]),
         sleep_phases=np.array([0.0]),  # sleep block starts at t = 0
-        seed=0, cfg=cfg, bounds=(-100, 2100, -200, 200),
-        sleep_cycle_s=t_p / 0.75,
+        cfg=cfg, bounds=(-100, 2100, -200, 200),
     )
     relays = np.array([[0.0, 0.0]])
     assert decode_set(dep, relays, 0.0, PHY, u=U).size == 0

@@ -4,10 +4,12 @@ import csv
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from omrsim import experiments
 from omrsim.config import ExperimentSpec, dbm_to_watts
+from omrsim.engine import run_trial
 from omrsim.experiments import TrialSummary, run, run_omr_batch, run_sweep
 
 SHORT_FIELD = replace(ExperimentSpec().field, length=600.0)
@@ -70,6 +72,24 @@ def test_trial_summary_named_fields_match_index(tmp_path):
         assert len(summary) == len(TrialSummary._fields) == 7
         for i, name in enumerate(TrialSummary._fields):
             assert getattr(summary, name) is summary[i]
+
+
+def test_omr_trace_rows_are_the_trial_records(tmp_path):
+    # each trace row is one hop record of run_trial at that row's trial seed
+    spec = _spec(tmp_path, trials=3)
+    trace, _ = run(spec)
+    with open(trace, encoding="utf-8") as fh:
+        got = list(csv.reader(fh))[1:]
+    seeds = [int(s.generate_state(1)[0])
+             for s in np.random.SeedSequence(spec.seed).spawn(spec.trials)]
+    expect = []
+    for seed in seeds:
+        res = run_trial(spec.field, spec.phy, spec.policy, spec.b, seed)
+        expect += [[str(seed), str(r.hop), str(r.k_prev), str(r.l),
+                    str(r.j_prev), str(r.n_r), repr(r.xh0),
+                    repr(res.delay_spread_s)] for r in res.records]
+    assert len(expect) > spec.trials
+    assert got == expect
 
 
 def test_retransmissions_runs_sparse_point_once(tmp_path, monkeypatch):

@@ -5,16 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from omrsim.engine import eligible
 from omrsim.field import (
-    Deployment,
     FieldConfig,
     Point2D,
     Strip,
     awake_mask,
     deploy,
-    dist,
-    in_strip,
-    is_awake,
     sleep_cycle,
 )
 
@@ -31,29 +28,28 @@ def test_config_validation():
         FieldConfig(w=-1.0).validate()
 
 
-def test_dist_basics():
-    assert dist(Point2D(0, 0), Point2D(3, 4)) == 5.0
-    a = Point2D(1.5, -2.5)
-    assert dist(a, a) == 0.0
-    b = Point2D(-7.0, 0.25)
-    assert dist(a, b) == dist(b, a)
+def _inside_strip(p: Point2D, strip: Strip, width: float) -> bool:
+    """The relay rule's strip test alone: no decision arc (d_ref = inf)."""
+    return bool(eligible(np.array([p.x]), np.array([p.y]), math.inf, strip,
+                         width)[0])
 
 
 def test_in_strip_closed_boundary():
-    strip = Strip(width=200.0, src=Point2D(0, 0), dst=Point2D(2000, 0))
-    assert in_strip(Point2D(100, 0), strip)
-    assert in_strip(Point2D(100, 100.0), strip)      # closed at |y| = w/2
-    assert in_strip(Point2D(100, -100.0), strip)
-    assert not in_strip(Point2D(100, 100.0001), strip)
+    strip = Strip(src=Point2D(0, 0), dst=Point2D(2000, 0))
+    assert _inside_strip(Point2D(100, 0), strip, 200.0)
+    # closed at |y| = w/2
+    assert _inside_strip(Point2D(100, 100.0), strip, 200.0)
+    assert _inside_strip(Point2D(100, -100.0), strip, 200.0)
+    assert not _inside_strip(Point2D(100, 100.0001), strip, 200.0)
 
 
 def test_in_strip_rotated_axis():
-    strip = Strip(width=20.0, src=Point2D(0, 0), dst=Point2D(100, 100))
+    strip = Strip(src=Point2D(0, 0), dst=Point2D(100, 100))
     # on-axis point
-    assert in_strip(Point2D(50, 50), strip)
+    assert _inside_strip(Point2D(50, 50), strip, 20.0)
     # 10/sqrt(2) along the normal is just inside; 11 is outside
-    assert in_strip(Point2D(50 - 7.0, 50 + 7.0), strip)
-    assert not in_strip(Point2D(50 - 8.0, 50 + 8.0), strip)
+    assert _inside_strip(Point2D(50 - 7.0, 50 + 7.0), strip, 20.0)
+    assert not _inside_strip(Point2D(50 - 8.0, 50 + 8.0), strip, 20.0)
 
 
 def test_deploy_mean_count_matches_area():
@@ -123,9 +119,13 @@ def test_deploy_widened_strip_extent():
     assert d.bounds[3] == 450.0 / 2 + 100.0
 
 
+def _awake_at(phase: float, t: float, t_p: float, epsilon: float) -> bool:
+    return bool(awake_mask(np.array([phase]), t, t_p, epsilon)[0])
+
+
 def test_is_awake_always_when_epsilon_one():
     for t in [0.0, 0.123, 7.0]:
-        assert is_awake(0.0, t, t_p=0.01, epsilon=1.0)
+        assert _awake_at(0.0, t, t_p=0.01, epsilon=1.0)
 
 
 def test_awake_fraction_converges():
@@ -145,7 +145,7 @@ def test_sleep_block_duration_is_t_p():
     eps = 0.25
     phase = 0.0042
     ts = np.arange(0.0, 0.2, 1e-5)
-    states = np.array([is_awake(phase, t, t_p, eps) for t in ts])
+    states = np.array([_awake_at(phase, t, t_p, eps) for t in ts])
     # run lengths of asleep stretches
     changes = np.flatnonzero(np.diff(states.astype(int)))
     runs = np.diff(changes) * 1e-5
@@ -159,14 +159,5 @@ def test_late_waker_classification():
     eps = 0.25
     phase = 0.0
     t0 = 0.001  # inside the sleep block [0, t_p)
-    assert not is_awake(phase, t0, t_p, eps)
-    assert is_awake(phase, t0 + t_p - 5e-4, t_p, eps)  # woke before t0 + t_p
-
-
-def test_nodes_property_roundtrip():
-    d = deploy(FieldConfig(rho=1e-4, length=100.0, w=50.0, field_margin=0.0), 9)
-    nodes = d.nodes
-    assert len(nodes) == d.n
-    if d.n:
-        (p, ph) = nodes[0]
-        assert p.x == d.xs[0] and p.y == d.ys[0] and ph == d.sleep_phases[0]
+    assert not _awake_at(phase, t0, t_p, eps)
+    assert _awake_at(phase, t0 + t_p - 5e-4, t_p, eps)  # woke before t0 + t_p

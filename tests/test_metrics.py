@@ -7,12 +7,10 @@ import pytest
 from omrsim.channel import PhyConfig
 from omrsim.engine import HopRecord
 from omrsim.metrics import (
-    cost_ratio,
     e2e_delay,
     edp_and_cost,
     hop_energy,
     mcs_table,
-    omr_e2e_from_rows,
     trial_e2e,
 )
 
@@ -75,12 +73,6 @@ def test_edp_and_cost_examples():
     assert c2 == pytest.approx(c1 / 2.0)
 
 
-def test_cost_ratio_rescaling_invariance():
-    r = cost_ratio(2.0, 250e3, 0.01, 4.0, 125e3, 0.01)
-    r_scaled = cost_ratio(2.0, 2 * 250e3, 0.01, 4.0, 2 * 125e3, 0.01)
-    assert r == pytest.approx(r_scaled, rel=1e-12)
-
-
 def test_mcs_table_entries():
     table = {m.name: m for m in mcs_table()}
     assert table["DQPSK"].detection_threshold_db == 12.8
@@ -110,10 +102,11 @@ def test_trial_e2e_matches_row_form():
         HopRecord(hop=3, k_prev=7, j_prev=1, l=18, k=0, n_r=0, xh0=350.0),
     ]
     e, l = trial_e2e(records, PHY)
-    rows = [(5, 12, 1.0), (7, 20, 0.0), (0, 18, 0.0)]  # (k, l, nr) per hop
-    e2, l2 = omr_e2e_from_rows(rows, PHY)
+    # by hand: hop i is sent by the relay set hop i-1 formed (the lone source
+    # at hop 1) and heard by its decoders, with one packet per attempt
+    e2 = (hop_energy(12, 1, 1, PHY) + hop_energy(20, 5, 0, PHY)
+          + hop_energy(18, 7, 0, PHY))
     assert e == pytest.approx(e2, rel=1e-12)
-    assert l == pytest.approx(l2, rel=1e-12)
     assert l == pytest.approx(PHY.t_p * (2 + 1 + 1), rel=1e-12)
 
 

@@ -1,0 +1,110 @@
+"""Byte-identity check of every scenario against another revision's source.
+
+Usage: python tools/check_identity.py REV
+
+REV's ``src/`` is taken with ``git archive`` into a temporary directory (no
+worktree is created). Every scenario then runs on this checkout's
+``configs/golden.cfg`` with seed 5, ``--trials`` 4 and 12 and ``--workers`` 1
+and 2, once on REV's source and once on this checkout's ``src/``. A run is
+identical when both sides give the same exit code, the same stdout and stderr
+(with each side's output directory replaced by one placeholder) and the same
+set of written files, byte for byte. One verdict line is printed per run;
+the exit code is 1 if any run differs. Standard library only.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "configs" / "golden.cfg"
+SCENARIOS = ("omr-trials", "bcl-trials", "analytic", "compare-power",
+             "compare-B", "compare-mcs", "delay-spread", "retransmissions",
+             "two-packets", "calibrate")
+TRIALS = (4, 12)
+WORKERS = (1, 2)
+SEED = 5
+OUT_PLACEHOLDER = "<out>"
+
+
+def archive_src(rev: str, dest: Path) -> Path:
+    """Extract REV's src/ under dest and return the src directory."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                          rev, "src"], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest)
+    return dest / "src"
+
+
+def run_cli(src: Path, scenario: str, trials: int, workers: int,
+            out: Path) -> tuple[int, str, str, dict[str, bytes]]:
+    """One CLI run on the omrsim under src: exit code, normalised stdout and
+    stderr, and the bytes of every file written under out."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "omrsim.cli", "--config", str(GOLDEN),
+            "--scenario", scenario, "--seed", str(SEED), "--trials",
+            str(trials), "--workers", str(workers), "--out", str(out)]
+    proc = subprocess.run(argv, cwd=out.parent, env=env, capture_output=True,
+                          text=True)
+    files = {str(p.relative_to(out)): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return (proc.returncode,
+            proc.stdout.replace(str(out), OUT_PLACEHOLDER),
+            proc.stderr.replace(str(out), OUT_PLACEHOLDER), files)
+
+
+def differences(a, b) -> list[str]:
+    """What differs between two run_cli results, as short labels."""
+    (rc_a, out_a, err_a, files_a), (rc_b, out_b, err_b, files_b) = a, b
+    diffs = []
+    if rc_a != rc_b:
+        diffs.append(f"exit {rc_a} vs {rc_b}")
+    if out_a != out_b:
+        diffs.append("stdout")
+    if err_a != err_b:
+        diffs.append("stderr")
+    for name in sorted(files_a.keys() | files_b.keys()):
+        if files_a.get(name) != files_b.get(name):
+            diffs.append(name)
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    rev = argv[0]
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="check-identity-") as tmp:
+        tmp = Path(tmp)
+        sides = {"rev": archive_src(rev, tmp / "rev"), "head": ROOT / "src"}
+        for scenario in SCENARIOS:
+            for trials in TRIALS:
+                for workers in WORKERS:
+                    results = []
+                    for side, src in sides.items():
+                        out = tmp / "runs" / side / \
+                            f"{scenario}-t{trials}-w{workers}"
+                        out.mkdir(parents=True)
+                        results.append(run_cli(src, scenario, trials,
+                                               workers, out))
+                    diffs = differences(*results)
+                    failed += bool(diffs)
+                    verdict = ("identical" if not diffs
+                               else "DIFFERS: " + ", ".join(diffs))
+                    print(f"{scenario:<16} trials={trials:<3} "
+                          f"workers={workers}  exit={results[1][0]}  "
+                          f"{verdict}", flush=True)
+    runs = len(SCENARIOS) * len(TRIALS) * len(WORKERS)
+    print(f"{runs - failed} of {runs} runs identical to {rev}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
