@@ -13,7 +13,6 @@ from .baseline import BclConfig, BclResult, run_bcl
 from .channel import DetectionConstant, PhyConfig, detection_constant
 from .config import ExperimentSpec, load_config, parse_config
 from .engine import (
-    PacketHeader,
     RetransmitPolicy,
     TrialResult,
     propagation_delays,
@@ -41,7 +40,6 @@ __all__ = [
     "ExperimentSpec",
     "load_config",
     "parse_config",
-    "PacketHeader",
     "RetransmitPolicy",
     "TrialResult",
     "propagation_delays",

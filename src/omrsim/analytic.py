@@ -531,7 +531,6 @@ def run_recursion(
     max_hops: int = 512,
 ) -> HopStatistics:
     """Iterate the hop recursion until the mean contour passes the destination."""
-    field_cfg.validate()
     model.validate()
     if model.varphi * 1.0 + model.beta * model.r1 <= 0.0:
         raise ValueError("progress model cannot advance the contour")

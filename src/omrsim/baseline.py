@@ -13,9 +13,9 @@ from .field import FieldConfig, deploy
 MAX_CYCLES_PER_HOP = 512   # empty contention cycles before a hop deadlocks
 
 
-@dataclass
+@dataclass(frozen=True)
 class BclConfig:
-    """Contention-cycle baseline parameters.
+    """Contention-cycle baseline parameters, checked on construction.
 
     d_m and xi default to None: the transmission range is then derived from
     the detection constant at the baseline's transmit power, and the
@@ -28,15 +28,15 @@ class BclConfig:
     t_s: float = 3.5e-3            # RTS/CTS slot duration, s
     xi: float | None = None        # fraction of in-range nodes with progress
 
-    def validate(self) -> None:
-        if self.n_p < 1:
-            raise ValueError("n_p must be >= 1")
-        if self.t_s <= 0:
-            raise ValueError("t_s must be positive")
-        if self.d_m is not None and self.d_m <= 0:
-            raise ValueError("d_m must be positive")
+    def __post_init__(self) -> None:
+        if not (self.n_p >= 1):
+            raise ValueError(f"n_p must be >= 1, got {self.n_p}")
+        if not (0.0 < self.t_s < math.inf):
+            raise ValueError(f"t_s must be positive, got {self.t_s}")
+        if self.d_m is not None and not (0.0 < self.d_m < math.inf):
+            raise ValueError(f"d_m must be positive, got {self.d_m}")
         if self.xi is not None and not (0.0 < self.xi <= 1.0):
-            raise ValueError("xi must be in (0, 1]")
+            raise ValueError(f"xi must be in (0, 1], got {self.xi}")
 
 
 @dataclass
@@ -172,8 +172,6 @@ def run_bcl(
     wins after any collision resolution. A hop with an empty forward lens even
     before sleep thinning deadlocks the trial.
     """
-    cfg.validate()
-    field_cfg.validate()
     d_m = cfg.d_m if cfg.d_m is not None else default_range(phy)
     dst = np.array([field_cfg.length, 0.0])
 

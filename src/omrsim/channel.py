@@ -17,7 +17,7 @@ class ContourUndefinedError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhyConfig:
-    """Physical-layer parameters shared by link tests and energy accounting."""
+    """Physical-layer parameters (links, energy), checked on construction."""
 
     lambda_c: float = 0.125     # carrier wavelength, m (2.4 GHz band)
     alpha: float = 3.0          # path-loss exponent
@@ -35,18 +35,24 @@ class PhyConfig:
     t_guard: float = 1.2e-4     # inter-transmission guard, s
     delta_r: float = 0.0        # first-echo excess path length, m
 
-    def validate(self) -> None:
-        if self.alpha < 2:
+    def __post_init__(self) -> None:
+        if not (2.0 <= self.alpha < math.inf):
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.gamma_t <= 0:
+        if not (0.0 < self.gamma_t < math.inf):
             raise ValueError(f"gamma_t must be positive, got {self.gamma_t}")
+        for name in ("lambda_c", "n_s", "p_n", "p_t", "t_cp", "t_p", "p_rx",
+                     "r", "symbol_rate"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive, got {value}")
         if not (0.0 < self.t_id < self.t_p):
             raise ValueError(f"t_id must be in (0, t_p), got {self.t_id}")
-        for name in ("lambda_c", "n_s", "p_n", "p_t", "p_rx", "r", "symbol_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("t_guard", "delta_r"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def with_tx_power(self, p_t: float) -> "PhyConfig":
         return replace(self, p_t=p_t)

@@ -7,28 +7,9 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .baseline import BclConfig
 from .channel import PhyConfig
-from .engine import RetransmitPolicy
+from .engine import RetransmitPolicy, check_rach_slots
 from .field import FieldConfig
 from .metrics import mcs_table
-
-SCENARIOS = (
-    "omr-trials",
-    "bcl-trials",
-    "analytic",
-    "compare-power",
-    "compare-B",
-    "compare-mcs",
-    "delay-spread",
-    "retransmissions",
-    "two-packets",
-    "calibrate",
-)
-
-# scenarios that run the analytic hop recursion, which needs b >= 3
-RECURSION_SCENARIOS = ("analytic", "retransmissions")
-# scenarios that sweep the node density over rho_per_km2_list
-RHO_SWEEP_SCENARIOS = ("compare-power", "delay-spread", "retransmissions")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; carries line-referenced diagnostics."""
@@ -78,64 +59,93 @@ class ExperimentSpec:
     coding_gain_db: float = 0.0
     dump_pmfs: bool = False
 
-    # two-packet demo geometry and interference model
-    two_src_a: tuple = (0.0, 120.0)
-    two_src_b: tuple = (0.0, -120.0)
+    # two-packet demo timing and interference model
     two_stagger_slots: int = 0
     interference_radius: float = 600.0
 
     def validate(self) -> list[str]:
-        """All invariant violations as named diagnostics (empty when valid)."""
+        """All invariant violations as named diagnostics (empty when valid).
+
+        field, phy, policy and bcl are valid by construction; each value a
+        scenario builds from is checked by building it (see SWEEPS)."""
         diags = []
         if self.scenario not in SCENARIOS:
             diags.append(f"scenario must be one of {SCENARIOS}, got "
                          f"'{self.scenario}'")
         if self.trials < 1:
             diags.append(f"trials must be >= 1, got {self.trials}")
-        if self.b < 2:
-            diags.append(f"b (RACH slots) must be >= 2, got {self.b}")
-        elif self.b < 3 and self.scenario in RECURSION_SCENARIOS:
-            diags.append(f"b (RACH slots) must be >= 3 for scenario "
-                         f"'{self.scenario}' (analytic recursion), got {self.b}")
         if self.workers < 0:
             diags.append("workers must be >= 0")
-        checks = [("field", self.field), ("phy", self.phy),
-                  ("policy", self.policy), ("bcl", self.bcl)]
-        # a swept value must pass the rule of the config it is swept into
-        if self.scenario in RHO_SWEEP_SCENARIOS:
-            checks += [("rho_per_km2_list", replace(self.field, rho=r * 1e-6))
-                       for r in self.rho_per_km2_list]
-        if self.scenario == "delay-spread":
-            checks += [("w_list_m", replace(self.field, w=w)) for w in self.w_list]
-        errors = {}  # error text -> first source, so a bad field is named once
-        for name, cfg in checks:
-            try:
-                cfg.validate()
-            except ValueError as exc:
-                errors.setdefault(str(exc), name)
-        diags += [f"{name}: {err}" for err, name in errors.items()]
-        if self.scenario == "compare-B":
-            diags += [f"b_list: RACH slot count b must be >= 2, got {b}"
-                      for b in self.b_list if b < 2]
-        sweep_needs = {
-            "compare-power": self.p_t_dbm_list,
-            "compare-B": self.b_list,
-            "compare-mcs": self.mcs_list,
-            "delay-spread": self.w_list,
-        }
-        axis = sweep_needs.get(self.scenario)
-        if axis is not None and not axis:
-            diags.append(f"scenario '{self.scenario}' needs a non-empty sweep axis")
-        if self.scenario == "compare-mcs":
-            known = [m.name for m in mcs_table()]
-            diags += [f"unknown MCS '{name}' (known: {', '.join(known)})"
-                      for name in self.mcs_list if name not in known]
-        if self.interference_radius <= 0:
+        for key in SWEEPS.get(self.scenario, ()):
+            values, build = _AXES[key]
+            if not values(self):
+                diags.append(f"{key}: scenario '{self.scenario}' needs a "
+                             f"non-empty sweep axis")
+            for value in values(self):
+                try:
+                    build(self, value)
+                except ValueError as exc:
+                    diags.append(f"{key}: {exc}")
+        if not (self.interference_radius > 0):
             diags.append("interference_radius must be positive")
         if self.two_stagger_slots < 0:
             diags.append(f"two_stagger_slots must be >= 0, got "
                          f"{self.two_stagger_slots}")
         return diags
+
+
+def mcs_phy(spec: ExperimentSpec, name: str) -> PhyConfig:
+    """spec.phy with the detection threshold and data rate of MCS `name`."""
+    table = {m.name: m for m in mcs_table(spec.coding_gain_db)}
+    if name not in table:
+        raise ValueError(f"unknown MCS '{name}' (known: {', '.join(table)})")
+    return replace(spec.phy, gamma_t=table[name].gamma_t,
+                   r=table[name].rate(spec.phy.symbol_rate))
+
+
+def _tx_power_phy(spec: ExperimentSpec, p_t_dbm: float) -> PhyConfig:
+    return spec.phy.with_tx_power(dbm_to_watts(p_t_dbm))
+
+
+def _slots(spec: ExperimentSpec, b: int) -> None:
+    """The RACH rule on b, and b >= 3 where the analytic recursion runs."""
+    check_rach_slots(b)
+    if b < 3 and spec.scenario in ("analytic", "retransmissions"):
+        raise ValueError(f"RACH slot count b must be >= 3 for scenario "
+                         f"'{spec.scenario}' (analytic recursion), got {b}")
+
+
+# Config key of each value a scenario builds from -> (the spec's values for
+# it, the construction the scenario runs on one value). A bad value raises
+# the ValueError of the rule it breaks; a scalar is a one-value axis.
+_AXES = {
+    "b_rach_slots": (lambda spec: [spec.b], _slots),
+    "b_list": (lambda spec: spec.b_list, _slots),
+    "rho_per_km2_list": (lambda spec: spec.rho_per_km2_list,
+                         lambda spec, r: replace(spec.field, rho=r * 1e-6)),
+    "w_list_m": (lambda spec: spec.w_list,
+                 lambda spec, w: replace(spec.field, w=w)),
+    "p_t_dbm_list": (lambda spec: spec.p_t_dbm_list, _tx_power_phy),
+    "mcs_list": (lambda spec: spec.mcs_list, mcs_phy),
+    # the BCL reference PHY, built on spec.phy or an MCS copy of it
+    "bcl_p_t_dbm": (lambda spec: [spec.bcl_p_t_dbm], _tx_power_phy),
+}
+
+# scenario -> the axes it runs on; the scenario list is this table's keys
+SWEEPS = {
+    "omr-trials": ("b_rach_slots",),
+    "bcl-trials": ("bcl_p_t_dbm",),
+    "analytic": ("b_rach_slots",),
+    "compare-power": ("rho_per_km2_list", "p_t_dbm_list", "bcl_p_t_dbm",
+                      "b_rach_slots"),
+    "compare-B": ("b_list", "bcl_p_t_dbm"),
+    "compare-mcs": ("mcs_list", "bcl_p_t_dbm", "b_rach_slots"),
+    "delay-spread": ("rho_per_km2_list", "w_list_m", "b_rach_slots"),
+    "retransmissions": ("rho_per_km2_list", "p_t_dbm_list", "b_rach_slots"),
+    "two-packets": ("b_rach_slots",),
+    "calibrate": ("b_rach_slots",),
+}
+SCENARIOS = tuple(SWEEPS)
 
 
 # file keys -> (target, attribute, converter); unit suffixes make the file
@@ -200,9 +210,7 @@ def parse_config(text: str) -> ExperimentSpec:
     Raises ConfigError with one line-referenced diagnostic per problem.
     """
     spec = ExperimentSpec()
-    parts = {"field": spec.field, "phy": spec.phy, "policy": spec.policy,
-             "bcl": spec.bcl}
-    updates: dict[str, dict] = {k: {} for k in parts}
+    updates: dict[str, dict] = {k: {} for k in ("field", "phy", "policy", "bcl")}
     diags = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,13 +245,12 @@ def parse_config(text: str) -> ExperimentSpec:
     if diags:
         raise ConfigError(diags)
 
-    spec.field = replace(spec.field, **updates["field"])
-    spec.phy = replace(spec.phy, **updates["phy"])
-    spec.policy = replace(spec.policy, **updates["policy"])
-    for attr, val in updates["bcl"].items():
-        setattr(spec.bcl, attr, val)
-
-    diags = spec.validate()
+    for part, changes in updates.items():
+        try:
+            setattr(spec, part, replace(getattr(spec, part), **changes))
+        except ValueError as exc:
+            diags.append(f"{part}: {exc}")
+    diags += spec.validate()
     if diags:
         raise ConfigError(diags)
     return spec

@@ -26,33 +26,27 @@ from .field import (
 )
 
 
-@dataclass
-class PacketHeader:
-    src: Point2D
-    dst: Point2D
-    strip_width: float
-    b: int                      # RACH slot count
-
-    def validate(self) -> None:
-        if self.b < 2:
-            raise ValueError(f"RACH slot count b must be >= 2, got {self.b}")
-        if self.strip_width <= 0:
-            raise ValueError("strip_width must be positive")
-
-
 @dataclass(frozen=True)
 class RetransmitPolicy:
+    """Per-hop retransmission rules, checked on construction."""
+
     n_r_max: int = 5      # retransmissions allowed per hop
     delta_w: float = 50.0  # strip widening per retransmission, m
     fa_rate: float = 0.0   # false-alarm probability per listening relay
 
-    def validate(self) -> None:
-        if self.n_r_max < 0:
-            raise ValueError("n_r_max must be >= 0")
-        if self.delta_w < 0:
-            raise ValueError("delta_w must be >= 0")
+    def __post_init__(self) -> None:
+        if not (self.n_r_max >= 0):
+            raise ValueError(f"n_r_max must be >= 0, got {self.n_r_max}")
+        if not (0.0 <= self.delta_w < math.inf):
+            raise ValueError(f"delta_w must be >= 0, got {self.delta_w}")
         if not (0.0 <= self.fa_rate < 1.0):
-            raise ValueError("fa_rate must be in [0, 1)")
+            raise ValueError(f"fa_rate must be in [0, 1), got {self.fa_rate}")
+
+
+def check_rach_slots(b: int) -> None:
+    """The RACH rule: a round needs b >= 2 slots to resolve any relay."""
+    if not (b >= 2):
+        raise ValueError(f"RACH slot count b must be >= 2, got {b}")
 
 
 class HopRecord(NamedTuple):
@@ -85,8 +79,7 @@ def _rach(k: int, b: int, n: int,
     the first resolvable relay, 0 where all collided. Slots are counted with
     one bincount over row-offset slot ids.
     """
-    if b < 2:
-        raise ValueError("rach_round requires b >= 2")
+    check_rach_slots(b)
     slots = rng.integers(0, b, size=(n, k))
     slots += np.arange(0, n * b, b)[:, None]
     resolvable = np.bincount(slots.ravel(), minlength=n * b)[slots] == 1
@@ -203,7 +196,8 @@ class _FlowState:
     """Mutable per-packet forwarding state (one flow)."""
 
     strip: Strip
-    header: PacketHeader
+    strip_width: float            # current width; retransmissions widen it
+    b: int                        # RACH slot count
     relay_xy: np.ndarray          # transmitters of the next hop, global coords
     dp: np.ndarray                # accumulated propagation path length, m
     seen: np.ndarray
@@ -254,7 +248,6 @@ def _receive(
 ) -> _Reception:
     """What one transmission by the current relay set achieves; reads the
     state and changes nothing."""
-    hdr = state.header
     relay_xy = state.relay_xy
     decoded = decode_set(deployment, relay_xy, state.t, phy, u=u,
                          seen=state.seen, pn_extra_fn=pn_extra_fn)
@@ -268,11 +261,12 @@ def _receive(
                              relay_xy, phy, u, pn_extra_fn)]
     pool = np.concatenate([decoded, parked])
     relays = pool[eligible(deployment.xs[pool], deployment.ys[pool], d_ref,
-                           state.strip, hdr.strip_width)]
+                           state.strip, state.strip_width)]
     # the destination is an always-awake receiver applying the same test
-    dst = _detects(np.array([hdr.dst.x]), np.array([hdr.dst.y]), relay_xy,
-                   phy, u, pn_extra_fn)[0]
-    return _Reception(decoded, relays, bool(dst))
+    dst = state.strip.dst
+    heard = _detects(np.array([dst.x]), np.array([dst.y]), relay_xy, phy, u,
+                     pn_extra_fn)[0]
+    return _Reception(decoded, relays, bool(heard))
 
 
 def _path_step(new_xy: np.ndarray, prev_xy: np.ndarray, prev_dp: np.ndarray,
@@ -297,7 +291,7 @@ def _advance_relays(
     phy: PhyConfig,
 ) -> int:
     """Install the new relay set (sorted by distance to dst) and update delays."""
-    dst = state.header.dst
+    dst = state.strip.dst
     new_xy = np.column_stack([deployment.xs[r_idx], deployment.ys[r_idx]])
     new_dp = _path_step(new_xy, state.relay_xy, state.dp, phy.delta_r)
     extra = state.stragglers.pop(state.hop, None)
@@ -354,11 +348,10 @@ def run_flow_hop(
     or the destination detects; it fails when the retransmission cap is spent.
     Returns whether the attempt was a retransmission.
     """
-    hdr = state.header
     old_xy, old_dp = state.relay_xy, state.dp
     # the source position travels in the header; it is always resolvable
-    j_prev = 1 if state.hop == 1 else rach_round(old_xy.shape[0], hdr.b, rng)[1]
-    d_ref = decision_distance(old_xy, j_prev, hdr.dst)
+    j_prev = 1 if state.hop == 1 else rach_round(old_xy.shape[0], state.b, rng)[1]
+    d_ref = decision_distance(old_xy, j_prev, state.strip.dst)
     rx = _receive(state, deployment, phy, u, d_ref, pn_extra_fn)
     retransmit = not rx.progressed and state.n_r < policy.n_r_max
     # tag the retransmission when the same attempt on a clean channel, from
@@ -371,13 +364,13 @@ def run_flow_hop(
     if retransmit:
         state.n_r += 1
         # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
-        hdr.strip_width += policy.delta_w
+        state.strip_width += policy.delta_w
         state.t += 2.0 * phy.t_p
         return True
 
     k_new = 0
     if rx.dst_detected:
-        state.delay_spread_s = _delay_spread(old_xy, old_dp, hdr.dst)
+        state.delay_spread_s = _delay_spread(old_xy, old_dp, state.strip.dst)
         state.reached = True
     elif rx.relays.size:
         state.parked[rx.relays] = False
@@ -403,13 +396,13 @@ def run_flow_hop(
     return False
 
 
-def new_flow_state(
-    header: PacketHeader, deployment: Deployment, start_t: float = 0.0
-) -> _FlowState:
+def new_flow_state(strip: Strip, strip_width: float, b: int,
+                   deployment: Deployment, start_t: float = 0.0) -> _FlowState:
     return _FlowState(
-        strip=Strip(src=header.src, dst=header.dst),
-        header=header,
-        relay_xy=np.asarray([[header.src.x, header.src.y]], dtype=float),
+        strip=strip,
+        strip_width=strip_width,
+        b=b,
+        relay_xy=np.asarray([[strip.src.x, strip.src.y]], dtype=float),
         dp=np.zeros(1),
         seen=np.zeros(deployment.n, dtype=bool),
         parked=np.zeros(deployment.n, dtype=bool),
@@ -440,9 +433,7 @@ def _run_flows(
     retransmission cap or passes the hop cap. Returns the flow states and the
     number of slots used.
     """
-    field_cfg.validate()
-    phy.validate()
-    policy.validate()
+    check_rach_slots(b)
     dep_ss, *flow_ss = np.random.SeedSequence(seed).spawn(1 + len(srcs))
     # one field covering every strip: size the lateral extent by the sources
     w_max = field_cfg.w + policy.n_r_max * policy.delta_w
@@ -458,10 +449,8 @@ def _run_flows(
 
     flows = []
     for i, (src, ss) in enumerate(zip(srcs, flow_ss)):
-        header = PacketHeader(src=src, dst=dst, strip_width=field_cfg.w, b=b)
-        header.validate()
-        state = new_flow_state(header, deployment,
-                               start_t=i * stagger_slots * slot)
+        state = new_flow_state(Strip(src=src, dst=dst), field_cfg.w, b,
+                               deployment, start_t=i * stagger_slots * slot)
         state.rng = np.random.default_rng(ss)
         state.next_slot = i * stagger_slots
         flows.append(state)
@@ -476,7 +465,7 @@ def _run_flows(
             # a source that detects another flow's relays defers one slot
             if f.hop + f.n_r == 1 and any(
                     g is not f and g.hop + g.n_r > 1
-                    and _detects(f.header.src.x, f.header.src.y, g.relay_xy,
+                    and _detects(f.strip.src.x, f.strip.src.y, g.relay_xy,
                                  phy, u)[0] for g in txers):
                 f.next_slot += 1
                 f.t += slot

@@ -15,7 +15,8 @@ import numpy as np
 from .analytic import CalibrationError, calibrate_progress, run_recursion
 from .baseline import run_bcl
 from .channel import PhyConfig, detection_constant
-from .config import ConfigError, ExperimentSpec, dbm_to_watts, watts_to_dbm
+from .config import (ConfigError, ExperimentSpec, dbm_to_watts, mcs_phy,
+                     watts_to_dbm)
 from .engine import run_trial, run_two_packet_trial
 from .field import FieldConfig, Point2D
 from .metrics import edp_and_cost, mcs_table, trial_e2e
@@ -25,6 +26,9 @@ TRACE_COLUMNS = ["trial_id", "hop", "K", "L", "j", "n_r", "xH0",
 SUMMARY_COLUMNS = ["protocol", "p_t_dbm", "rho_per_km2", "B", "mcs",
                    "E_e2e_J", "l_e2e_s", "EDP", "C_e2e", "cost_ratio",
                    "delivered", "trials"]
+# the two-packet scenario's sources, either side of the axis
+TWO_SRC_A = Point2D(0.0, 120.0)
+TWO_SRC_B = Point2D(0.0, -120.0)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -259,9 +263,7 @@ def scenario_compare_mcs(spec: ExperimentSpec) -> list[str]:
     """Per-MCS cost against the baseline running coherent QPSK."""
     table = {m.name: m for m in mcs_table(spec.coding_gain_db)}
     names = ["QPSK-coherent", *spec.mcs_list]
-    bcl_phy, *phys = [replace(spec.phy, gamma_t=table[name].gamma_t,
-                              r=table[name].rate(spec.phy.symbol_rate))
-                      for name in names]
+    bcl_phy, *phys = [mcs_phy(spec, name) for name in names]
     bcl_row, cost_b = _bcl_reference(spec, spec.field, bcl_phy,
                                      spec.field.rho * 1e6, names[0])
     batches = run_sweep(spec, [
@@ -329,7 +331,7 @@ def scenario_retransmissions(spec: ExperimentSpec) -> list[str]:
 def scenario_two_packets(spec: ExperimentSpec) -> list[str]:
     res = run_two_packet_trial(
         spec.field, spec.phy, spec.policy, spec.b, spec.seed,
-        src_a=Point2D(*spec.two_src_a), src_b=Point2D(*spec.two_src_b),
+        src_a=TWO_SRC_A, src_b=TWO_SRC_B,
         interference_radius=spec.interference_radius,
         stagger_slots=spec.two_stagger_slots,
     )

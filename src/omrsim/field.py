@@ -16,7 +16,7 @@ class Point2D(NamedTuple):
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Deployment parameters. Densities are per m^2, lengths in meters."""
+    """Deployment parameters, checked on construction. Per m^2 and meters."""
 
     rho: float = 1.5e-3          # node density (1500 km^-2)
     epsilon: float = 0.25        # sleep duty cycle in (0, 1]
@@ -24,25 +24,25 @@ class FieldConfig:
     w: float = 200.0             # initial forwarding strip width
     field_margin: float = 100.0  # extra field beyond the (widened) strip
 
-    def validate(self) -> None:
-        if not (self.rho > 0 and math.isfinite(self.rho)):
+    def __post_init__(self) -> None:
+        if not (0.0 < self.rho < math.inf):
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not (self.length > 0):
+        if not (0.0 < self.length < math.inf):
             raise ValueError(f"length must be positive, got {self.length}")
-        if not (self.w > 0):
+        if not (0.0 < self.w < math.inf):
             raise ValueError(f"w must be positive, got {self.w}")
-        if self.field_margin < 0:
+        if not (0.0 <= self.field_margin < math.inf):
             raise ValueError(f"field_margin must be >= 0, got {self.field_margin}")
 
 
 @dataclass(frozen=True)
 class Strip:
-    """Axis of the forwarding corridor; its width travels in the packet header."""
+    """Axis of the forwarding corridor; its width travels with the flow."""
 
-    src: Point2D = Point2D(0.0, 0.0)
-    dst: Point2D = Point2D(2000.0, 0.0)
+    src: Point2D
+    dst: Point2D
 
     def frame(self, xs, ys):
         """Axial and lateral coordinates of points (scalars or arrays).
@@ -111,7 +111,6 @@ def deploy(
     populated. Node count ~ Poisson(rho * area), positions i.i.d. uniform,
     sleep phases uniform over one sleep/wake cycle.
     """
-    cfg.validate()
     w_max = cfg.w if max_strip_width is None else max(cfg.w, max_strip_width)
     x_lo = -cfg.field_margin
     x_hi = cfg.length + cfg.field_margin

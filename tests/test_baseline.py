@@ -229,6 +229,6 @@ def test_run_bcl_deadlock_reported():
 
 def test_bcl_config_validation():
     with pytest.raises(ValueError):
-        BclConfig(n_p=0).validate()
+        BclConfig(n_p=0)
     with pytest.raises(ValueError):
-        BclConfig(xi=1.5).validate()
+        BclConfig(xi=1.5)

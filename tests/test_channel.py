@@ -169,10 +169,10 @@ def test_contour_undefined_off_axis_lone_relay():
 
 
 def test_phy_validation():
-    PhyConfig().validate()
+    PhyConfig()
     with pytest.raises(ValueError):
-        PhyConfig(alpha=1.5).validate()
+        PhyConfig(alpha=1.5)
     with pytest.raises(ValueError):
-        PhyConfig(tau=0.0).validate()
+        PhyConfig(tau=0.0)
     with pytest.raises(ValueError):
-        PhyConfig(t_id=0.02, t_p=0.01).validate()
+        PhyConfig(t_id=0.02, t_p=0.01)

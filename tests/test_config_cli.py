@@ -1,11 +1,13 @@
 """Config parsing diagnostics, CLI exit codes, pipeline determinism, schemas."""
 
 import filecmp
+import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+from omrsim.baseline import BclConfig
 from omrsim.channel import PhyConfig
 from omrsim.cli import main
 from omrsim.config import (
@@ -76,6 +78,29 @@ def test_scenario_sweep_axis_guard():
     spec = ExperimentSpec(scenario="compare-power")
     spec.p_t_dbm_list = []
     assert any("sweep axis" in d for d in spec.validate())
+    # every axis a scenario runs on is guarded, the densities included
+    spec = ExperimentSpec(scenario="retransmissions")
+    spec.rho_per_km2_list = []
+    assert any(d.startswith("rho_per_km2_list:") and "sweep axis" in d
+               for d in spec.validate())
+
+
+CONFIG_CLASSES = (FieldConfig, PhyConfig, RetransmitPolicy, BclConfig)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls,name", [
+    (cls, f.name) for cls in CONFIG_CLASSES for f in fields(cls)
+    if f.type.startswith("float")])
+def test_config_rejects_non_finite_field(cls, name, value):
+    # every config is checked where it is built, replace() copies included
+    with pytest.raises(ValueError):
+        replace(cls(), **{name: value})
+
+
+def test_bcl_auto_fields_accept_none():
+    cfg = replace(BclConfig(d_m=100.0, xi=0.5), d_m=None, xi=None)
+    assert cfg.d_m is None and cfg.xi is None
 
 
 def test_cli_validate_only(tmp_path, capsys):
@@ -126,6 +151,30 @@ def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and value in err[0]
+
+
+@pytest.mark.parametrize("text,field", [
+    ("alpha = nan", "alpha"),
+    ("p_n_w = nan", "p_n"),
+    ("delta_w_m = nan", "delta_w"),
+    ("field_margin_m = nan", "field_margin"),
+    ("t_guard_s = -1", "t_guard"),
+    ("t_cp_s = 0", "t_cp"),
+    ("delta_r_m = -1", "delta_r"),
+    ("interference_radius_m = nan", "interference_radius"),
+    ("scenario = compare-power\np_t_dbm_list = nan", "p_t"),
+    ("scenario = bcl-trials\nbcl_p_t_dbm = nan", "p_t"),
+], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
+        "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
+        "bcl_p_t_dbm"])
+def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
+    # each value breaks a rule of what it is built into, so no work may start
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and field in err[0]
 
 
 def test_negative_stagger_rejected(tmp_path, capsys):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from omrsim import engine
 from omrsim.channel import PhyConfig, detection_constant
 from omrsim.engine import (
-    PacketHeader,
     RetransmitPolicy,
     decision_distance,
     decode_set,
@@ -169,9 +169,8 @@ def test_interference_tag_counts_requalifying_parked_node():
     # clean channel the parked node re-qualifies, so the retransmission is
     # tagged as caused by interference
     dep = _tiny_deployment([0.5 * R1], [0.0])
-    hdr = PacketHeader(src=Point2D(0, 0), dst=Point2D(2000, 0),
-                       strip_width=200.0, b=16)
-    state = new_flow_state(hdr, dep)
+    state = new_flow_state(Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
+                           200.0, 16, dep)
     state.seen[0] = state.parked[0] = True
 
     def jammed(xs, ys):
@@ -264,6 +263,15 @@ def test_run_trial_deterministic():
         == [(r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0) for r in b.records]
 
 
+def test_run_trial_rejects_one_slot_before_deploying(monkeypatch):
+    def no_deploy(*args, **kwargs):
+        raise AssertionError("deployed a field for a trial it cannot run")
+
+    monkeypatch.setattr(engine, "deploy", no_deploy)
+    with pytest.raises(ValueError, match="b must be >= 2, got 1"):
+        run_trial(FieldConfig(), PHY, RetransmitPolicy(), b=1, seed=1)
+
+
 def test_run_trial_adjacent_destination():
     # destination within the source's own reach: q = 1, zero spread
     fc = FieldConfig(length=0.5 * R1)
@@ -287,19 +295,18 @@ def test_trial_invariants_ordering_duplicates_strip():
     dep = deploy(fc, d_ss, t_p=phy.t_p,
                  max_strip_width=fc.w + pol.n_r_max * pol.delta_w)
     rng = np.random.default_rng(p_ss)
-    hdr = PacketHeader(src=Point2D(0, 0), dst=Point2D(fc.length, 0),
-                       strip_width=fc.w, b=16)
-    state = new_flow_state(hdr, dep)
+    state = new_flow_state(Strip(src=Point2D(0, 0), dst=Point2D(fc.length, 0)),
+                           fc.w, 16, dep)
     u = detection_constant(phy).u
     slot = phy.t_p + phy.t_guard
 
     decoded_once = np.zeros(dep.n, dtype=int)
-    widths = [hdr.strip_width]
+    widths = [state.strip_width]
     seen_before = state.seen.copy()
     for _ in range(600):
         prev_relays = state.relay_xy.copy()
         run_flow_hop(state, dep, phy, pol, u, rng, slot)
-        widths.append(hdr.strip_width)
+        widths.append(state.strip_width)
         newly = state.seen & ~seen_before
         decoded_once += newly
         seen_before = state.seen.copy()

@@ -17,15 +17,15 @@ from omrsim.field import (
 
 
 def test_config_validation():
-    FieldConfig().validate()
+    FieldConfig()
     with pytest.raises(ValueError):
-        FieldConfig(rho=0.0).validate()
+        FieldConfig(rho=0.0)
     with pytest.raises(ValueError):
-        FieldConfig(epsilon=1.5).validate()
+        FieldConfig(epsilon=1.5)
     with pytest.raises(ValueError):
-        FieldConfig(epsilon=0.0).validate()
+        FieldConfig(epsilon=0.0)
     with pytest.raises(ValueError):
-        FieldConfig(w=-1.0).validate()
+        FieldConfig(w=-1.0)
 
 
 def _inside_strip(p: Point2D, strip: Strip, width: float) -> bool:
