@@ -32,7 +32,8 @@ for s in range(1500):
             k_formed.setdefault(r.hop, []).append(r.k)
         decoders.setdefault(r.hop, []).append(r.l)
 
-model, mape = calibrate_progress(np.array(ks, float), np.array(dxs, float), u)
+model, mape = calibrate_progress(np.array(ks, float), np.array(dxs, float), u,
+                                 phy.alpha)
 print(f"progress law: dx = {model.varphi:.2f} * K + {model.beta:.3f} * "
       f"{model.r1:.1f} m   (fit MAPE {mape * 100:.1f}%)\n")
 

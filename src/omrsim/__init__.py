@@ -6,7 +6,6 @@ from .analytic import (
     calibrate_progress,
     p_j,
     p_j_pmf,
-    p_z,
     run_recursion,
 )
 from .baseline import BclConfig, BclResult, run_bcl
@@ -29,7 +28,6 @@ __all__ = [
     "calibrate_progress",
     "p_j",
     "p_j_pmf",
-    "p_z",
     "run_recursion",
     "BclConfig",
     "BclResult",

@@ -22,6 +22,9 @@ class TruncationError(RuntimeError):
 
 
 S_SUPPORT_CAP = 4096
+TAIL_TOL = 1e-9         # pmf mass a truncation may drop
+MAX_HOPS = 512          # recursion hops before it counts as diverged
+MIN_BIN = 5             # samples a relay-count bin needs to enter the MAPE
 _MIX_CHUNK = 512        # mixture components evaluated per block
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
 
@@ -31,7 +34,6 @@ class IntDist:
     """Pmf over non-negative integers with bounded truncation loss."""
 
     probs: np.ndarray
-    tail_tol: float = 1e-9
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -48,17 +50,17 @@ class IntDist:
 
     def check_normalized(self) -> None:
         total = self.total()
-        if not (1.0 - self.tail_tol <= total <= 1.0 + 1e-12):
-            raise TruncationError(f"pmf mass {total} outside [1 - tail_tol, 1]")
+        if not (1.0 - TAIL_TOL <= total <= 1.0 + 1e-12):
+            raise TruncationError(f"pmf mass {total} outside [1 - TAIL_TOL, 1]")
 
     def truncated(self) -> "IntDist":
-        """Drop the upper tail beyond tail_tol of mass and renormalize.
+        """Drop the upper tail beyond TAIL_TOL of mass and renormalize.
 
         Renormalizing keeps repeated convolution/mixture steps from
         accumulating truncation losses past the tolerance.
         """
         c = np.cumsum(self.probs[::-1])[::-1]
-        keep = int(np.argmax(c < self.tail_tol)) if (c < self.tail_tol).any() \
+        keep = int(np.argmax(c < TAIL_TOL)) if (c < TAIL_TOL).any() \
             else self.probs.size
         keep = max(keep, 1)
         if keep > S_SUPPORT_CAP:
@@ -67,11 +69,10 @@ class IntDist:
         total = kept.sum()
         if total <= 0.0:
             raise TruncationError("no probability mass left after truncation")
-        return IntDist(kept / total, self.tail_tol)
+        return IntDist(kept / total)
 
     def convolve(self, other: "IntDist") -> "IntDist":
-        return IntDist(np.convolve(self.probs, other.probs),
-                       min(self.tail_tol, other.tail_tol)).truncated()
+        return IntDist(np.convolve(self.probs, other.probs)).truncated()
 
     def zero_truncated(self) -> "IntDist":
         """Condition on the value being at least 1."""
@@ -82,29 +83,32 @@ class IntDist:
         if p0 >= 1.0:
             raise ValueError("all mass at zero")
         p[0] = 0.0
-        return IntDist(p / (1.0 - p0), self.tail_tol)
+        return IntDist(p / (1.0 - p0))
 
     @staticmethod
-    def point_mass(value: int, tail_tol: float = 1e-9) -> "IntDist":
+    def point_mass(value: int) -> "IntDist":
         p = np.zeros(value + 1)
         p[value] = 1.0
-        return IntDist(p, tail_tol)
+        return IntDist(p)
 
 
-def poisson_dist(mean: float, tail_tol: float = 1e-9) -> IntDist:
-    """Poisson pmf truncated where the upper tail drops below tail_tol."""
+def poisson_dist(mean: float) -> IntDist:
+    """Poisson pmf truncated where the upper tail drops below TAIL_TOL."""
     if mean <= 0.0:
-        return IntDist.point_mass(0, tail_tol)
-    hi = int(_poisson.isf(tail_tol * 0.1, mean)) + 2
+        return IntDist.point_mass(0)
+    hi = int(_poisson.isf(TAIL_TOL * 0.1, mean)) + 2
     probs = _poisson.pmf(np.arange(hi), mean)
-    return IntDist(probs, tail_tol).truncated()
+    return IntDist(probs).truncated()
 
 
 def _p_z_prefix(k: int, b: int, z_max: int) -> list[float]:
-    """[p_1, .., p_{z_max}] of the p_z recursion, one multiplication per step.
+    """[p_1, .., p_{z_max}]: weights of z resolvable relays among k over b slots.
 
-    Each entry is the product p_z computes, taken in the same order, so
-    reading entry z - 1 gives p_z(z, k, b) bit for bit.
+    Evaluated by the recursion p_1 = ((b-1)/b)^(k-1),
+    p_z = p_{z-1} ((b-z)/(b-z+1))^(k-z) for z = 2..b-2, and 0 for z >= b-1,
+    one multiplication per step. The z = 1 form takes precedence at b = 2.
+    Exactness is approximate by construction; the enumeration oracle in the
+    tests quantifies the gap.
     """
     val = ((b - 1) / b) ** (k - 1)
     out = [val]
@@ -117,17 +121,11 @@ def _p_z_prefix(k: int, b: int, z_max: int) -> list[float]:
     return out
 
 
-def p_z(z: int, k: int, b: int) -> float:
-    """Probability weight of z resolvable relays among k over b RACH slots.
-
-    Evaluated by the recursion p_1 = ((b-1)/b)^(k-1),
-    p_z = p_{z-1} ((b-z)/(b-z+1))^(k-z) for z = 2..b-2, and 0 for z >= b-1.
-    The z = 1 form takes precedence at b = 2. Exactness is approximate by
-    construction; the enumeration oracle in the tests quantifies the gap.
-    """
-    if k < 1 or b < 2 or z < 1:
-        raise ValueError("require k >= 1, b >= 2, z >= 1")
-    return _p_z_prefix(k, b, z)[-1]
+def check_recursion_slots(b: int) -> None:
+    """The recursion's slot rule: p_j conditions on b - 1 slots, so b >= 3."""
+    if not (b >= 3):
+        raise ValueError(f"RACH slot count b must be >= 3 for the analytic "
+                         f"recursion, got {b}")
 
 
 @lru_cache(maxsize=4096)
@@ -140,6 +138,9 @@ def _p_j_weights(k: int, b: int) -> np.ndarray:
     the rounding of the term-by-term sum. The j = 0 weight is the complement
     of the j >= 1 weights, summed in order of j.
     """
+    check_recursion_slots(b)
+    if k < 1:
+        raise ValueError(f"relay count k must be >= 1, got {k}")
     z_max = min(k - 1, max(1, b - 3))
     pz = _p_z_prefix(k, b - 1, z_max) if z_max >= 1 else []
     acc = np.ones(k)                      # acc[j - 1] for j = 1..k
@@ -167,17 +168,14 @@ def p_j(j: int, k: int, b: int) -> float:
     complement, as the printed j = 0 branch is not a probability (it can leave
     [0, 1]); the tests report the residual gap against exhaustive enumeration.
     """
-    if k < 1 or b < 3:
-        raise ValueError("require k >= 1 and b >= 3")
+    weights = _p_j_weights(k, b)
     if not (0 <= j <= k):
         raise ValueError(f"j must be in [0, {k}], got {j}")
-    return float(_p_j_weights(k, b)[j])
+    return float(weights[j])
 
 
 def p_j_pmf(k: int, b: int) -> np.ndarray:
     """Vector [p_j(0), .., p_j(k)] normalized to sum exactly to one."""
-    if k < 1 or b < 3:
-        raise ValueError("require k >= 1 and b >= 3")
     vals = _p_j_weights(k, b)
     s = vals.sum()
     if s <= 0:
@@ -192,7 +190,7 @@ class ProgressModel:
     varphi: float
     beta: float
     u: float
-    alpha: float = 3.0
+    alpha: float
 
     @property
     def r1(self) -> float:
@@ -221,8 +219,7 @@ def calibrate_progress(
     k_prev: np.ndarray,
     dx: np.ndarray,
     u: float,
-    alpha: float = 3.0,
-    min_bin: int = 5,
+    alpha: float,
 ) -> tuple[ProgressModel, float]:
     """Least-squares fit of per-hop contour advance against relay count.
 
@@ -248,7 +245,7 @@ def calibrate_progress(
     errs = []
     for kv in np.unique(k_prev):
         sel = k_prev == kv
-        if sel.sum() < min_bin:
+        if sel.sum() < MIN_BIN:
             continue
         observed = dx[sel].mean() + r1
         fitted = varphi * kv + beta * r1 + r1
@@ -288,46 +285,27 @@ def _arc_positions(x0: float | np.ndarray, y: np.ndarray,
 
 
 def areas(
-    x_c_pos: float | np.ndarray,
-    x_h_prev: float | np.ndarray,
-    x_h: float | np.ndarray,
-    x_h_prev2: float | np.ndarray,
+    x_lo: float | np.ndarray,
+    x_hi: float | np.ndarray,
     w: float,
     dst_x: float | None = None,
-) -> tuple:
-    """Areas between decision/coverage contours across the strip.
+) -> float | np.ndarray:
+    """Area across the strip between the contours through x_lo and x_hi.
 
-    Returns (A_D, A_R, A_D_minus, A_R_minus): the fresh decode band, the full
-    relay-eligible band (decision arc to the new contour), the previous decode
-    band, and the sliver between the decision arc and the previous contour.
     Contours are arcs centered on the destination through their on-axis
-    positions (flat lines when dst_x is None), integrated across y.
-
-    The positions may be arrays that broadcast together; the four areas are
-    then arrays of that shape, all from one quadrature matmul per band.
+    positions (flat lines when dst_x is None), integrated across y. The
+    positions may be arrays that broadcast together; the area is then an
+    array of that shape, from one quadrature matmul.
     """
-    x_c_pos, x_h_prev, x_h, x_h_prev2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x_c_pos, x_h_prev, x_h,
-                                                x_h_prev2)))
-    eps = 1e-9 * np.maximum(1.0, np.abs(x_h))
-    if not np.all((x_h_prev2 <= x_h_prev + eps) & (x_h_prev <= x_h + eps)):
-        raise ValueError("contours must satisfy x_h_prev2 <= x_h_prev <= x_h")
-    if np.any(x_c_pos > x_h_prev + eps):
-        raise ValueError("decision arc cannot lie ahead of the previous contour")
-
+    x_lo = np.asarray(x_lo, dtype=float)
+    x_hi = np.asarray(x_hi, dtype=float)
+    if not np.all(x_lo <= x_hi + 1e-9 * np.maximum(1.0, np.abs(x_hi))):
+        raise ValueError("contours must satisfy x_lo <= x_hi")
     y = 0.5 * w * _GL_NODES
-    wt = 0.5 * w * _GL_WEIGHTS
-    c_c = _arc_positions(x_c_pos, y, dst_x)
-    c_p = _arc_positions(x_h_prev, y, dst_x)
-    c_h = _arc_positions(x_h, y, dst_x)
-    c_p2 = _arc_positions(x_h_prev2, y, dst_x)
-    a_d = np.maximum(c_h - c_p, 0.0) @ wt
-    a_r_minus = np.maximum(c_p - c_c, 0.0) @ wt
-    a_d_minus = np.maximum(c_p - c_p2, 0.0) @ wt
-    if a_d.ndim == 0:
-        a_d, a_r_minus, a_d_minus = float(a_d), float(a_r_minus), \
-            float(a_d_minus)
-    return a_d, a_d + a_r_minus, a_d_minus, a_r_minus
+    band = np.maximum(_arc_positions(x_hi, y, dst_x)
+                      - _arc_positions(x_lo, y, dst_x), 0.0)
+    area = band @ (0.5 * w * _GL_WEIGHTS)
+    return float(area) if area.ndim == 0 else area
 
 
 def first_hop_areas(r1: float, w: float) -> tuple[float, float]:
@@ -346,14 +324,13 @@ def first_hop_areas(r1: float, w: float) -> tuple[float, float]:
 
 @dataclass
 class HopRecursionState:
-    """Carry-over between hops: relay-count pmfs, their running sum, anchors."""
+    """Carry-over between hops: relay-count pmfs, anchor, previous decode band."""
 
     i: int
     dist_k_prev: IntDist        # relays formed at hop i-1
     dist_k_prev2: IntDist       # relays formed at hop i-2
     x_anchor_prev: float        # mean on-axis contour of hop i-1
-    x_anchor_prev2: float       # mean on-axis contour of hop i-2
-    tail_tol: float = 1e-9
+    a_decode_prev: np.ndarray   # hop i-1's decode band per relay count of i-2
 
 
 @dataclass
@@ -372,8 +349,7 @@ class HopStatistics:
     dists_l: list[IntDist] = dc_field(default_factory=list)
 
 
-def _mixture_poisson(means: np.ndarray, weights: np.ndarray,
-                     tail_tol: float) -> IntDist:
+def _mixture_poisson(means: np.ndarray, weights: np.ndarray) -> IntDist:
     """Sum_w Poisson(mean_w), truncated to the tail tolerance.
 
     Components are evaluated in blocks of _MIX_CHUNK rows with the Poisson
@@ -381,7 +357,7 @@ def _mixture_poisson(means: np.ndarray, weights: np.ndarray,
     matmul, so memory stays at one block whatever the component count.
     """
     top = float(means.max(initial=0.0))
-    hi = int(_poisson.isf(tail_tol * 0.1, top)) + 2 if top > 0 else 1
+    hi = int(_poisson.isf(TAIL_TOL * 0.1, top)) + 2 if top > 0 else 1
     ns = np.arange(hi)
     log_fact = gammaln(ns + 1.0)
     keep = weights > 0.0
@@ -391,19 +367,19 @@ def _mixture_poisson(means: np.ndarray, weights: np.ndarray,
         m = means[lo:lo + _MIX_CHUNK, None]
         pmf = np.exp(xlogy(ns, m) - log_fact - m)
         probs += weights[lo:lo + _MIX_CHUNK] @ pmf
-    return IntDist(probs, tail_tol).truncated()
+    return IntDist(probs).truncated()
 
 
 def init_recursion(
-    field_cfg: FieldConfig, model: ProgressModel, tail_tol: float = 1e-9
+    field_cfg: FieldConfig, model: ProgressModel
 ) -> tuple[HopRecursionState, HopRow, IntDist]:
     """Hop-1 statistics: the source transmits alone from a known position."""
     r1 = model.r1
     a_decode, a_relay = first_hop_areas(r1, field_cfg.w)
     lam_k = field_cfg.epsilon * field_cfg.rho * a_relay
     lam_l = field_cfg.epsilon * field_cfg.rho * a_decode
-    dist_k1 = poisson_dist(lam_k, tail_tol).zero_truncated().truncated()
-    dist_l1 = poisson_dist(lam_l, tail_tol)
+    dist_k1 = poisson_dist(lam_k).zero_truncated().truncated()
+    dist_l1 = poisson_dist(lam_l)
     row = HopRow(
         hop=1,
         e_k=dist_k1.mean(),
@@ -414,10 +390,9 @@ def init_recursion(
     state = HopRecursionState(
         i=2,
         dist_k_prev=dist_k1,
-        dist_k_prev2=IntDist.point_mass(1, tail_tol),  # the source itself
+        dist_k_prev2=IntDist.point_mass(1),  # the source itself
         x_anchor_prev=r1,
-        x_anchor_prev2=0.0,
-        tail_tol=tail_tol,
+        a_decode_prev=np.full(2, a_decode),  # the source's full disc
     )
     return state, row, dist_l1
 
@@ -427,7 +402,7 @@ def propagate_hop(
     field_cfg: FieldConfig,
     model: ProgressModel,
     b: int,
-) -> tuple[HopRecursionState, HopRow, IntDist, IntDist]:
+) -> tuple[HopRecursionState, HopRow, IntDist]:
     """Advance the recursion one hop: mixture pmfs for relays and decoders.
 
     The decode band depends on the previous relay count alone; the eligible
@@ -441,41 +416,26 @@ def propagate_hop(
     rho = field_cfg.rho
     w = field_cfg.w
     p_wk = 1.0 - eps
-    tol = state.tail_tol
-    r1 = model.r1
     dst_x = field_cfg.length
     anchor = state.x_anchor_prev
-
-    def decode_bands(x0: float, dist: IntDist) -> np.ndarray:
-        """Fresh decode area per relay count k >= 1 with positive mass."""
-        ks = np.flatnonzero(dist.probs[1:] > 0.0) + 1
-        out = np.zeros(dist.support)
-        out[ks] = areas(x0, x0, x_h_step(x0, ks, model), x0, w, dst_x)[0]
-        return out
-
     k_prev = state.dist_k_prev
     k_mask = k_prev.probs > 0.0
-    if state.i == 2:
-        # the previous decode band is the source's full disc
-        a_decode_prev = np.full(state.dist_k_prev2.support,
-                                first_hop_areas(r1, w)[0])
-    else:
-        a_decode_prev = decode_bands(state.x_anchor_prev2, state.dist_k_prev2)
-    a_decode = decode_bands(anchor, k_prev)
-
-    # sliver between the decision arc and the previous contour, by j_eff
     ks = np.flatnonzero(k_mask[1:]) + 1
     k_max = int(ks[-1])
+
+    # fresh decode band per relay count k >= 1 with positive mass
+    a_decode = np.zeros(k_prev.support)
+    a_decode[ks] = areas(anchor, x_h_step(anchor, ks, model), w, dst_x)
+
+    # sliver between the decision arc and the previous contour, by j_eff
     x_cs = [x_c(anchor, j, rho, eps) for j in range(1, k_max + 1)]
     a_sliver = np.zeros(k_max + 1)
-    a_sliver[1:] = areas(x_cs, anchor, anchor, anchor, w, dst_x)[3]
+    a_sliver[1:] = areas(x_cs, anchor, w, dst_x)
 
     # decoders: Poisson over the fresh band + sleep-staggered previous band
-    p_l = _mixture_poisson(eps * rho * a_decode[k_mask],
-                           k_prev.probs[k_mask], tol)
-    w2 = state.dist_k_prev2.probs
-    p_l_minus = _mixture_poisson(eps * rho * p_wk * a_decode_prev,
-                                 w2, tol)
+    p_l = _mixture_poisson(eps * rho * a_decode[k_mask], k_prev.probs[k_mask])
+    p_l_minus = _mixture_poisson(eps * rho * p_wk * state.a_decode_prev,
+                                 state.dist_k_prev2.probs)
     dist_l = p_l.convolve(p_l_minus)
 
     # relays: mix over (j, previous count); j = 0 falls back to the arc
@@ -494,17 +454,15 @@ def propagate_hop(
     means_r = np.concatenate(means_r)
     weights_r = np.concatenate(weights_r)
 
-    p_k = _mixture_poisson(means_r, weights_r, tol)
+    p_k = _mixture_poisson(means_r, weights_r)
     e_nr = float(np.dot(1.0 / np.expm1(means_r), weights_r))
 
     j_effs = np.flatnonzero(j_marginal > 0.0)
     p_k_minus = _mixture_poisson(eps * rho * p_wk * a_sliver[j_effs],
-                                 j_marginal[j_effs], tol)
-    dist_k_raw = p_k.convolve(p_k_minus)
-    dist_k = dist_k_raw.zero_truncated().truncated()
+                                 j_marginal[j_effs])
+    dist_k = p_k.convolve(p_k_minus).zero_truncated().truncated()
 
-    x_anchor = state.x_anchor_prev + model.varphi * k_prev.mean() \
-        + model.beta * r1
+    x_anchor = x_h_step(anchor, k_prev.mean(), model)
     row = HopRow(
         hop=state.i,
         e_k=dist_k.mean(),
@@ -517,35 +475,32 @@ def propagate_hop(
         dist_k_prev=dist_k,
         dist_k_prev2=k_prev,
         x_anchor_prev=x_anchor,
-        x_anchor_prev2=state.x_anchor_prev,
-        tail_tol=tol,
+        a_decode_prev=a_decode,
     )
-    return new_state, row, dist_l, dist_k_raw
+    return new_state, row, dist_l
 
 
 def run_recursion(
     field_cfg: FieldConfig,
     model: ProgressModel,
     b: int,
-    tail_tol: float = 1e-9,
-    max_hops: int = 512,
 ) -> HopStatistics:
     """Iterate the hop recursion until the mean contour passes the destination."""
     model.validate()
-    if model.varphi * 1.0 + model.beta * model.r1 <= 0.0:
+    if x_h_step(0.0, 1, model) <= 0.0:
         raise ValueError("progress model cannot advance the contour")
 
-    state, row1, dist_l1 = init_recursion(field_cfg, model, tail_tol)
+    state, row1, dist_l1 = init_recursion(field_cfg, model)
     stats = HopStatistics(rows=[row1], dists_k=[state.dist_k_prev],
                           dists_l=[dist_l1])
     if row1.xh0 >= field_cfg.length:
         return stats
-    while state.i <= max_hops:
-        state, row, dist_l, _ = propagate_hop(state, field_cfg, model, b)
+    while state.i <= MAX_HOPS:
+        state, row, dist_l = propagate_hop(state, field_cfg, model, b)
         stats.rows.append(row)
         stats.dists_k.append(state.dist_k_prev)
         stats.dists_l.append(dist_l)
         if row.xh0 >= field_cfg.length:
             return stats
     raise TruncationError(f"recursion did not reach the destination in "
-                          f"{max_hops} hops")
+                          f"{MAX_HOPS} hops")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
+from .analytic import check_recursion_slots
 from .baseline import BclConfig
 from .channel import PhyConfig
 from .engine import RetransmitPolicy, check_rach_slots
@@ -19,16 +20,19 @@ class ConfigError(ValueError):
         super().__init__("; ".join(diagnostics))
 
 
+def db_to_linear(db: float) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError("too large for a float in linear units") from None
+
+
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return db_to_linear(dbm - 30.0)
 
 
 def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 @dataclass
@@ -108,11 +112,13 @@ def _tx_power_phy(spec: ExperimentSpec, p_t_dbm: float) -> PhyConfig:
 
 
 def _slots(spec: ExperimentSpec, b: int) -> None:
-    """The RACH rule on b, and b >= 3 where the analytic recursion runs."""
+    """The RACH rule on b, and the recursion's where the scenario runs it."""
     check_rach_slots(b)
-    if b < 3 and spec.scenario in ("analytic", "retransmissions"):
-        raise ValueError(f"RACH slot count b must be >= 3 for scenario "
-                         f"'{spec.scenario}' (analytic recursion), got {b}")
+    if spec.scenario in ("analytic", "retransmissions"):
+        try:
+            check_recursion_slots(b)
+        except ValueError as exc:
+            raise ValueError(f"scenario '{spec.scenario}': {exc}") from None
 
 
 # Config key of each value a scenario builds from -> (the spec's values for

@@ -171,7 +171,7 @@ def _fit_progress(batch, phy: PhyConfig):
                 dxs.append(r.xh0 - prev_x)
             prev_x = r.xh0
     return calibrate_progress(np.asarray(ks, dtype=float),
-                              np.asarray(dxs, dtype=float), u)
+                              np.asarray(dxs, dtype=float), u, phy.alpha)
 
 
 def calibrate_from_batch(spec: ExperimentSpec, field: FieldConfig,

@@ -97,7 +97,7 @@ def golden_model(golden_batches):
                 dxs.append(r.xh0 - prev_x)
             prev_x = r.xh0
     model, mape = calibrate_progress(np.asarray(ks, float),
-                                     np.asarray(dxs, float), u)
+                                     np.asarray(dxs, float), u, alpha=3.0)
     return model, mape
 
 
@@ -205,7 +205,7 @@ def test_criterion_4_linear_progress(golden_model):
     r1 = u ** (-1.0 / 3.0)
     k = np.repeat(np.arange(1, 11), 25)
     dx = r1 * (k ** (1.0 / 3.0) - 1.0)
-    _, mape_co = calibrate_progress(k, dx, u)
+    _, mape_co = calibrate_progress(k, dx, u, alpha=3.0)
     ok = mape_mc <= 0.10 and mape_co <= 0.055
     assert _verdict(
         "criterion 4 (linear progress)", ok,
@@ -385,7 +385,7 @@ def test_criterion_8_property_suites(tmp_path):
     c.check_normalized()
     # truncation renormalizes, so means match to the tail tolerance scale
     ok_conv = abs(c.mean() - (a.mean() + b.mean())) < 1e-6 * c.mean()
-    model = ProgressModel(varphi=8.0, beta=0.9, u=(1 / 113.0) ** 3)
+    model = ProgressModel(varphi=8.0, beta=0.9, u=(1 / 113.0) ** 3, alpha=3.0)
     rec = run_recursion(FieldConfig(), model, GOLDEN_B)
     ok_norm = True
     for d in rec.dists_k + rec.dists_l:

@@ -7,17 +7,18 @@ import pytest
 from scipy.stats import poisson
 
 from omrsim.analytic import (
+    TAIL_TOL,
     CalibrationError,
     IntDist,
     ProgressModel,
     _mixture_poisson,
+    _p_z_prefix,
     areas,
     calibrate_progress,
     first_hop_areas,
     init_recursion,
     p_j,
     p_j_pmf,
-    p_z,
     poisson_dist,
     propagate_hop,
     run_recursion,
@@ -35,20 +36,20 @@ U_TEST = 2.3e-5  # gives r1 ~ 35 m; exact value irrelevant to the formulas
 # ---------------------------------------------------------------- p_z / p_j
 
 def test_p_z_branches():
-    assert p_z(1, 1, 8) == 1.0                      # empty exponent
-    assert p_z(1, 2, 2) == 0.5                      # ((b-1)/b)^(k-1)
-    assert p_z(7, 4, 8) == 0.0                      # z >= b-1
+    assert _p_z_prefix(1, 8, 1) == [1.0]            # empty exponent
+    assert _p_z_prefix(2, 2, 1) == [0.5]            # ((b-1)/b)^(k-1)
+    assert _p_z_prefix(4, 8, 7)[-1] == 0.0          # z >= b-1
     # recursion term by term
     b, k = 6, 5
     expect = ((b - 1) / b) ** (k - 1)
     for z in range(2, 4):
         expect *= ((b - z) / (b - z + 1)) ** (k - z)
-    assert p_z(3, k, b) == pytest.approx(expect, rel=1e-12)
+    assert _p_z_prefix(k, b, 3)[-1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_p_z_non_increasing_in_z():
     for b, k in [(6, 4), (8, 8), (12, 10)]:
-        vals = [p_z(z, k, b) for z in range(1, b)]
+        vals = _p_z_prefix(k, b, b - 1)
         assert all(a >= v - 1e-15 for a, v in zip(vals, vals[1:]))
 
 
@@ -56,7 +57,7 @@ def test_p_z_prefix_semantics_vs_enumeration():
     # the recursion tracks "the first z relays are each resolvable", not
     # "exactly z resolvable": quantify both against enumeration at b=2, k=2
     exact_prefix = prefix_resolvable_probability(2, 2, 1)
-    assert p_z(1, 2, 2) == pytest.approx(exact_prefix)   # 0.5 both ways
+    assert _p_z_prefix(2, 2, 1)[0] == pytest.approx(exact_prefix)  # 0.5
 
 
 def test_p_j_first_branch():
@@ -155,7 +156,7 @@ def test_mixture_poisson_matches_per_component_sum():
     means[[0, 700]] = 0.0                  # point masses at zero
     weights[[5, 600, 1299]] = 0.0          # skipped components
     weights /= weights.sum()
-    got = _mixture_poisson(means, weights, 1e-9)
+    got = _mixture_poisson(means, weights)
     ns = np.arange(got.support)
     ref = np.zeros(got.support)
     for m, w in zip(means, weights):
@@ -180,7 +181,7 @@ def test_x_h_recursion_matches_closed_form():
 
 
 def test_x_h_constant_when_model_zero():
-    model = ProgressModel(varphi=1e-300, beta=0.0, u=U_TEST)
+    model = ProgressModel(varphi=1e-300, beta=0.0, u=U_TEST, alpha=3.0)
     assert x_h_step(100.0, 5, model) == pytest.approx(100.0)
 
 
@@ -190,7 +191,7 @@ def test_calibrate_exact_linear_law():
     r1 = u ** (-1 / 3)
     k = rng.integers(1, 11, size=500)
     dx = 3.7 * k + 0.9 * r1
-    model, mape = calibrate_progress(k, dx, u)
+    model, mape = calibrate_progress(k, dx, u, alpha=3.0)
     assert model.varphi == pytest.approx(3.7, abs=1e-9)
     assert model.beta == pytest.approx(0.9, abs=1e-9)
     assert mape < 1e-9
@@ -204,20 +205,21 @@ def test_calibrate_colocated_law_mape():
     r1 = u ** (-1 / 3)
     k = np.repeat(np.arange(1, 11), 20)
     dx = r1 * (k ** (1 / 3) - 1.0)
-    model, mape = calibrate_progress(k, dx, u)
+    model, mape = calibrate_progress(k, dx, u, alpha=3.0)
     assert mape <= 0.055
     k_hi = np.repeat(np.arange(4, 11), 20)
     dx_hi = r1 * (k_hi ** (1 / 3) - 1.0)
-    _, mape_hi = calibrate_progress(k_hi, dx_hi, u)
+    _, mape_hi = calibrate_progress(k_hi, dx_hi, u, alpha=3.0)
     assert mape_hi <= 0.03
 
 
 def test_calibrate_degenerate_inputs():
     u = U_TEST
     with pytest.raises(CalibrationError):
-        calibrate_progress(np.full(200, 3.0), np.full(200, 10.0), u)
+        calibrate_progress(np.full(200, 3.0), np.full(200, 10.0), u,
+                           alpha=3.0)
     with pytest.raises(CalibrationError):
-        calibrate_progress(np.arange(50), np.arange(50), u)
+        calibrate_progress(np.arange(50), np.arange(50), u, alpha=3.0)
 
 
 # -------------------------------------------------------------- x_c / areas
@@ -239,20 +241,19 @@ def test_x_c_dense_limit():
 
 
 def test_areas_degenerate_and_flat():
-    # x_c on the previous contour: eligible band equals decode band
-    a_d, a_r, a_dm, a_rm = areas(300.0, 300.0, 360.0, 250.0, 200.0)
-    assert a_r == pytest.approx(a_d)
-    assert a_rm == 0.0
+    # coincident contours (x_c on the previous contour) bound no area
+    assert areas(300.0, 300.0, 200.0) == 0.0
+    assert areas(300.0, 300.0, 200.0, dst_x=2000.0) == 0.0
     # flat contours: plain rectangles
-    assert a_d == pytest.approx(200.0 * 60.0, rel=1e-12)
-    assert a_dm == pytest.approx(200.0 * 50.0, rel=1e-12)
+    assert areas(300.0, 360.0, 200.0) == pytest.approx(200.0 * 60.0, rel=1e-12)
+    assert areas(250.0, 300.0, 200.0) == pytest.approx(200.0 * 50.0, rel=1e-12)
 
 
 def test_areas_ordering_violation():
     with pytest.raises(ValueError):
-        areas(300.0, 290.0, 280.0, 250.0, 200.0)
+        areas(290.0, 280.0, 200.0)
     with pytest.raises(ValueError):
-        areas(295.0, 290.0, 300.0, 250.0, 200.0)
+        areas([280.0, 295.0], 290.0, 200.0, dst_x=2000.0)
 
 
 def test_areas_quadrature_vs_hit_count():
@@ -261,7 +262,7 @@ def test_areas_quadrature_vs_hit_count():
     w = 200.0
     dst = 2000.0
     x_cv, x_p, x_h, x_p2 = 280.0, 300.0, 380.0, 220.0
-    a_d, a_r, a_dm, a_rm = areas(x_cv, x_p, x_h, x_p2, w, dst_x=dst)
+    a_d, a_rm, a_dm = areas([x_p, x_cv, x_p2], [x_h, x_p, x_p], w, dst_x=dst)
 
     def arc_x(x0, y):
         r = dst - x0
@@ -284,7 +285,9 @@ def test_areas_quadrature_vs_hit_count():
                        (hit_count_area(x_cv, x_p), a_rm),
                        (hit_count_area(x_p2, x_p), a_dm)]:
         assert est == pytest.approx(exact, rel=1e-3)
-    assert a_r == pytest.approx(a_d + a_rm, rel=1e-12)
+    # bands add: decision arc to the new contour is the sliver plus the band
+    assert areas(x_cv, x_h, w, dst_x=dst) == pytest.approx(a_d + a_rm,
+                                                           rel=1e-12)
 
 
 def test_first_hop_areas():
@@ -302,7 +305,7 @@ def test_first_hop_areas():
 # ------------------------------------------------------------------ poisson
 
 def test_poisson_dist_truncation_and_mean():
-    d = poisson_dist(4.2, tail_tol=1e-9)
+    d = poisson_dist(4.2)
     d.check_normalized()
     assert d.mean() == pytest.approx(4.2, abs=1e-6)
 
@@ -329,17 +332,17 @@ MODEL = ProgressModel(varphi=8.0, beta=0.9, u=(1 / 75.0) ** 3, alpha=3.0)
 
 
 def test_recursion_epsilon_one_kills_stagger_terms():
+    # every node is awake at epsilon = 1, so no sleep-staggered decoder from
+    # the source's disc joins hop 2: E[L] is the fresh band's Poisson mean
     fc = FieldConfig(rho=1.5e-3, epsilon=1.0, length=2000.0, w=200.0)
     state, _, _ = init_recursion(fc, MODEL)
-    state2, row, dist_l, dist_k_raw = propagate_hop(state, fc, MODEL, b=16)
-    # p_wk = 0: decoders and relays come from the fresh bands alone
-    a_d = MODEL.varphi * state.dist_k_prev.mean() * fc.w  # flat approximation
-    assert row.e_l > 0 and row.e_k >= 1.0
-    # the stagger convolution added nothing: raw relay pmf mean equals the
-    # eligible-band mixture mean
-    lam_means = dist_k_raw.mean()
-    assert lam_means == pytest.approx(row.e_k * (1 - dist_k_raw.probs[0]) +
-                                      0.0, rel=0.05)
+    state2, row, dist_l = propagate_hop(state, fc, MODEL, b=16)
+    band = state2.a_decode_prev
+    assert band[0] == 0.0 and (band[1:] > 0.0).all()
+    fresh = fc.rho * float(state.dist_k_prev.probs @ band)
+    # each of the three tail cuts (Poisson range, mixture, convolution) drops
+    # under TAIL_TOL of mass past the support, which only lowers the mean
+    assert 0.0 <= fresh - row.e_l <= 3 * TAIL_TOL * dist_l.support
 
 
 def test_recursion_rows_and_termination():
@@ -361,7 +364,7 @@ def test_recursion_short_path_single_hop():
 
 
 def test_recursion_divergence_error():
-    bad = ProgressModel(varphi=1e-12, beta=-1.0, u=(1 / 75.0) ** 3)
+    bad = ProgressModel(varphi=1e-12, beta=-1.0, u=(1 / 75.0) ** 3, alpha=3.0)
     with pytest.raises(ValueError):
         run_recursion(FC, bad, b=16)
 
@@ -394,6 +397,6 @@ def test_recursion_retransmissions_decrease_with_hop_density_power():
 
 
 def test_recursion_normalization_invariant():
-    stats = run_recursion(FC, MODEL, b=16, tail_tol=1e-9)
+    stats = run_recursion(FC, MODEL, b=16)
     for d in stats.dists_k + stats.dists_l:
         d.check_normalized()

@@ -1,5 +1,6 @@
 """Config parsing diagnostics, CLI exit codes, pipeline determinism, schemas."""
 
+import csv
 import filecmp
 import math
 import os
@@ -8,7 +9,7 @@ from dataclasses import fields, replace
 import pytest
 
 from omrsim.baseline import BclConfig
-from omrsim.channel import PhyConfig
+from omrsim.channel import PhyConfig, detection_constant
 from omrsim.cli import main
 from omrsim.config import (
     ConfigError,
@@ -164,9 +165,14 @@ def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
     ("interference_radius_m = nan", "interference_radius"),
     ("scenario = compare-power\np_t_dbm_list = nan", "p_t"),
     ("scenario = bcl-trials\nbcl_p_t_dbm = nan", "p_t"),
+    # 10^(dB/10) overflows a float
+    ("p_t_dbm = 100000", "p_t_dbm"),
+    ("gamma_t_db = 100000", "gamma_t_db"),
+    ("scenario = compare-power\np_t_dbm_list = 100000", "p_t_dbm_list"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
-        "bcl_p_t_dbm"])
+        "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
+        "p_t_dbm_list_overflow"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
     cfg = tmp_path / "bad.cfg"
@@ -287,6 +293,20 @@ def test_cli_calibrate_too_few_samples_one_line(tmp_path, capsys):
     assert err.splitlines() == [err.strip()]
     assert err.startswith("calibration error: need >= 100 samples")
     assert "CalibrationError" in (tmp_path / "error_manifest.txt").read_text()
+
+
+def test_cli_calibrate_fits_at_the_phy_alpha(tmp_path):
+    # the fitted law's reach is the PHY's single-relay radius, not alpha 3's
+    cfg = tmp_path / "a4.cfg"
+    cfg.write_text("scenario = calibrate\nalpha = 4\np_n_w = 3e-17\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--trials", "60", "--workers", "1",
+                 "--seed", "5", "--out", str(out)]) == 0
+    with open(out / "calibration.csv", encoding="utf-8") as fh:
+        row = next(csv.DictReader(fh))
+    phy = load_config(str(cfg)).phy
+    assert float(row["alpha"]) == 4.0
+    assert float(row["r1_m"]) == detection_constant(phy).single_relay_radius
 
 
 def test_error_manifest_on_failure(tmp_path):

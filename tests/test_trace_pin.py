@@ -1,19 +1,24 @@
-"""The trial trace is pinned: the first reference trials of each power level
-reproduce their recorded outputs under configs/golden.cfg.
+"""The trial trace and the hop recursion are pinned: the first reference
+trials of each power level reproduce their recorded outputs under
+configs/golden.cfg, and so do the rows of both reference recursion inputs.
 
 The references live in perfbench/reference/ and are only read here. Integer
-fields must match exactly; floats within 1e-9 relative, as the benchmark
-checks them.
+fields must match exactly; trial floats within 1e-9 relative, as the
+benchmark checks them, and recursion rows within 1e-12 relative.
 """
 
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
+from omrsim.analytic import ProgressModel, run_recursion
+from omrsim.channel import detection_constant
 from omrsim.config import dbm_to_watts, load_config
 from omrsim.engine import run_trial
+from omrsim.field import FieldConfig
 from omrsim.metrics import trial_e2e
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -21,12 +26,42 @@ GOLDEN = os.path.join(ROOT, "configs", "golden.cfg")
 TRIALS = 8
 EXACT_HOP_FIELDS = ("hop", "k_prev", "l", "j_prev", "n_r", "k")
 REL_TOL = 1e-9
+RECURSION_REL_TOL = 1e-12
 
 
 def _close(a: float, b: float) -> bool:
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
+
+
+def _recursion_input(label: str):
+    """(field, model, b) of a reference recursion input."""
+    if label == "golden":
+        # progress law phi = 8 m, beta = 0.9 at the golden PHY's reach
+        spec = load_config(GOLDEN)
+        model = ProgressModel(varphi=8.0, beta=0.9,
+                              u=detection_constant(spec.phy).u,
+                              alpha=spec.phy.alpha)
+        return spec.field, model, spec.b
+    field = FieldConfig(rho=1.5e-3, epsilon=0.25, length=2000.0, w=200.0)
+    model = ProgressModel(varphi=8.0, beta=0.9, u=(1 / 75.0) ** 3, alpha=3.0)
+    return field, model, 16
+
+
+@pytest.mark.parametrize("label,hops", [("golden", 9), ("r75-b16", 11)])
+def test_reference_recursion_reproduces(label, hops):
+    path = os.path.join(ROOT, "perfbench", "reference", "recursion.json")
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)[label]
+    stats = run_recursion(*_recursion_input(label))
+    got = [[r.hop, r.e_k, r.e_l, r.e_nr, r.xh0] for r in stats.rows]
+    assert len(want) == hops
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for g, w in zip(got, want):
+        for a, b in zip(g[1:], w[1:]):
+            assert math.isclose(a, b, rel_tol=RECURSION_REL_TOL,
+                                abs_tol=0.0), (label, g[0], a, b)
 
 
 @pytest.mark.parametrize("p_t_dbm", [24, 33])
