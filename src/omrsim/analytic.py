@@ -455,7 +455,8 @@ def propagate_hop(
     weights_r = np.concatenate(weights_r)
 
     p_k = _mixture_poisson(means_r, weights_r)
-    e_nr = float(np.dot(1.0 / np.expm1(means_r), weights_r))
+    with np.errstate(over="ignore"):  # a dense band's 1 / inf = 0 is right
+        e_nr = float(np.dot(1.0 / np.expm1(means_r), weights_r))
 
     j_effs = np.flatnonzero(j_marginal > 0.0)
     p_k_minus = _mixture_poisson(eps * rho * p_wk * a_sliver[j_effs],

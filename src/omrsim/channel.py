@@ -6,13 +6,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+# not called here: the benchmark's span tracer rebinds channel.brentq by name
+from scipy.optimize import brentq  # noqa: F401
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
-
-
-class ContourUndefinedError(RuntimeError):
-    """No coverage contour ahead of the relay set (aggregate power below threshold)."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ class DetectionConstant:
     """Threshold U (m^-alpha) for the unscaled aggregate power sum."""
 
     u: float
-    alpha: float = 3.0
+    alpha: float
 
     @property
     def single_relay_radius(self) -> float:
@@ -100,43 +97,52 @@ def power_sum(x: float, y: float, relay_xs: np.ndarray, relay_ys: np.ndarray, al
     return float(aggregate_power(x, y, relay_xs, relay_ys, alpha)[0])
 
 
-def coverage_contour(relays, y: float, u: float, alpha: float = 3.0) -> float:
-    """Largest x with H(x, y) = u, ahead of every relay.
+def coverage_contour(axial, lateral, starts, u: float,
+                     alpha: float) -> np.ndarray:
+    """On-axis coverage contour of each relay set: the largest x with
+    H(x, 0) = u ahead of the set's front x_lo = max axial; NaN if H < u there.
 
-    H is strictly decreasing in x beyond max relay x, so the root is unique.
-    Bracket by doubling, then solve to near machine precision.
-
-    Near tangency (|y - y_k| close to a relay's reach r) the root is
-    ill-conditioned in the inputs, not in the solve: moving y or r by delta
-    moves the exact root by about sqrt(2 r delta). At r ~ 113 m, rounding of
-    the inputs alone (delta ~ 1e-14 m) shifts it by about 1e-6 m, so a lone
-    relay at |y| = u ** (-1/alpha) has a small positive reach, or none.
+    Set i's strip frame starts at index starts[i] of axial and lateral (the
+    contour at lateral offset y is the on-axis one of lateral - y). H falls
+    to at most u at x_lo + (K/u)^(1/alpha). Newton steps on
+    g = H^(-1/alpha) - u^(-1/alpha), linear for a lone on-axis relay, solve
+    all sets at once; a step that leaves the bracket bisects it, as H is not
+    convex near a laterally offset relay. Near tangency the root is
+    ill-conditioned in the inputs (docs/decisions.md, CH-TANGENT).
     """
-    xy = np.asarray(relays, dtype=float).reshape(-1, 2)
-    if xy.shape[0] == 0:
-        raise ValueError("coverage_contour needs at least one relay")
-    relay_xs, relay_ys = xy.T.copy()  # contiguous rows for the many H calls
-    x_lo = float(np.max(relay_xs))
+    axial = np.asarray(axial, dtype=float)
+    lat2 = np.asarray(lateral, dtype=float) ** 2
+    starts = np.asarray(starts, dtype=np.intp)
+    sizes = np.diff(starts, append=axial.size)
+    seg = np.repeat(np.arange(starts.size), sizes)
 
-    def h_minus_u(x: float) -> float:
-        return power_sum(x, y, relay_xs, relay_ys, alpha) - u
+    def h_and_slope(x):  # per set: H and -H'/alpha = sum (x - x_k) d_k^-(alpha+2)
+        d = x[seg] - axial
+        d2 = d * d + lat2
+        p = d2 ** (-alpha / 2.0)
+        return np.add.reduceat(p, starts), np.add.reduceat(d * p / d2, starts)
 
-    # a relay on the line y puts H = inf at x_lo, where the solve starts
-    with np.errstate(divide="ignore"):
-        f_lo = h_minus_u(x_lo)
-        if f_lo == 0.0:
-            return x_lo
-        if f_lo < 0.0:
-            raise ContourUndefinedError(
-                "aggregate power already below threshold at the relay front"
-            )
-
-        step = max(1.0, (relay_xs.size / u) ** (1.0 / alpha))
-        x_hi = x_lo + step
-        while h_minus_u(x_hi) > 0.0:
-            step *= 2.0
-            x_hi = x_lo + step
-            if step > 1e9:
-                raise ContourUndefinedError("no contour crossing found within 1e9 m")
-
-        return float(brentq(h_minus_u, x_lo, x_hi, xtol=1e-12, rtol=8.9e-16))
+    lo = np.maximum.reduceat(axial, starts)
+    reach = (sizes / u) ** (1.0 / alpha)
+    # a lone on-axis relay's root is lo + reach: start a few ulps past it
+    x = hi = lo + reach + 8.0 * np.spacing(np.abs(lo) + reach)
+    tol = 1e-12 * (np.abs(lo) + reach)
+    with np.errstate(divide="ignore", invalid="ignore"):  # H(lo) = inf on axis
+        h, _ = h_and_slope(lo)
+        out, todo = np.where(h >= u, lo, np.nan), h > u
+        for _ in range(100):  # bisection alone would need about 50
+            if not todo.any():
+                break
+            h, slope = h_and_slope(x)
+            h_root = h ** (-1.0 / alpha)
+            g = h_root - u ** (-1.0 / alpha)
+            lo, hi = np.where(g < 0.0, x, lo), np.where(g > 0.0, x, hi)
+            step = g * h / (h_root * slope)  # g / g'
+            # test the raw step, so an iterate on a bracket end stays there
+            converged = np.abs(step) <= tol
+            x = np.where(converged | ((x - step > lo) & (x - step < hi)),
+                         x - step, 0.5 * (lo + hi))
+            done = todo & (converged | (hi - lo <= tol))
+            out[done] = x[done]
+            todo &= ~done
+    return out

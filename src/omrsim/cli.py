@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analytic import CalibrationError
+from .analytic import CalibrationError, TruncationError
 from .config import ConfigError, ExperimentSpec, SCENARIOS, load_config
 from .experiments import run
 
@@ -66,8 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         for diag in exc.diagnostics:
             print(f"config error: {diag}", file=sys.stderr)
         return 2
-    except CalibrationError as exc:
-        print(f"calibration error: {exc}", file=sys.stderr)
+    except (CalibrationError, TruncationError) as exc:
+        kind = "calibration" if isinstance(exc, CalibrationError) else "recursion"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(path)

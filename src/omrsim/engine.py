@@ -10,7 +10,6 @@ import numpy as np
 
 from .channel import (
     SPEED_OF_LIGHT,
-    ContourUndefinedError,
     PhyConfig,
     aggregate_power,
     coverage_contour,
@@ -58,7 +57,7 @@ class HopRecord(NamedTuple):
     l: int             # decoding-set size of the successful attempt
     k: int             # relay set formed at this hop (0 on the delivery hop)
     n_r: int           # retransmissions spent at this hop
-    xh0: float         # coverage contour on the axis, NaN if undefined there
+    xh0: float         # on-axis coverage contour (NaN if none), solved at flow end
     n_r_interference: int = 0  # retransmissions attributable to cross-flow interference
 
 
@@ -207,6 +206,7 @@ class _FlowState:
     n_r: int = 0
     n_r_interference: int = 0
     records: list = dc_field(default_factory=list)
+    sent_xy: list = dc_field(default_factory=list)  # each record's transmitters
     reached: bool = False
     failed: bool = False
     delay_spread_s: float = math.nan
@@ -377,17 +377,12 @@ def run_flow_hop(
         k_new = _advance_relays(state, deployment, rx.relays, phy)
     else:
         state.failed = True
-    try:
-        axial, lateral = state.strip.frame(old_xy[:, 0], old_xy[:, 1])
-        xh0 = coverage_contour(np.column_stack([axial, lateral]), 0.0, u,
-                               phy.alpha)
-    except ContourUndefinedError:
-        xh0 = math.nan
     state.records.append(HopRecord(
         hop=state.hop, k_prev=old_xy.shape[0], j_prev=j_prev,
-        l=rx.decoded.size, k=k_new, n_r=state.n_r, xh0=xh0,
+        l=rx.decoded.size, k=k_new, n_r=state.n_r, xh0=math.nan,
         n_r_interference=state.n_r_interference,
     ))
+    state.sent_xy.append(old_xy)
     state.n_r = state.n_r_interference = 0  # the record holds this hop's count
     if k_new:
         _register_false_alarms(state, old_xy, old_dp, policy, rng)
@@ -479,6 +474,12 @@ def _run_flows(
                                          slot, pn_extra_fn=pn_fn)
             f.next_slot += 2 if retransmitted else 1
         slot_idx += 1
+    for f in flows:  # no forwarding decision reads xh0: one solve per flow
+        k = [r.k_prev for r in f.records]
+        xy = np.concatenate([np.empty((0, 2))] + f.sent_xy)
+        xh0 = coverage_contour(*f.strip.frame(xy[:, 0], xy[:, 1]),
+                               np.cumsum(k) - k, u, phy.alpha)
+        f.records = [r._replace(xh0=float(x)) for r, x in zip(f.records, xh0)]
     return flows, slot_idx
 
 

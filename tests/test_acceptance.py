@@ -136,7 +136,7 @@ def test_criterion_1_rach_oracle_equivalence():
 def test_criterion_2_first_hop_geometry():
     u = detection_constant(GOLDEN_PHY).u
     alpha = GOLDEN_PHY.alpha
-    r1 = coverage_contour([(0.0, 0.0)], 0.0, u, alpha)
+    r1 = coverage_contour([0.0], [0.0], [0], u, alpha)[0]
     err_r1 = abs(r1 - u ** (-1.0 / alpha)) / u ** (-1.0 / alpha)
 
     rng = np.random.default_rng(2)
@@ -146,9 +146,8 @@ def test_criterion_2_first_hop_geometry():
         relays = np.column_stack([rng.uniform(0, 200, k),
                                   rng.uniform(-100, 100, k)])
         y = float(rng.uniform(-90, 90))
-        try:
-            x = coverage_contour(relays, y, u, alpha)
-        except Exception:
+        x = coverage_contour(relays[:, 0], relays[:, 1] - y, [0], u, alpha)[0]
+        if math.isnan(x):
             continue
         h = power_sum(x, y, relays[:, 0], relays[:, 1], alpha)
         err_h = max(err_h, abs(h - u) / u)
@@ -156,7 +155,7 @@ def test_criterion_2_first_hop_geometry():
     err_co = 0.0
     for k in (2, 4, 7, 10):
         for y in (0.0, 35.0):
-            x = coverage_contour([(50.0, 20.0)] * k, y, u, alpha)
+            x = coverage_contour([50.0] * k, [20.0 - y] * k, [0], u, alpha)[0]
             expect = 50.0 + math.sqrt((k / u) ** (2 / alpha) - (y - 20.0) ** 2)
             err_co = max(err_co, abs(x - expect) / expect)
 

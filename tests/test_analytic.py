@@ -1,6 +1,7 @@
 """Statistical engine: pmf formulas vs enumeration, areas vs hit-count, recursion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,18 @@ def test_recursion_divergence_error():
     bad = ProgressModel(varphi=1e-12, beta=-1.0, u=(1 / 75.0) ** 3, alpha=3.0)
     with pytest.raises(ValueError):
         run_recursion(FC, bad, b=16)
+
+
+def test_recursion_dense_point_is_warning_free():
+    # a dense relay band overflows expm1 in the retransmission term, whose
+    # value 1 / inf = 0 is right; the recursion warns about nothing
+    fc = FieldConfig(rho=0.9e-3, epsilon=1.0, length=2000.0, w=200.0)
+    model = ProgressModel(varphi=10.0, beta=0.8, u=(1 / 113.0) ** 3, alpha=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = run_recursion(fc, model, b=24)
+    assert stats.rows[-1].xh0 >= fc.length
+    assert all(0.0 <= r.e_nr < math.inf for r in stats.rows)
 
 
 def test_recursion_k_increases_with_density():

@@ -5,9 +5,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from omrsim.channel import (
-    ContourUndefinedError,
     PhyConfig,
     aggregate_power,
     coverage_contour,
@@ -17,6 +17,12 @@ from omrsim.channel import (
 from omrsim.engine import _detects
 
 PAPER_PHY = PhyConfig()  # gamma_t = 5 dB, tau = 0.2, alpha = 3
+
+
+def _contour(relays, y, u, alpha):
+    """The batched solver on one relay set, for the contour at lateral y."""
+    xy = np.asarray(relays, dtype=float).reshape(-1, 2)
+    return float(coverage_contour(xy[:, 0], xy[:, 1] - y, [0], u, alpha)[0])
 
 
 def test_detection_constant_unity():
@@ -53,7 +59,7 @@ def test_first_hop_radius_matches_hand_evaluation():
     u = (phy.n_s * phy.p_n / (2 * phy.p_t)) * (4 * math.pi / phy.lambda_c) ** 3 \
         * (10 ** 0.5) / math.log(1.25)
     assert detection_constant(phy).u == pytest.approx(u, rel=1e-12)
-    r = coverage_contour([(0.0, 0.0)], 0.0, u, 3.0)
+    r = _contour([(0.0, 0.0)], 0.0, u, 3.0)
     assert r == pytest.approx(u ** (-1.0 / 3.0), rel=1e-9)
 
 
@@ -99,7 +105,7 @@ def test_contour_single_relay_offsets():
     r = u ** (-1.0 / 3.0)
     # lateral offset shrinks the reach by the circle equation
     for y in (0.0, 0.3 * r, 0.9 * r):
-        x = coverage_contour([(0.0, 0.0)], y, u, 3.0)
+        x = _contour([(0.0, 0.0)], y, u, 3.0)
         assert x == pytest.approx(math.sqrt(r * r - y * y), rel=1e-9, abs=1e-9)
     # |y| = radius: tangent to the detection circle. The expected reach is not
     # 0: the float r = u ** (-1/3) sits a few 1e-14 m off the true radius, and
@@ -111,10 +117,9 @@ def test_contour_single_relay_offsets():
         ctx.prec = 50
         x2 = Decimal(u) ** (Decimal(-2) / Decimal(3)) - Decimal(r) ** 2
     if x2 <= 0:
-        with pytest.raises(ContourUndefinedError):
-            coverage_contour([(0.0, 0.0)], r, u, 3.0)
+        assert math.isnan(_contour([(0.0, 0.0)], r, u, 3.0))
     else:
-        x = coverage_contour([(0.0, 0.0)], r, u, 3.0)
+        x = _contour([(0.0, 0.0)], r, u, 3.0)
         assert x == pytest.approx(float(x2.sqrt()), abs=1e-6)
 
 
@@ -124,7 +129,7 @@ def test_contour_colocated_closed_form():
     for k in (2, 5, 9):
         relays = [(xk, yk)] * k
         for y in (0.0, 40.0):
-            x = coverage_contour(relays, y, u, 3.0)
+            x = _contour(relays, y, u, 3.0)
             expect = xk + math.sqrt((k / u) ** (2.0 / 3.0) - (y - yk) ** 2)
             assert x == pytest.approx(expect, rel=1e-9)
 
@@ -137,9 +142,8 @@ def test_contour_consistency_random_sets():
         relays = np.column_stack([
             rng.uniform(0, 150, size=k), rng.uniform(-100, 100, size=k)])
         y = float(rng.uniform(-100, 100))
-        try:
-            x = coverage_contour(relays, y, u, 3.0)
-        except ContourUndefinedError:
+        x = _contour(relays, y, u, 3.0)
+        if math.isnan(x):
             continue
         h = power_sum(x, y, relays[:, 0], relays[:, 1], 3.0)
         assert h == pytest.approx(u, rel=1e-9)
@@ -164,8 +168,78 @@ def test_aggregate_power_matches_term_loops_bit_for_bit():
 def test_contour_undefined_off_axis_lone_relay():
     u = detection_constant(PAPER_PHY).u
     r = u ** (-1.0 / 3.0)
-    with pytest.raises(ContourUndefinedError):
-        coverage_contour([(0.0, 2.0 * r)], 0.0, u, 3.0)
+    assert math.isnan(_contour([(0.0, 2.0 * r)], 0.0, u, 3.0))
+
+
+def _brentq_contour(axial, lateral, u, alpha):
+    """Oracle: a doubling bracket and scipy's brentq on one relay set."""
+    def f(x):
+        return float(np.sum(((x - axial) ** 2 + lateral ** 2) ** (-alpha / 2))) - u
+
+    x_lo = float(axial.max())
+    # a relay on the axis at the front puts H = inf at x_lo
+    with np.errstate(divide="ignore"):
+        f_lo = f(x_lo)
+        if f_lo <= 0.0:
+            return x_lo if f_lo == 0.0 else math.nan
+        step = (axial.size / u) ** (1.0 / alpha)
+        while f(x_lo + step) > 0.0:
+            step *= 2.0
+        return brentq(f, x_lo, x_lo + step, xtol=1e-13,
+                      rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+def test_contour_batch_matches_brentq_oracle(alpha):
+    u = detection_constant(PhyConfig(alpha=alpha)).u
+    r = u ** (-1.0 / alpha)
+    rng = np.random.default_rng(int(alpha))
+    for _ in range(10):
+        sets = []
+        for _ in range(60):
+            k = int(rng.integers(1, 9))
+            sets.append(np.column_stack([rng.uniform(0, 1.5 * r, k),
+                                         rng.uniform(-1.5 * r, 1.5 * r, k)]))
+        sets += [
+            # no contour: the set's power is below u at its front
+            np.array([[0.0, 2.0 * r]]),
+            # laterally offset relays, where H is not convex in x; behind a
+            # far-off front relay, a Newton step leaves the bracket
+            np.array([[0.0, 0.9 * r]]),
+            np.array([[0.0, -0.8 * r], [-0.3 * r, 0.7 * r]]),
+            np.array([[0.5 * r, 2.8 * r], [-0.499 * r, 0.003 * r]]),
+            np.array([[0.5 * r, 4.0 * r], [-0.495 * r, 0.0]]),
+            # an on-axis relay at the front: H = inf there
+            np.array([[0.5 * r, 0.0], [0.2 * r, 0.4 * r], [0.0, -0.6 * r]]),
+            # a lone on-axis relay: the root is the bracket end
+            np.array([[0.7 * r, 0.0]]),
+            np.array([[0.2 * r, 0.0]] * 4),
+        ]
+        order = rng.permutation(len(sets))
+        sets = [sets[i] for i in order]
+        sizes = [s.shape[0] for s in sets]
+        xy = np.concatenate(sets)
+        got = coverage_contour(xy[:, 0], xy[:, 1], np.cumsum(sizes) - sizes,
+                               u, alpha)
+        want = np.array([_brentq_contour(s[:, 0], s[:, 1], u, alpha)
+                         for s in sets])
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert 20 < ok.sum() < len(sets)
+        np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
+
+
+def test_contour_stops_on_exact_root():
+    # alpha = 2 and a far relay: u is H(4) as the solver sums it, so f = 0
+    # exactly at x = 4, and a Newton iterate lands there; the root is kept
+    far = 1e6
+    u = float(np.add.reduce(np.array([16.0, 16.0 + far * far]) ** -1.0))
+    x = coverage_contour([0.0, 0.0], [0.0, far], [0], u, 2.0)
+    assert x[0] == 4.0
+    # f = 0 at the front itself: the front is the contour; a lone on-axis
+    # relay has its root at the bracket end
+    x = coverage_contour([0.0, 5.0], [4.0, 0.0], [0, 1], 1 / 16, 2.0)
+    assert x[0] == 0.0 and x[1] == 9.0
 
 
 def test_phy_validation():

@@ -295,6 +295,21 @@ def test_cli_calibrate_too_few_samples_one_line(tmp_path, capsys):
     assert "CalibrationError" in (tmp_path / "error_manifest.txt").read_text()
 
 
+def test_cli_truncation_error_one_line(monkeypatch, capsys):
+    # a recursion whose support outgrows its cap ends the run in one line
+    import omrsim.cli
+    from omrsim.analytic import TruncationError
+
+    def truncated(spec):
+        raise TruncationError("support 4587 exceeds cap 4096")
+
+    monkeypatch.setattr(omrsim.cli, "run", truncated)
+    rc = main(["--config", GOLDEN, "--scenario", "retransmissions"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "recursion error: support 4587 exceeds cap 4096\n"
+
+
 def test_cli_calibrate_fits_at_the_phy_alpha(tmp_path):
     # the fitted law's reach is the PHY's single-relay radius, not alpha 3's
     cfg = tmp_path / "a4.cfg"

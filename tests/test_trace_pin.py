@@ -5,15 +5,21 @@ configs/golden.cfg, and so do the rows of both reference recursion inputs.
 The references live in perfbench/reference/ and are only read here. Integer
 fields must match exactly; trial floats within 1e-9 relative, as the
 benchmark checks them, and recursion rows within 1e-12 relative.
+
+The benchmark's span tracer rebinds omrsim names; a traced trial pins them.
 """
 
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import omrsim
+import omrsim.cli  # the tracer wraps names in every module the benchmark loads
+import omrsim.experiments
 from omrsim.analytic import ProgressModel, run_recursion
 from omrsim.channel import detection_constant
 from omrsim.config import dbm_to_watts, load_config
@@ -86,3 +92,22 @@ def test_reference_trials_reproduce(p_t_dbm):
         floats += [(res.delay_spread_s, ref["delay_spread_s"][p]),
                    (energy, ref["energy_j"][p]), (delay, ref["delay_s"][p])]
         assert all(_close(a, float(b)) for a, b in floats), seed
+
+
+def test_tracer_installs_and_counts_one_contour_solve_per_trial(monkeypatch):
+    # perfbench/tracing.py rebinds omrsim attributes by name; deleting one
+    # it pins breaks the traced benchmark run, and this test
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    from tracing import Tracer
+
+    spec = load_config(GOLDEN)
+    tracer = Tracer()
+    tracer.install(omrsim)
+    try:
+        omrsim.engine.run_trial(spec.field, spec.phy, spec.policy, spec.b, 7)
+    finally:
+        tracer.remove()
+    calls = tracer.totals()["calls"]
+    assert calls["engine.run_trial"] == 1
+    assert calls["channel.coverage_contour"] == 1
