@@ -4,7 +4,7 @@ and the closed-form first-resolvable-index weights."""
 import numpy as np
 
 from omrsim.analytic import p_j_pmf
-from omrsim.engine import rach_round_batch
+from omrsim.engine import rach_round
 
 # exhaustive enumeration of every slot assignment
 import itertools
@@ -21,7 +21,7 @@ def enumerate_j(b, k):
 
 b, k = 4, 3
 exact = enumerate_j(b, k)
-sim = np.bincount(rach_round_batch(k, b, 200_000, np.random.default_rng(1)),
+sim = np.bincount(rach_round(k, b, 200_000, np.random.default_rng(1))[1],
                   minlength=k + 1) / 200_000
 formula = p_j_pmf(k, b)
 

@@ -14,7 +14,6 @@ from .config import ExperimentSpec, load_config, parse_config
 from .engine import (
     RetransmitPolicy,
     TrialResult,
-    propagation_delays,
     rach_round,
     run_trial,
     run_two_packet_trial,
@@ -40,7 +39,6 @@ __all__ = [
     "parse_config",
     "RetransmitPolicy",
     "TrialResult",
-    "propagation_delays",
     "rach_round",
     "run_trial",
     "run_two_packet_trial",

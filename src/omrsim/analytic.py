@@ -207,14 +207,6 @@ def x_h_step(x_prev: float, k_prev: int, model: ProgressModel) -> float:
     return x_prev + model.varphi * k_prev + model.beta * model.r1
 
 
-def x_h_closed(i: int, k_history, model: ProgressModel) -> float:
-    """Closed form of the recursion: varphi * sum K_n + (i-1) beta r1 + r1."""
-    if i < 1:
-        raise ValueError("hop index starts at 1")
-    s = float(np.sum(np.asarray(k_history, dtype=float)[: i - 1]))
-    return model.varphi * s + (i - 1) * model.beta * model.r1 + model.r1
-
-
 def calibrate_progress(
     k_prev: np.ndarray,
     dx: np.ndarray,

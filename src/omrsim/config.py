@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from .analytic import check_recursion_slots
 from .baseline import BclConfig
 from .channel import PhyConfig
-from .engine import RetransmitPolicy, check_rach_slots
+from .engine import RetransmitPolicy, check_rach_slots, check_stagger_slots
 from .field import FieldConfig
 from .metrics import mcs_table
 
@@ -92,9 +92,6 @@ class ExperimentSpec:
                     diags.append(f"{key}: {exc}")
         if not (self.interference_radius > 0):
             diags.append("interference_radius must be positive")
-        if self.two_stagger_slots < 0:
-            diags.append(f"two_stagger_slots must be >= 0, got "
-                         f"{self.two_stagger_slots}")
         return diags
 
 
@@ -135,6 +132,9 @@ _AXES = {
     "mcs_list": (lambda spec: spec.mcs_list, mcs_phy),
     # the BCL reference PHY, built on spec.phy or an MCS copy of it
     "bcl_p_t_dbm": (lambda spec: [spec.bcl_p_t_dbm], _tx_power_phy),
+    "two_stagger_slots": (lambda spec: [spec.two_stagger_slots],
+                          lambda spec, s: check_stagger_slots(
+                              s, spec.field, spec.phy, spec.policy)),
 }
 
 # scenario -> the axes it runs on; the scenario list is this table's keys
@@ -148,7 +148,7 @@ SWEEPS = {
     "compare-mcs": ("mcs_list", "bcl_p_t_dbm", "b_rach_slots"),
     "delay-spread": ("rho_per_km2_list", "w_list_m", "b_rach_slots"),
     "retransmissions": ("rho_per_km2_list", "p_t_dbm_list", "b_rach_slots"),
-    "two-packets": ("b_rach_slots",),
+    "two-packets": ("b_rach_slots", "two_stagger_slots"),
     "calibrate": ("b_rach_slots",),
 }
 SCENARIOS = tuple(SWEEPS)

@@ -70,36 +70,20 @@ class TrialResult:
     seed: int
 
 
-def _rach(k: int, b: int, n: int,
-          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n independent RACH rounds of k relays over b slots.
+def rach_round(k: int, b: int, n: int,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n independent RACH rounds of k relays over b slots, drawn uniformly;
+    singleton slots are resolvable.
 
-    Returns the (n, k) singleton-slot flags and the (n,) 1-based indices of
-    the first resolvable relay, 0 where all collided. Slots are counted with
-    one bincount over row-offset slot ids.
+    Returns the (n, k) resolvable flags (in destination-distance order) and
+    the (n,) 1-based indices of the first resolvable relay, 0 where all
+    collided. Slots are counted with one bincount over row-offset slot ids.
     """
     check_rach_slots(b)
     slots = rng.integers(0, b, size=(n, k))
     slots += np.arange(0, n * b, b)[:, None]
     resolvable = np.bincount(slots.ravel(), minlength=n * b)[slots] == 1
     return resolvable, (resolvable.argmax(axis=1) + 1) * resolvable.any(axis=1)
-
-
-def rach_round(k: int, b: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Assign k relays to b RACH slots uniformly; singleton slots are resolvable.
-
-    Returns the per-relay resolvable flags (in destination-distance order) and
-    the 1-based index of the first resolvable relay, 0 if all collided. Draws
-    the same slots as one row of rach_round_batch.
-    """
-    resolvable, j = _rach(k, b, 1, rng)
-    return resolvable[0], int(j[0])
-
-
-def rach_round_batch(k: int, b: int, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """First-resolvable indices of n independent RACH rounds (vectorized)."""
-    return _rach(k, b, n, rng)[1]
 
 
 def decision_distance(relay_xy: np.ndarray, j: int, dst: Point2D) -> float:
@@ -145,11 +129,12 @@ def decode_set(
     seen: np.ndarray | None = None,
     pn_extra_fn=None,
 ) -> np.ndarray:
-    """Indices of nodes that decode a transmission by `relays` starting at t_now.
+    """Indices, ascending, of nodes that hear a transmission by `relays`
+    starting at t_now.
 
-    A node decodes iff it is awake at the transmission start, it has not seen
-    this packet before (`seen` mask), and the aggregate mean channel power from
-    the transmitters meets the detection threshold. `pn_extra_fn(xs, ys)` may
+    A node hears it iff it is awake at the transmission start, it is not
+    masked by `seen`, and the aggregate mean channel power from the
+    transmitters meets the detection threshold. `pn_extra_fn(xs, ys)` may
     supply additive per-node noise-plus-interference power (per subcarrier).
     """
     relays = np.asarray(relays, dtype=float).reshape(-1, 2)
@@ -249,17 +234,15 @@ def _receive(
     """What one transmission by the current relay set achieves; reads the
     state and changes nothing."""
     relay_xy = state.relay_xy
-    decoded = decode_set(deployment, relay_xy, state.t, phy, u=u,
-                         seen=state.seen, pn_extra_fn=pn_extra_fn)
-    # parked nodes (decoded on an earlier transmission, never relayed) that hear
-    # this one re-read the header and re-evaluate the position criteria, which
-    # matters when a retransmission widened the strip or moved the decision arc
-    parked = np.flatnonzero(state.parked)
-    parked = parked[awake_mask(deployment.sleep_phases[parked], state.t,
-                               phy.t_p, deployment.cfg.epsilon)]
-    parked = parked[_detects(deployment.xs[parked], deployment.ys[parked],
-                             relay_xy, phy, u, pn_extra_fn)]
-    pool = np.concatenate([decoded, parked])
+    # one detection pass over every node that has not relayed: fresh nodes
+    # decode, and parked nodes (decoded on an earlier transmission, never
+    # relayed) re-read the header and re-evaluate the position criteria,
+    # which matters when a retransmission widened the strip or moved the arc
+    heard = decode_set(deployment, relay_xy, state.t, phy, u=u,
+                       seen=state.seen & ~state.parked,
+                       pn_extra_fn=pn_extra_fn)
+    decoded = heard[~state.seen[heard]]
+    pool = np.concatenate([decoded, heard[state.parked[heard]]])
     relays = pool[eligible(deployment.xs[pool], deployment.ys[pool], d_ref,
                            state.strip, state.strip_width)]
     # the destination is an always-awake receiver applying the same test
@@ -350,7 +333,8 @@ def run_flow_hop(
     """
     old_xy, old_dp = state.relay_xy, state.dp
     # the source position travels in the header; it is always resolvable
-    j_prev = 1 if state.hop == 1 else rach_round(old_xy.shape[0], state.b, rng)[1]
+    j_prev = 1 if state.hop == 1 \
+        else int(rach_round(old_xy.shape[0], state.b, 1, rng)[1][0])
     d_ref = decision_distance(old_xy, j_prev, state.strip.dst)
     rx = _receive(state, deployment, phy, u, d_ref, pn_extra_fn)
     retransmit = not rx.progressed and state.n_r < policy.n_r_max
@@ -389,6 +373,23 @@ def run_flow_hop(
         state.hop += 1
         state.t += slot
     return False
+
+
+def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
+                policy: RetransmitPolicy) -> int:
+    """Grid slots a run may use: 16 per first-hop reach of the field length
+    (at least 512), times the attempts one hop may take."""
+    r1 = detection_constant(phy).u ** (-1.0 / phy.alpha)
+    return max(512, int(16.0 * field_cfg.length / r1)) * (policy.n_r_max + 1)
+
+
+def check_stagger_slots(stagger_slots: int, field_cfg: FieldConfig,
+                        phy: PhyConfig, policy: RetransmitPolicy) -> None:
+    """The stagger rule: a later flow is injected inside the slot budget."""
+    budget = slot_budget(field_cfg, phy, policy)
+    if not (0 <= stagger_slots < budget):
+        raise ValueError(f"stagger_slots must be in [0, {budget}), got "
+                         f"{stagger_slots}")
 
 
 def new_flow_state(strip: Strip, strip_width: float, b: int,
@@ -439,8 +440,7 @@ def _run_flows(
     slot = phy.t_p + phy.t_guard
     r1 = u ** (-1.0 / phy.alpha)
     max_hops = max(256, int(8.0 * field_cfg.length / r1))
-    max_slots = max(512, int(16.0 * field_cfg.length / r1)) \
-        * (policy.n_r_max + 1)
+    max_slots = slot_budget(field_cfg, phy, policy)
 
     flows = []
     for i, (src, ss) in enumerate(zip(srcs, flow_ss)):
@@ -521,8 +521,7 @@ def run_two_packet_trial(
     the shared slot grid, interference and carrier sense. Retransmissions
     that a clean channel would have avoided are tagged per flow.
     """
-    if stagger_slots < 0:
-        raise ValueError(f"stagger_slots must be >= 0, got {stagger_slots}")
+    check_stagger_slots(stagger_slots, field_cfg, phy, policy)
     flows, slots_used = _run_flows(field_cfg, phy, policy, b, seed,
                                    [src_a, src_b],
                                    Point2D(field_cfg.length, 0.0),
@@ -533,22 +532,3 @@ def run_two_packet_trial(
                  + sum(r.n_r_interference for r in f.records) for f in flows)
     return TwoPacketResult(flows[0].result(seed), flows[1].result(seed),
                            tagged, slots_used)
-
-
-def propagation_delays(
-    hop_positions: list[np.ndarray], dst: Point2D, delta_r: float = 0.0
-) -> tuple[list[np.ndarray], float]:
-    """Evaluate the first-arrival path-length recursion over a hop geometry.
-
-    hop_positions[0] holds the source, hop_positions[i] the relay positions of
-    hop i, each as an (n, 2) array. Every relay's accumulated path is the
-    minimum over previous-hop relays of (link distance + their path + delta_r).
-    Returns the per-hop path-length arrays (meters) and the forwarding delay
-    spread at dst in seconds: (max - min) arrival over the last relay set,
-    divided by the speed of light.
-    """
-    sets = [np.asarray(h, dtype=float).reshape(-1, 2) for h in hop_positions]
-    dps = [np.zeros(sets[0].shape[0])]
-    for prev, cur in zip(sets, sets[1:]):
-        dps.append(_path_step(cur, prev, dps[-1], delta_r))
-    return dps, _delay_spread(sets[-1], dps[-1], dst)

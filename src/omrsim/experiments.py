@@ -128,6 +128,14 @@ def _omr_row(batch, phy: PhyConfig, p_dbm: float, rho_km2: float, b: int,
             len(delivered), len(batch))
 
 
+def _bcl_row(res, phy: PhyConfig, p_dbm: float, rho_km2: float,
+             mcs: str = "", ratio: float | str = "") -> tuple:
+    """A BCL walk's summary row: its energy, delay, EDP and cost."""
+    edp, cost = edp_and_cost(res.e2e_energy_j, res.e2e_delay_s, phy.r, phy.t_p)
+    return ("bcl", p_dbm, rho_km2, "", mcs, res.e2e_energy_j, res.e2e_delay_s,
+            edp, cost, ratio, res.delivered, res.trials)
+
+
 def scenario_omr_trials(spec: ExperimentSpec) -> list[str]:
     batch = run_omr_batch(spec, spec.field, spec.phy, spec.trials, spec.seed)
     trace_path = os.path.join(spec.out_dir, "omr_trace.csv")
@@ -147,12 +155,9 @@ def scenario_bcl_trials(spec: ExperimentSpec) -> list[str]:
     hop_path = os.path.join(spec.out_dir, "bcl_hops.csv")
     _write_csv(hop_path, ["trial_id", "hop", "eta", "m_e", "m_n", "progress_m"],
                res.per_hop)
-    edp, cost = edp_and_cost(res.e2e_energy_j, res.e2e_delay_s, phy.r, phy.t_p)
     summary = os.path.join(spec.out_dir, "summary.csv")
-    _write_csv(summary, SUMMARY_COLUMNS, [(
-        "bcl", spec.bcl_p_t_dbm, spec.field.rho * 1e6, "", "",
-        res.e2e_energy_j, res.e2e_delay_s, edp, cost, "",
-        res.delivered, res.trials)])
+    _write_csv(summary, SUMMARY_COLUMNS, [_bcl_row(
+        res, phy, spec.bcl_p_t_dbm, spec.field.rho * 1e6)])
     return [hop_path, summary]
 
 
@@ -174,17 +179,9 @@ def _fit_progress(batch, phy: PhyConfig):
                               np.asarray(dxs, dtype=float), u, phy.alpha)
 
 
-def calibrate_from_batch(spec: ExperimentSpec, field: FieldConfig,
-                         phy: PhyConfig, trials: int, seed: int):
-    """Fit the per-hop progress law from a fresh batch of trials."""
-    batch = run_omr_batch(spec, field, phy, trials, seed)
-    model, mape = _fit_progress(batch, phy)
-    return model, mape, batch
-
-
 def scenario_calibrate(spec: ExperimentSpec) -> list[str]:
-    model, mape, _ = calibrate_from_batch(spec, spec.field, spec.phy,
-                                          spec.trials, spec.seed)
+    batch = run_omr_batch(spec, spec.field, spec.phy, spec.trials, spec.seed)
+    model, mape = _fit_progress(batch, spec.phy)
     path = os.path.join(spec.out_dir, "calibration.csv")
     _write_csv(path, ["varphi_m", "beta", "u", "alpha", "r1_m", "mape"],
                [(model.varphi, model.beta, model.u, model.alpha, model.r1,
@@ -193,8 +190,9 @@ def scenario_calibrate(spec: ExperimentSpec) -> list[str]:
 
 
 def scenario_analytic(spec: ExperimentSpec) -> list[str]:
-    model, mape, _ = calibrate_from_batch(
-        spec, spec.field, spec.phy, max(200, spec.trials // 5), spec.seed + 1)
+    batch = run_omr_batch(spec, spec.field, spec.phy,
+                          max(200, spec.trials // 5), spec.seed + 1)
+    model, mape = _fit_progress(batch, spec.phy)
     stats = run_recursion(spec.field, model, spec.b)
     out = [_write_figure(
         spec, "analytic_hops", ["hop", "E_K", "E_L", "E_nr", "xH0"],
@@ -215,10 +213,8 @@ def _bcl_reference(spec: ExperimentSpec, field: FieldConfig, phy: PhyConfig,
     phy_b = phy.with_tx_power(dbm_to_watts(spec.bcl_p_t_dbm))
     res = run_bcl(spec.bcl, field, phy_b, max(100, spec.trials // 5),
                   spec.seed + 17)
-    edp, cost = edp_and_cost(res.e2e_energy_j, res.e2e_delay_s, phy_b.r,
-                             phy_b.t_p)
-    return ("bcl", spec.bcl_p_t_dbm, rho_km2, "", mcs, res.e2e_energy_j,
-            res.e2e_delay_s, edp, cost, 1.0, res.delivered, res.trials), cost
+    row = _bcl_row(res, phy_b, spec.bcl_p_t_dbm, rho_km2, mcs, 1.0)
+    return row, row[SUMMARY_COLUMNS.index("C_e2e")]
 
 
 def _power_grid(spec: ExperimentSpec) -> list[tuple]:

@@ -101,7 +101,7 @@ class Deployment:
 def deploy(
     cfg: FieldConfig,
     seed: int,
-    t_p: float = 0.01,
+    t_p: float,
     max_strip_width: float | None = None,
 ) -> Deployment:
     """Scatter a Poisson field over the strip rectangle plus margin.

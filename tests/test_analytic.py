@@ -24,7 +24,6 @@ from omrsim.analytic import (
     propagate_hop,
     run_recursion,
     x_c,
-    x_h_closed,
     x_h_step,
 )
 from omrsim.field import FieldConfig
@@ -177,7 +176,9 @@ def test_x_h_recursion_matches_closed_form():
     x = model.r1
     for i in range(2, 13):
         x = x_h_step(x, int(ks[i - 2]), model)
-        closed = x_h_closed(i, ks, model)
+        # varphi * (K_1 + ... + K_{i-1}) + (i - 1) beta r1 + r1
+        closed = (model.varphi * float(np.sum(ks[: i - 1]))
+                  + (i - 1) * model.beta * model.r1 + model.r1)
         assert x == pytest.approx(closed, rel=1e-12)
 
 

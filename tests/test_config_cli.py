@@ -19,7 +19,7 @@ from omrsim.config import (
     parse_config,
     watts_to_dbm,
 )
-from omrsim.engine import RetransmitPolicy, run_two_packet_trial
+from omrsim.engine import RetransmitPolicy, run_two_packet_trial, slot_budget
 from omrsim.experiments import SUMMARY_COLUMNS, run
 from omrsim.field import FieldConfig, Point2D
 
@@ -194,6 +194,28 @@ def test_negative_stagger_rejected(tmp_path, capsys):
         run_two_packet_trial(FieldConfig(), PhyConfig(), RetransmitPolicy(),
                              24, 1, src_a=Point2D(0.0, 120.0),
                              src_b=Point2D(0.0, -120.0), stagger_slots=-1)
+
+
+def test_stagger_past_slot_budget_rejected(tmp_path, capsys):
+    # flow b would be injected after the slot loop ends: its run is empty
+    spec = load_config(GOLDEN)
+    budget = slot_budget(spec.field, spec.phy, spec.policy)
+    cfg = tmp_path / "stagger.cfg"
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = fh.read()
+    cfg.write_text(golden + "scenario = two-packets\n"
+                   "two_stagger_slots = 100000\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: two_stagger_slots")
+    assert str(budget) in err[0]
+    last = replace(spec, scenario="two-packets", two_stagger_slots=budget - 1)
+    assert last.validate() == []
+    with pytest.raises(ValueError, match="stagger_slots"):
+        run_two_packet_trial(spec.field, spec.phy, spec.policy, spec.b, 1,
+                             src_a=Point2D(0.0, 120.0),
+                             src_b=Point2D(0.0, -120.0), stagger_slots=budget)
 
 
 def test_cli_analytic_prints_dumped_pmfs(tmp_path, capsys):

@@ -9,13 +9,13 @@ from omrsim import engine
 from omrsim.channel import PhyConfig, detection_constant
 from omrsim.engine import (
     RetransmitPolicy,
+    _delay_spread,
+    _path_step,
     decision_distance,
     decode_set,
     eligible,
     new_flow_state,
-    propagation_delays,
     rach_round,
-    rach_round_batch,
     run_flow_hop,
     run_trial,
     run_two_packet_trial,
@@ -32,14 +32,14 @@ R1 = U ** (-1.0 / 3.0)
 def test_rach_single_relay_always_resolvable():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        resolvable, j = rach_round(1, 8, rng)
-        assert resolvable.all() and j == 1
+        resolvable, j = rach_round(1, 8, 1, rng)
+        assert resolvable.all() and j[0] == 1
 
 
 def test_rach_two_relays_two_slots():
     # both pick the same slot (j=0) or different slots (j=1), equally likely
     rng = np.random.default_rng(1)
-    js = [rach_round(2, 2, rng)[1] for _ in range(40_000)]
+    js = [rach_round(2, 2, 1, rng)[1][0] for _ in range(40_000)]
     counts = np.bincount(js, minlength=3)
     assert counts[2] == 0
     assert abs(counts[1] / 40_000 - 0.5) < 3.0 * math.sqrt(0.25 / 40_000)
@@ -49,7 +49,7 @@ def test_rach_two_relays_two_slots():
 def test_rach_matches_enumeration(b, k):
     rng = np.random.default_rng(100 * b + k)
     n = 30_000
-    js = np.array([rach_round(k, b, rng)[1] for _ in range(n)])
+    js = np.array([rach_round(k, b, 1, rng)[1][0] for _ in range(n)])
     sim = np.bincount(js, minlength=k + 1) / n
     exact = j_distribution(b, k)
     for jv in range(k + 1):
@@ -60,18 +60,20 @@ def test_rach_matches_enumeration(b, k):
 
 @pytest.mark.parametrize("b", [2, 3, 16, 24])
 def test_rach_round_is_one_row_of_the_batch(b):
-    # same slots, same j, same generator state afterwards
-    one, batch = np.random.default_rng(7), np.random.default_rng(7)
+    # a one-round draw is the first row of a batch from the same generator
+    # state, and each row's j is its first resolvable flag
     for k in range(1, 50):
-        resolvable, j = rach_round(k, b, one)
-        assert j == rach_round_batch(k, b, 1, batch)[0]
-        assert j == (int(np.argmax(resolvable)) + 1 if resolvable.any() else 0)
-    assert one.random() == batch.random()
+        one, batch = np.random.default_rng(7), np.random.default_rng(7)
+        resolvable, j = rach_round(k, b, 1, one)
+        rows, js = rach_round(k, b, 8, batch)
+        assert j[0] == js[0] and (resolvable[0] == rows[0]).all()
+        for flags, jv in zip(rows, js):
+            assert jv == (int(np.argmax(flags)) + 1 if flags.any() else 0)
 
 
 def test_rach_j_zero_possible_when_k_exceeds_b():
     rng = np.random.default_rng(3)
-    js = [rach_round(5, 3, rng)[1] for _ in range(2000)]
+    js = rach_round(5, 3, 2000, rng)[1].tolist()
     assert 0 in js
 
 
@@ -218,38 +220,36 @@ def test_two_packet_outputs_pinned():
 
 def test_propagation_delays_chain_spread_zero():
     # single relay per hop: one arrival path, spread is zero
-    hops = [np.array([[0.0, 0.0]]),
-            np.array([[60.0, 5.0]]),
-            np.array([[130.0, -10.0]])]
-    dps, spread = propagation_delays(hops, Point2D(200.0, 0.0))
-    assert spread == 0.0
-    assert dps[1][0] == pytest.approx(math.hypot(60, 5))
-    assert dps[2][0] == pytest.approx(math.hypot(60, 5) + math.hypot(70, 15))
+    src, r1, r2 = (np.array([[0.0, 0.0]]), np.array([[60.0, 5.0]]),
+                   np.array([[130.0, -10.0]]))
+    dp1 = _path_step(r1, src, np.zeros(1), 0.0)
+    dp2 = _path_step(r2, r1, dp1, 0.0)
+    assert _delay_spread(r2, dp2, Point2D(200.0, 0.0)) == 0.0
+    assert dp1[0] == pytest.approx(math.hypot(60, 5))
+    assert dp2[0] == pytest.approx(math.hypot(60, 5) + math.hypot(70, 15))
 
 
 def test_propagation_delays_colocated_final_hop():
-    hops = [np.array([[0.0, 0.0]]),
-            np.array([[50.0, 0.0], [50.0, 0.0]])]
-    _, spread = propagation_delays(hops, Point2D(100.0, 0.0))
-    assert spread == 0.0
+    src, r1 = np.array([[0.0, 0.0]]), np.array([[50.0, 0.0], [50.0, 0.0]])
+    dp1 = _path_step(r1, src, np.zeros(1), 0.0)
+    assert _delay_spread(r1, dp1, Point2D(100.0, 0.0)) == 0.0
 
 
 def test_propagation_delays_min_over_parents():
     # two parents with different accumulated delays: child takes the minimum
-    hops = [np.array([[0.0, 0.0]]),
-            np.array([[10.0, 0.0], [10.0, 30.0]]),
-            np.array([[40.0, 0.0]])]
-    dps, _ = propagation_delays(hops, Point2D(100.0, 0.0))
+    src, r1 = np.array([[0.0, 0.0]]), np.array([[10.0, 0.0], [10.0, 30.0]])
+    dp1 = _path_step(r1, src, np.zeros(1), 0.0)
+    dp2 = _path_step(np.array([[40.0, 0.0]]), r1, dp1, 0.0)
     via_axial = 10.0 + 30.0
     via_lateral = math.hypot(10, 30) + math.hypot(30, 30)
-    assert dps[2][0] == pytest.approx(min(via_axial, via_lateral))
+    assert dp2[0] == pytest.approx(min(via_axial, via_lateral))
 
 
 def test_delta_r_adds_per_hop():
-    hops = [np.array([[0.0, 0.0]]), np.array([[10.0, 0.0]]),
-            np.array([[20.0, 0.0]])]
-    dps, _ = propagation_delays(hops, Point2D(30.0, 0.0), delta_r=7.0)
-    assert dps[2][0] == pytest.approx(20.0 + 2 * 7.0)
+    src, r1 = np.array([[0.0, 0.0]]), np.array([[10.0, 0.0]])
+    dp1 = _path_step(r1, src, np.zeros(1), 7.0)
+    dp2 = _path_step(np.array([[20.0, 0.0]]), r1, dp1, 7.0)
+    assert dp2[0] == pytest.approx(20.0 + 2 * 7.0)
 
 
 def test_run_trial_deterministic():

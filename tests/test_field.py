@@ -55,7 +55,7 @@ def test_in_strip_rotated_axis():
 def test_deploy_mean_count_matches_area():
     # 0.2 km x 2 km strip box at 1500 km^-2 averages 600 nodes before margins
     cfg = FieldConfig(rho=1500e-6, length=2000.0, w=200.0, field_margin=0.0)
-    counts = [deploy(cfg, seed).n for seed in range(300)]
+    counts = [deploy(cfg, seed, t_p=0.01).n for seed in range(300)]
     mean = np.mean(counts)
     expect = cfg.rho * 2000.0 * 200.0
     assert expect == 600.0
@@ -66,7 +66,8 @@ def test_deploy_poisson_mean_equals_variance():
     # rho * A = 50; over many seeds the sample mean and variance both hit 50
     cfg = FieldConfig(rho=5e-4, length=500.0, w=200.0, field_margin=0.0)
     n_seeds = 10_000
-    counts = np.array([deploy(cfg, seed).n for seed in range(n_seeds)])
+    counts = np.array([deploy(cfg, seed, t_p=0.01).n
+                       for seed in range(n_seeds)])
     lam = 50.0
     se_mean = math.sqrt(lam / n_seeds)
     assert abs(counts.mean() - lam) < 3.0 * se_mean
@@ -82,7 +83,7 @@ def test_deploy_subrectangle_counts():
     sub = 0
     n_seeds = 400
     for seed in range(n_seeds):
-        d = deploy(cfg, seed)
+        d = deploy(cfg, seed, t_p=0.01)
         sub += np.count_nonzero(
             (d.xs >= 100.0) & (d.xs <= 400.0) & (d.ys >= -50.0) & (d.ys <= 50.0)
         )
@@ -92,18 +93,18 @@ def test_deploy_subrectangle_counts():
 
 def test_deploy_deterministic():
     cfg = FieldConfig()
-    a = deploy(cfg, 1234)
-    b = deploy(cfg, 1234)
+    a = deploy(cfg, 1234, t_p=0.01)
+    b = deploy(cfg, 1234, t_p=0.01)
     assert a.n == b.n
     np.testing.assert_array_equal(a.xs, b.xs)
     np.testing.assert_array_equal(a.ys, b.ys)
     np.testing.assert_array_equal(a.sleep_phases, b.sleep_phases)
-    c = deploy(cfg, 1235)
+    c = deploy(cfg, 1235, t_p=0.01)
     assert c.n != a.n or not np.array_equal(a.xs, c.xs)
 
 
 def test_deploy_sorted_and_windowed():
-    d = deploy(FieldConfig(), 7)
+    d = deploy(FieldConfig(), 7, t_p=0.01)
     assert np.all(np.diff(d.xs) >= 0)
     i0, i1 = d.window(500.0, 600.0)
     assert np.all((d.xs[i0:i1] >= 500.0) & (d.xs[i0:i1] <= 600.0))
@@ -115,7 +116,7 @@ def test_deploy_sorted_and_windowed():
 
 def test_deploy_widened_strip_extent():
     cfg = FieldConfig(w=200.0, field_margin=100.0)
-    d = deploy(cfg, 3, max_strip_width=450.0)
+    d = deploy(cfg, 3, t_p=0.01, max_strip_width=450.0)
     assert d.bounds[3] == 450.0 / 2 + 100.0
 
 

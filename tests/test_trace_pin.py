@@ -105,9 +105,13 @@ def test_tracer_installs_and_counts_one_contour_solve_per_trial(monkeypatch):
     tracer = Tracer()
     tracer.install(omrsim)
     try:
-        omrsim.engine.run_trial(spec.field, spec.phy, spec.policy, spec.b, 7)
+        res = omrsim.engine.run_trial(spec.field, spec.phy, spec.policy,
+                                      spec.b, 7)
     finally:
         tracer.remove()
     calls = tracer.totals()["calls"]
     assert calls["engine.run_trial"] == 1
     assert calls["channel.coverage_contour"] == 1
+    # one RACH draw per attempt after the source's hop
+    assert calls["engine.rach_round"] \
+        == sum(1 + r.n_r for r in res.records if r.hop >= 2) > 0

@@ -8,13 +8,22 @@ worktree is created). Every scenario then runs on this checkout's
 and 2, once on REV's source and once on this checkout's ``src/``. A run is
 identical when both sides give the same exit code, the same stdout and stderr
 (with each side's output directory replaced by one placeholder) and the same
-set of written files, byte for byte. One verdict line is printed per run;
-the exit code is 1 if any run differs. Standard library only.
+set of written files, byte for byte. One verdict line is printed per run.
+
+Each side then digests the records of every trial seed in the pools under
+``perfbench/reference/`` (6,144 trials at 24 and 33 dBm) and of 240
+two-packet runs: the golden field with seeds 4400-4439 and
+``FieldConfig(length=300.0)`` with seeds 0-199, on the golden PHY and
+policy. The digests must be equal; floats are compared by their exact
+``repr``. The exit code is 1 if any run or digest differs. The tool itself
+uses the standard library only; the digests run under each side's omrsim.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +40,8 @@ TRIALS = (4, 12)
 WORKERS = (1, 2)
 SEED = 5
 OUT_PLACEHOLDER = "<out>"
+REFERENCE_POWERS_DBM = (24.0, 33.0)
+DIGEST_ARG = "--digest"  # private: print this interpreter's digests as JSON
 
 
 def archive_src(rev: str, dest: Path) -> Path:
@@ -40,6 +51,50 @@ def archive_src(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest)
     return dest / "src"
+
+
+def digests() -> dict[str, str]:
+    """SHA-256 of the reference-pool trial records and of the two-packet
+    records, computed with the omrsim on sys.path."""
+    import numpy as np
+    from omrsim.config import dbm_to_watts, load_config
+    from omrsim.engine import run_trial, run_two_packet_trial
+    from omrsim.field import FieldConfig, Point2D
+
+    def line(res) -> str:
+        return repr(([tuple(r) for r in res.records], res.reached, res.q,
+                     float(res.delay_spread_s)))
+
+    spec = load_config(str(GOLDEN))
+    trials = hashlib.sha256()
+    for p_t_dbm in REFERENCE_POWERS_DBM:
+        phy = spec.phy.with_tx_power(dbm_to_watts(p_t_dbm))
+        ref = ROOT / "perfbench" / "reference" / f"trials-{p_t_dbm:g}dBm.npz"
+        with np.load(ref) as pool:
+            for seed in pool["seeds"].tolist():
+                res = run_trial(spec.field, phy, spec.policy, spec.b, seed)
+                trials.update(line(res).encode() + b"\n")
+    two = hashlib.sha256()
+    for field, seeds in ((spec.field, range(4400, 4440)),
+                         (FieldConfig(length=300.0), range(200))):
+        for seed in seeds:
+            res = run_two_packet_trial(
+                field, spec.phy, spec.policy, spec.b, seed,
+                src_a=Point2D(0.0, 120.0), src_b=Point2D(0.0, -120.0),
+                interference_radius=spec.interference_radius)
+            two.update(repr((line(res.flow_a), line(res.flow_b),
+                             res.interference_tagged,
+                             res.slots_used)).encode() + b"\n")
+    return {"reference trials": trials.hexdigest(),
+            "two-packet runs": two.hexdigest()}
+
+
+def side_digests(src: Path) -> dict[str, str]:
+    """digests() under the omrsim in src, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, __file__, DIGEST_ARG], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def run_cli(src: Path, scenario: str, trials: int, workers: int,
@@ -76,6 +131,9 @@ def differences(a, b) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    if argv == [DIGEST_ARG]:
+        print(json.dumps(digests()))
+        return 0
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
@@ -101,8 +159,14 @@ def main(argv: list[str]) -> int:
                     print(f"{scenario:<16} trials={trials:<3} "
                           f"workers={workers}  exit={results[1][0]}  "
                           f"{verdict}", flush=True)
-    runs = len(SCENARIOS) * len(TRIALS) * len(WORKERS)
-    print(f"{runs - failed} of {runs} runs identical to {rev}")
+        runs = len(SCENARIOS) * len(TRIALS) * len(WORKERS)
+        print(f"{runs - failed} of {runs} runs identical to {rev}", flush=True)
+        want, got = (side_digests(src) for src in sides.values())
+    for name in want:
+        same = want[name] == got[name]
+        failed += not same
+        print(f"{name:<17} digest {got[name][:16]}  "
+              f"{'identical' if same else 'DIFFERS from ' + want[name][:16]}")
     return 1 if failed else 0
 
 
