@@ -17,34 +17,27 @@ MAX_CYCLES_PER_HOP = 512   # empty contention cycles before a hop deadlocks
 class BclConfig:
     """Contention-cycle baseline parameters, checked on construction.
 
-    d_m and xi default to None: the transmission range is then derived from
-    the detection constant at the baseline's transmit power, and the
-    positive-progress fraction from the forward-lens geometry at half the
+    The transmission range and the positive-progress fraction are not
+    parameters: run_bcl derives them from the PHY (the single-transmitter
+    detection reach) and the forward-lens geometry at half the
     source-destination distance.
     """
 
-    d_m: float | None = None       # disc transmission range, m
     n_p: int = 4                   # slots per contention cycle
     t_s: float = 3.5e-3            # RTS/CTS slot duration, s
-    xi: float | None = None        # fraction of in-range nodes with progress
 
     def __post_init__(self) -> None:
         if not (self.n_p >= 1):
             raise ValueError(f"n_p must be >= 1, got {self.n_p}")
         if not (0.0 < self.t_s < math.inf):
             raise ValueError(f"t_s must be positive, got {self.t_s}")
-        if self.d_m is not None and not (0.0 < self.d_m < math.inf):
-            raise ValueError(f"d_m must be positive, got {self.d_m}")
-        if self.xi is not None and not (0.0 < self.xi <= 1.0):
-            raise ValueError(f"xi must be in (0, 1], got {self.xi}")
 
 
 @dataclass
 class CycleOutcome:
     m_e: int            # empty slots before the first CTS
     m_n: int            # CTS slots used, including the final clean one
-    winner_progress: float
-    winner_index: int = -1  # position within the candidate array passed in
+    winner_index: int   # position within the candidate array passed in
 
 
 @dataclass
@@ -53,9 +46,6 @@ class BclResult:
     e_m_e: float
     e_m_n: float
     e_hops: float
-    e_progress: float
-    hop_energy_j: float
-    hop_delay_s: float
     e2e_energy_j: float
     e2e_delay_s: float
     delivered: int
@@ -113,10 +103,7 @@ def contention_cycle(
         resplit = rng.integers(0, split, size=contenders.size)
         best = resplit.min()
         contenders = contenders[resplit == best]
-    winner = int(contenders[0])
-    return CycleOutcome(m_e=first, m_n=m_n,
-                        winner_progress=float(progresses[winner]),
-                        winner_index=winner)
+    return CycleOutcome(m_e=first, m_n=m_n, winner_index=int(contenders[0]))
 
 
 def hop_energy_tx(e_eta: float, e_m_e: float, e_m_n: float,
@@ -172,7 +159,7 @@ def run_bcl(
     wins after any collision resolution. A hop with an empty forward lens even
     before sleep thinning deadlocks the trial.
     """
-    d_m = cfg.d_m if cfg.d_m is not None else default_range(phy)
+    d_m = default_range(phy)
     dst = np.array([field_cfg.length, 0.0])
 
     ss = np.random.SeedSequence(seed)
@@ -224,7 +211,7 @@ def run_bcl(
             d_hold = float(np.linalg.norm(holder - dst))
             hops += 1
             per_hop.append((trial, hops, eta, outcome.m_e, outcome.m_n,
-                            outcome.winner_progress))
+                            float(fprog[winner])))
 
         if alive:
             # destination in range: it always answers on the first slot
@@ -235,14 +222,13 @@ def run_bcl(
 
     if not delivered:
         return BclResult(math.nan, math.nan, math.nan, math.nan, math.nan,
-                         math.nan, math.nan, math.nan, math.nan,
-                         0, trials, per_hop)
+                         math.nan, 0, trials, per_hop)
 
-    _, _, etas, mes, mns, progs = zip(*per_hop)
+    _, _, etas, mes, mns, _ = zip(*per_hop)
     e_eta, e_m_e, e_m_n = map(lambda v: float(np.mean(v)), (etas, mes, mns))
 
     e_hops = float(np.mean(hops_per_trial))
-    xi = cfg.xi if cfg.xi is not None else xi_geometric(field_cfg.length / 2.0, d_m)
+    xi = xi_geometric(field_cfg.length / 2.0, d_m)
     he = hop_energy_tx(e_eta, e_m_e, e_m_n, cfg, phy, field_cfg.epsilon,
                        field_cfg.rho, d_m, xi) \
         + hop_energy_rx(e_eta, e_m_e, e_m_n, cfg, phy, field_cfg.epsilon,
@@ -250,8 +236,6 @@ def run_bcl(
     hd = hop_delay(e_eta, e_m_e + e_m_n, cfg)
     return BclResult(
         e_eta=e_eta, e_m_e=e_m_e, e_m_n=e_m_n, e_hops=e_hops,
-        e_progress=float(np.mean(progs)),
-        hop_energy_j=he, hop_delay_s=hd,
         e2e_energy_j=e_hops * he, e2e_delay_s=e_hops * hd,
         delivered=delivered, trials=trials, per_hop=per_hop,
     )

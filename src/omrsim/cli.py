@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .analytic import CalibrationError, TruncationError
-from .config import ConfigError, ExperimentSpec, SCENARIOS, load_config
+from .config import ConfigError, SCENARIOS, load_config, parse_config
 from .experiments import run
 
 
@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the scenario from the config file")
     parser.add_argument("--trials", type=int, help="trials per sweep point")
     parser.add_argument("--seed", type=int, help="base reproducibility seed")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--workers", type=int,
                         help="worker processes (0 = all cores, 1 = inline)")
     parser.add_argument("--validate-only", action="store_true",
@@ -30,8 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # flags set on the command line override the file's keys
+    overrides = {key: getattr(args, key) for key in
+                 ("scenario", "trials", "seed", "out_dir", "workers")
+                 if getattr(args, key) is not None}
     try:
-        spec = load_config(args.config) if args.config else ExperimentSpec()
+        spec = (load_config(args.config, **overrides) if args.config
+                else parse_config("", **overrides))
     except ConfigError as exc:
         for diag in exc.diagnostics:
             print(f"config error: {diag}", file=sys.stderr)
@@ -39,33 +44,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-
-    if args.scenario:
-        spec.scenario = args.scenario
-    if args.trials is not None:
-        spec.trials = args.trials
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.out is not None:
-        spec.out_dir = args.out
-    if args.workers is not None:
-        spec.workers = args.workers
-
-    diags = spec.validate()
-    if diags:
-        for diag in diags:
-            print(f"config error: {diag}", file=sys.stderr)
-        return 2
     if args.validate_only:
         print("configuration ok")
         return 0
 
     try:
         paths = run(spec)
-    except ConfigError as exc:
-        for diag in exc.diagnostics:
-            print(f"config error: {diag}", file=sys.stderr)
-        return 2
     except (CalibrationError, TruncationError) as exc:
         kind = "calibration" if isinstance(exc, CalibrationError) else "recursion"
         print(f"{kind} error: {exc}", file=sys.stderr)

@@ -195,10 +195,8 @@ _KEYMAP = {
     "delta_w_m": ("policy", "delta_w", float),
     "fa_rate": ("policy", "fa_rate", float),
 
-    "bcl_d_m_m": ("bcl", "d_m", lambda s: None if s.lower() == "auto" else float(s)),
     "bcl_n_p": ("bcl", "n_p", int),
     "bcl_t_s_s": ("bcl", "t_s", float),
-    "bcl_xi": ("bcl", "xi", lambda s: None if s.lower() == "auto" else float(s)),
 }
 
 _LIST_KEYS = {
@@ -210,10 +208,12 @@ _LIST_KEYS = {
 }
 
 
-def parse_config(text: str) -> ExperimentSpec:
+def parse_config(text: str, **overrides) -> ExperimentSpec:
     """Parse `key = value` lines into a spec; '#' starts a comment.
 
-    Raises ConfigError with one line-referenced diagnostic per problem.
+    `overrides` set ExperimentSpec fields over the file's keys before the
+    spec is validated. Raises ConfigError with one line-referenced
+    diagnostic per problem.
     """
     spec = ExperimentSpec()
     updates: dict[str, dict] = {k: {} for k in ("field", "phy", "policy", "bcl")}
@@ -256,12 +256,13 @@ def parse_config(text: str) -> ExperimentSpec:
             setattr(spec, part, replace(getattr(spec, part), **changes))
         except ValueError as exc:
             diags.append(f"{part}: {exc}")
+    spec = replace(spec, **overrides)
     diags += spec.validate()
     if diags:
         raise ConfigError(diags)
     return spec
 
 
-def load_config(path: str) -> ExperimentSpec:
+def load_config(path: str, **overrides) -> ExperimentSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), **overrides)

@@ -67,7 +67,6 @@ class TrialResult:
     reached: bool
     q: int                    # hops traversed (delivery hop when reached)
     delay_spread_s: float     # forwarding delay spread at the destination
-    seed: int
 
 
 def rach_round(k: int, b: int, n: int,
@@ -186,7 +185,9 @@ class _FlowState:
     dp: np.ndarray                # accumulated propagation path length, m
     seen: np.ndarray
     parked: np.ndarray            # decoded earlier, never relayed; may re-qualify
-    t: float = 0.0
+    rng: np.random.Generator      # RACH draws and false alarms
+    next_slot: int                # grid slot of the flow's next transmission
+    t: float                      # sleep-schedule clock (see docs/decisions.md)
     hop: int = 1
     n_r: int = 0
     n_r_interference: int = 0
@@ -196,20 +197,17 @@ class _FlowState:
     failed: bool = False
     delay_spread_s: float = math.nan
     stragglers: dict = dc_field(default_factory=dict)  # hop -> list of (x, y, dp)
-    rng: np.random.Generator | None = None  # RACH draws and false alarms
-    next_slot: int = 0            # grid slot of the flow's next transmission
 
     @property
     def done(self) -> bool:
         return self.reached or self.failed
 
-    def result(self, seed: int) -> TrialResult:
+    def result(self) -> TrialResult:
         return TrialResult(
             records=self.records,
             reached=self.reached,
             q=self.records[-1].hop if self.records else 0,
             delay_spread_s=self.delay_spread_s,
-            seed=seed,
         )
 
 
@@ -293,7 +291,6 @@ def _register_false_alarms(
     old_xy: np.ndarray,
     old_dp: np.ndarray,
     policy: RetransmitPolicy,
-    rng: np.random.Generator,
 ) -> None:
     """Relays that miss the forwarded packet ID rejoin later transmit sets.
 
@@ -303,7 +300,7 @@ def _register_false_alarms(
     """
     if policy.fa_rate <= 0.0:
         return
-    fa = rng.random(old_xy.shape[0]) < policy.fa_rate
+    fa = state.rng.random(old_xy.shape[0]) < policy.fa_rate
     for i in np.flatnonzero(fa):
         for n in range(2, policy.n_r_max + 2):
             target_set = (state.hop - 1) + n
@@ -318,7 +315,6 @@ def run_flow_hop(
     phy: PhyConfig,
     policy: RetransmitPolicy,
     u: float,
-    rng: np.random.Generator,
     slot: float,
     pn_extra_fn=None,
 ) -> bool:
@@ -334,7 +330,7 @@ def run_flow_hop(
     old_xy, old_dp = state.relay_xy, state.dp
     # the source position travels in the header; it is always resolvable
     j_prev = 1 if state.hop == 1 \
-        else int(rach_round(old_xy.shape[0], state.b, 1, rng)[1][0])
+        else int(rach_round(old_xy.shape[0], state.b, 1, state.rng)[1][0])
     d_ref = decision_distance(old_xy, j_prev, state.strip.dst)
     rx = _receive(state, deployment, phy, u, d_ref, pn_extra_fn)
     retransmit = not rx.progressed and state.n_r < policy.n_r_max
@@ -369,7 +365,7 @@ def run_flow_hop(
     state.sent_xy.append(old_xy)
     state.n_r = state.n_r_interference = 0  # the record holds this hop's count
     if k_new:
-        _register_false_alarms(state, old_xy, old_dp, policy, rng)
+        _register_false_alarms(state, old_xy, old_dp, policy)
         state.hop += 1
         state.t += slot
     return False
@@ -379,7 +375,7 @@ def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
                 policy: RetransmitPolicy) -> int:
     """Grid slots a run may use: 16 per first-hop reach of the field length
     (at least 512), times the attempts one hop may take."""
-    r1 = detection_constant(phy).u ** (-1.0 / phy.alpha)
+    r1 = detection_constant(phy).single_relay_radius
     return max(512, int(16.0 * field_cfg.length / r1)) * (policy.n_r_max + 1)
 
 
@@ -393,7 +389,10 @@ def check_stagger_slots(stagger_slots: int, field_cfg: FieldConfig,
 
 
 def new_flow_state(strip: Strip, strip_width: float, b: int,
-                   deployment: Deployment, start_t: float = 0.0) -> _FlowState:
+                   deployment: Deployment, rng: np.random.Generator,
+                   slot: float, start_slot: int = 0) -> _FlowState:
+    """A packet at its source, first transmitting in grid slot start_slot
+    (slots of `slot` seconds) and drawing its protocol randomness from rng."""
     return _FlowState(
         strip=strip,
         strip_width=strip_width,
@@ -402,7 +401,9 @@ def new_flow_state(strip: Strip, strip_width: float, b: int,
         dp=np.zeros(1),
         seen=np.zeros(deployment.n, dtype=bool),
         parked=np.zeros(deployment.n, dtype=bool),
-        t=start_t,
+        rng=rng,
+        next_slot=start_slot,
+        t=start_slot * slot,
     )
 
 
@@ -436,19 +437,16 @@ def _run_flows(
     lateral_span = 2.0 * max(abs(src.y) for src in srcs) + w_max
     deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
                         max_strip_width=lateral_span)
-    u = detection_constant(phy).u
+    dc = detection_constant(phy)
+    u = dc.u
     slot = phy.t_p + phy.t_guard
-    r1 = u ** (-1.0 / phy.alpha)
-    max_hops = max(256, int(8.0 * field_cfg.length / r1))
+    max_hops = max(256, int(8.0 * field_cfg.length / dc.single_relay_radius))
     max_slots = slot_budget(field_cfg, phy, policy)
 
-    flows = []
-    for i, (src, ss) in enumerate(zip(srcs, flow_ss)):
-        state = new_flow_state(Strip(src=src, dst=dst), field_cfg.w, b,
-                               deployment, start_t=i * stagger_slots * slot)
-        state.rng = np.random.default_rng(ss)
-        state.next_slot = i * stagger_slots
-        flows.append(state)
+    flows = [new_flow_state(Strip(src=src, dst=dst), field_cfg.w, b,
+                            deployment, np.random.default_rng(ss), slot,
+                            i * stagger_slots)
+             for i, (src, ss) in enumerate(zip(srcs, flow_ss))]
 
     slot_idx = 0
     while slot_idx < max_slots:
@@ -470,8 +468,8 @@ def _run_flows(
             np.vstack([g.relay_xy for g in txers if g is not f]), phy,
             interference_radius) if len(txers) > 1 else None for f in txers]
         for f, pn_fn in zip(txers, pn_fns):
-            retransmitted = run_flow_hop(f, deployment, phy, policy, u, f.rng,
-                                         slot, pn_extra_fn=pn_fn)
+            retransmitted = run_flow_hop(f, deployment, phy, policy, u, slot,
+                                         pn_extra_fn=pn_fn)
             f.next_slot += 2 if retransmitted else 1
         slot_idx += 1
     for f in flows:  # no forwarding decision reads xh0: one solve per flow
@@ -493,7 +491,7 @@ def run_trial(
     """One packet from (0, 0) to (L, 0) on a fresh Poisson field."""
     flows, _ = _run_flows(field_cfg, phy, policy, b, seed, [Point2D(0.0, 0.0)],
                           Point2D(field_cfg.length, 0.0))
-    return flows[0].result(seed)
+    return flows[0].result()
 
 
 @dataclass
@@ -530,5 +528,5 @@ def run_two_packet_trial(
     # the slot budget ran out carries them in the state
     tagged = sum(f.n_r_interference
                  + sum(r.n_r_interference for r in f.records) for f in flows)
-    return TwoPacketResult(flows[0].result(seed), flows[1].result(seed),
-                           tagged, slots_used)
+    return TwoPacketResult(flows[0].result(), flows[1].result(), tagged,
+                           slots_used)

@@ -78,7 +78,7 @@ def _one_omr_trial(args) -> TrialSummary:
     field, phy, policy, b, seed = args
     res = run_trial(field, phy, policy, b, seed)
     e, l = trial_e2e(res.records, phy)
-    return TrialSummary(res.seed, res.reached, res.q, res.delay_spread_s,
+    return TrialSummary(seed, res.reached, res.q, res.delay_spread_s,
                         res.records, e, l)
 
 

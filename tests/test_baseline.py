@@ -33,7 +33,6 @@ def test_cycle_single_candidate():
     out = contention_cycle(np.array([37.0]), 4, 100.0, rng)
     assert out.m_n == 1
     assert out.winner_index == 0
-    assert out.winner_progress == 37.0
     # progress 37/100 with 4 slots lands in band floor(0.63*4) = 2
     assert out.m_e == 2
 
@@ -43,7 +42,7 @@ def test_cycle_best_band_wins():
     out = contention_cycle(np.array([90.0, 40.0, 15.0]), 4, 100.0, rng)
     assert out.m_e == 0            # 90/100 -> band 0
     assert out.m_n == 1            # sole occupant of the first band
-    assert out.winner_progress == 90.0
+    assert out.winner_index == 0
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +204,9 @@ def test_run_bcl_first_hop_eta_matches_geometric_oracle():
     # i.i.d. per cycle, so eta | N follows a geometric law; average the oracle
     # over the Poisson candidate count conditioned on N >= 1
     fc = FieldConfig(rho=3.2e-4, epsilon=0.25, length=150.0, w=200.0)
-    cfg = BclConfig(d_m=100.0)
+    # the range comes from the PHY: scale p_t so the reach is 100 m
+    phy = PHY.with_tx_power(PHY.p_t * (100.0 / default_range(PHY)) ** PHY.alpha)
+    assert default_range(phy) == pytest.approx(100.0, rel=1e-12)
     lam = fc.rho * xi_geometric(fc.length, 100.0) * math.pi * 100.0 ** 2
     from scipy.stats import poisson
 
@@ -214,7 +215,7 @@ def test_run_bcl_first_hop_eta_matches_geometric_oracle():
     p_empty = (1 - fc.epsilon) ** ns
     oracle = float((pn * p_empty / (1 - p_empty)).sum() / pn.sum())
 
-    res = run_bcl(cfg, fc, PHY, trials=1500, seed=3)
+    res = run_bcl(BclConfig(), fc, phy, trials=1500, seed=3)
     first = [row[2] for row in res.per_hop if row[1] == 1]
     got = np.mean(first)
     se = np.std(first) / math.sqrt(len(first))
@@ -230,5 +231,3 @@ def test_run_bcl_deadlock_reported():
 def test_bcl_config_validation():
     with pytest.raises(ValueError):
         BclConfig(n_p=0)
-    with pytest.raises(ValueError):
-        BclConfig(xi=1.5)

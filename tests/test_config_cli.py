@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import importlib.util
 import math
 import os
 from dataclasses import fields, replace
@@ -14,13 +15,14 @@ from omrsim.cli import main
 from omrsim.config import (
     ConfigError,
     ExperimentSpec,
+    SWEEPS,
     dbm_to_watts,
     load_config,
     parse_config,
     watts_to_dbm,
 )
 from omrsim.engine import RetransmitPolicy, run_two_packet_trial, slot_budget
-from omrsim.experiments import SUMMARY_COLUMNS, run
+from omrsim.experiments import SUMMARY_COLUMNS, _SCENARIO_FUNCS, run
 from omrsim.field import FieldConfig, Point2D
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
@@ -97,11 +99,6 @@ def test_config_rejects_non_finite_field(cls, name, value):
     # every config is checked where it is built, replace() copies included
     with pytest.raises(ValueError):
         replace(cls(), **{name: value})
-
-
-def test_bcl_auto_fields_accept_none():
-    cfg = replace(BclConfig(d_m=100.0, xi=0.5), d_m=None, xi=None)
-    assert cfg.d_m is None and cfg.xi is None
 
 
 def test_cli_validate_only(tmp_path, capsys):
@@ -236,6 +233,35 @@ def test_cli_analytic_prints_dumped_pmfs(tmp_path, capsys):
 
 def test_cli_missing_config(capsys):
     assert main(["--config", "/nonexistent/x.cfg"]) == 2
+
+
+def test_cli_flags_override_before_validation(tmp_path, capsys):
+    # a flag replaces the file's key before the one validation, so a value
+    # the flag overrides is never judged
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = fh.read()
+    cfg = tmp_path / "t0.cfg"
+    cfg.write_text(golden.replace("trials = 1000", "trials = 0"))
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    assert "trials must be >= 1, got 0" in capsys.readouterr().err
+    assert main(["--config", str(cfg), "--trials", "4",
+                 "--validate-only"]) == 0
+    cfg.write_text("scenario = analytic\nb_rach_slots = 2\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    assert main(["--config", str(cfg), "--scenario", "omr-trials",
+                 "--validate-only"]) == 0
+
+
+def test_scenario_lists_match():
+    # a scenario missing from one list would skip validation, have no runner
+    # or escape the byte-identity check
+    path = os.path.join(os.path.dirname(__file__), "..", "tools",
+                        "check_identity.py")
+    loader = importlib.util.spec_from_file_location("check_identity", path)
+    check_identity = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(check_identity)
+    assert list(SWEEPS) == list(_SCENARIO_FUNCS) \
+        == list(check_identity.SCENARIOS)
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -171,20 +171,19 @@ def test_interference_tag_counts_requalifying_parked_node():
     # clean channel the parked node re-qualifies, so the retransmission is
     # tagged as caused by interference
     dep = _tiny_deployment([0.5 * R1], [0.0])
+    slot = PHY.t_p + PHY.t_guard
     state = new_flow_state(Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
-                           200.0, 16, dep)
+                           200.0, 16, dep, np.random.default_rng(0), slot)
     state.seen[0] = state.parked[0] = True
 
     def jammed(xs, ys):
         return np.full(np.shape(xs), 1e3)
 
     pol = RetransmitPolicy()
-    slot = PHY.t_p + PHY.t_guard
-    rng = np.random.default_rng(0)
-    run_flow_hop(state, dep, PHY, pol, U, rng, slot, pn_extra_fn=jammed)
+    run_flow_hop(state, dep, PHY, pol, U, slot, pn_extra_fn=jammed)
     assert (state.hop, state.n_r, state.n_r_interference) == (1, 1, 1)
     # and on the clean channel the parked node does relay
-    run_flow_hop(state, dep, PHY, pol, U, rng, slot)
+    run_flow_hop(state, dep, PHY, pol, U, slot)
     assert state.hop == 2 and state.records[-1].k == 1
     assert not state.parked[0]
 
@@ -294,18 +293,17 @@ def test_trial_invariants_ordering_duplicates_strip():
     d_ss, p_ss = ss.spawn(2)
     dep = deploy(fc, d_ss, t_p=phy.t_p,
                  max_strip_width=fc.w + pol.n_r_max * pol.delta_w)
-    rng = np.random.default_rng(p_ss)
-    state = new_flow_state(Strip(src=Point2D(0, 0), dst=Point2D(fc.length, 0)),
-                           fc.w, 16, dep)
-    u = detection_constant(phy).u
     slot = phy.t_p + phy.t_guard
+    state = new_flow_state(Strip(src=Point2D(0, 0), dst=Point2D(fc.length, 0)),
+                           fc.w, 16, dep, np.random.default_rng(p_ss), slot)
+    u = detection_constant(phy).u
 
     decoded_once = np.zeros(dep.n, dtype=int)
     widths = [state.strip_width]
     seen_before = state.seen.copy()
     for _ in range(600):
         prev_relays = state.relay_xy.copy()
-        run_flow_hop(state, dep, phy, pol, u, rng, slot)
+        run_flow_hop(state, dep, phy, pol, u, slot)
         widths.append(state.strip_width)
         newly = state.seen & ~seen_before
         decoded_once += newly
@@ -364,9 +362,10 @@ def test_false_alarm_straggler_bookkeeping():
     state = _FlowState.__new__(_FlowState)
     state.hop = 5          # the listeners form R_4
     state.stragglers = {}
+    state.rng = np.random.default_rng(0)
     xy = np.array([[100.0, 0.0]])
     dp = np.array([123.0])
-    _register_false_alarms(state, xy, dp, pol, np.random.default_rng(0))
+    _register_false_alarms(state, xy, dp, pol)
     assert sorted(state.stragglers) == [6, 7, 8]  # R_{4+2} .. R_{4+4}
     for entries in state.stragglers.values():
         assert entries == [(100.0, 0.0, 123.0)]

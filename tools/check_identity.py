@@ -14,7 +14,10 @@ Each side then digests the records of every trial seed in the pools under
 ``perfbench/reference/`` (6,144 trials at 24 and 33 dBm) and of 240
 two-packet runs: the golden field with seeds 4400-4439 and
 ``FieldConfig(length=300.0)`` with seeds 0-199, on the golden PHY and
-policy. The digests must be equal; floats are compared by their exact
+policy. A third digest covers ``run_bcl(BclConfig(), ...)`` on the golden
+field at each density in ``rho_per_km2_list``, 100 trials each, under the
+golden PHY at ``bcl_p_t_dbm`` and under ``mcs_phy(spec, "QPSK-coherent")``.
+The digests must be equal; floats are compared by their exact
 ``repr``. The exit code is 1 if any run or digest differs. The tool itself
 uses the standard library only; the digests run under each side's omrsim.
 """
@@ -41,6 +44,7 @@ WORKERS = (1, 2)
 SEED = 5
 OUT_PLACEHOLDER = "<out>"
 REFERENCE_POWERS_DBM = (24.0, 33.0)
+BCL_TRIALS = 100
 DIGEST_ARG = "--digest"  # private: print this interpreter's digests as JSON
 
 
@@ -54,10 +58,13 @@ def archive_src(rev: str, dest: Path) -> Path:
 
 
 def digests() -> dict[str, str]:
-    """SHA-256 of the reference-pool trial records and of the two-packet
-    records, computed with the omrsim on sys.path."""
+    """SHA-256 of the reference-pool trial records, of the two-packet
+    records and of the BCL walks, computed with the omrsim on sys.path."""
+    from dataclasses import replace
+
     import numpy as np
-    from omrsim.config import dbm_to_watts, load_config
+    from omrsim.baseline import BclConfig, run_bcl
+    from omrsim.config import dbm_to_watts, load_config, mcs_phy
     from omrsim.engine import run_trial, run_two_packet_trial
     from omrsim.field import FieldConfig, Point2D
 
@@ -85,8 +92,18 @@ def digests() -> dict[str, str]:
             two.update(repr((line(res.flow_a), line(res.flow_b),
                              res.interference_tagged,
                              res.slots_used)).encode() + b"\n")
+    bcl = hashlib.sha256()
+    for phy in (spec.phy.with_tx_power(dbm_to_watts(spec.bcl_p_t_dbm)),
+                mcs_phy(spec, "QPSK-coherent")):
+        for rho_km2 in spec.rho_per_km2_list:
+            res = run_bcl(BclConfig(), replace(spec.field, rho=rho_km2 * 1e-6),
+                          phy, BCL_TRIALS, SEED)
+            # only the fields both revisions' BclResult carry
+            bcl.update(repr((res.per_hop, res.e2e_energy_j, res.e2e_delay_s,
+                             res.delivered, res.trials)).encode() + b"\n")
     return {"reference trials": trials.hexdigest(),
-            "two-packet runs": two.hexdigest()}
+            "two-packet runs": two.hexdigest(),
+            "BCL walks": bcl.hexdigest()}
 
 
 def side_digests(src: Path) -> dict[str, str]:
