@@ -92,15 +92,6 @@ class IntDist:
         return IntDist(p)
 
 
-def poisson_dist(mean: float) -> IntDist:
-    """Poisson pmf truncated where the upper tail drops below TAIL_TOL."""
-    if mean <= 0.0:
-        return IntDist.point_mass(0)
-    hi = int(_poisson.isf(TAIL_TOL * 0.1, mean)) + 2
-    probs = _poisson.pmf(np.arange(hi), mean)
-    return IntDist(probs).truncated()
-
-
 def _p_z_prefix(k: int, b: int, z_max: int) -> list[float]:
     """[p_1, .., p_{z_max}]: weights of z resolvable relays among k over b slots.
 
@@ -341,7 +332,7 @@ class HopStatistics:
     dists_l: list[IntDist] = dc_field(default_factory=list)
 
 
-def _mixture_poisson(means: np.ndarray, weights: np.ndarray) -> IntDist:
+def poisson_mixture(means: np.ndarray, weights: np.ndarray) -> IntDist:
     """Sum_w Poisson(mean_w), truncated to the tail tolerance.
 
     Components are evaluated in blocks of _MIX_CHUNK rows with the Poisson
@@ -370,8 +361,9 @@ def init_recursion(
     a_decode, a_relay = first_hop_areas(r1, field_cfg.w)
     lam_k = field_cfg.epsilon * field_cfg.rho * a_relay
     lam_l = field_cfg.epsilon * field_cfg.rho * a_decode
-    dist_k1 = poisson_dist(lam_k).zero_truncated().truncated()
-    dist_l1 = poisson_dist(lam_l)
+    one = np.ones(1)  # a single component
+    dist_k1 = poisson_mixture(np.array([lam_k]), one).zero_truncated().truncated()
+    dist_l1 = poisson_mixture(np.array([lam_l]), one)
     row = HopRow(
         hop=1,
         e_k=dist_k1.mean(),
@@ -425,9 +417,9 @@ def propagate_hop(
     a_sliver[1:] = areas(x_cs, anchor, w, dst_x)
 
     # decoders: Poisson over the fresh band + sleep-staggered previous band
-    p_l = _mixture_poisson(eps * rho * a_decode[k_mask], k_prev.probs[k_mask])
-    p_l_minus = _mixture_poisson(eps * rho * p_wk * state.a_decode_prev,
-                                 state.dist_k_prev2.probs)
+    p_l = poisson_mixture(eps * rho * a_decode[k_mask], k_prev.probs[k_mask])
+    p_l_minus = poisson_mixture(eps * rho * p_wk * state.a_decode_prev,
+                                state.dist_k_prev2.probs)
     dist_l = p_l.convolve(p_l_minus)
 
     # relays: mix over (j, previous count); j = 0 falls back to the arc
@@ -446,13 +438,13 @@ def propagate_hop(
     means_r = np.concatenate(means_r)
     weights_r = np.concatenate(weights_r)
 
-    p_k = _mixture_poisson(means_r, weights_r)
+    p_k = poisson_mixture(means_r, weights_r)
     with np.errstate(over="ignore"):  # a dense band's 1 / inf = 0 is right
         e_nr = float(np.dot(1.0 / np.expm1(means_r), weights_r))
 
     j_effs = np.flatnonzero(j_marginal > 0.0)
-    p_k_minus = _mixture_poisson(eps * rho * p_wk * a_sliver[j_effs],
-                                 j_marginal[j_effs])
+    p_k_minus = poisson_mixture(eps * rho * p_wk * a_sliver[j_effs],
+                                j_marginal[j_effs])
     dist_k = p_k.convolve(p_k_minus).zero_truncated().truncated()
 
     x_anchor = x_h_step(anchor, k_prev.mean(), model)

@@ -54,6 +54,9 @@ def main(argv: list[str] | None = None) -> int:
         kind = "calibration" if isinstance(exc, CalibrationError) else "recursion"
         print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

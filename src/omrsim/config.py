@@ -78,6 +78,8 @@ class ExperimentSpec:
                          f"'{self.scenario}'")
         if self.trials < 1:
             diags.append(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            diags.append(f"seed must be >= 0, got {self.seed}")
         if self.workers < 0:
             diags.append("workers must be >= 0")
         for key in SWEEPS.get(self.scenario, ()):
@@ -154,6 +156,11 @@ SWEEPS = {
 SCENARIOS = tuple(SWEEPS)
 
 
+def _list_of(conv):
+    """Converter of a comma-separated list whose items convert with conv."""
+    return lambda s: [conv(v.strip()) for v in s.split(",") if v.strip()]
+
+
 # file keys -> (target, attribute, converter); unit suffixes make the file
 # self-documenting
 _KEYMAP = {
@@ -168,6 +175,11 @@ _KEYMAP = {
     "dump_pmfs": ("spec", "dump_pmfs", lambda s: s.lower() in ("1", "true", "yes")),
     "interference_radius_m": ("spec", "interference_radius", float),
     "two_stagger_slots": ("spec", "two_stagger_slots", int),
+    "p_t_dbm_list": ("spec", "p_t_dbm_list", _list_of(float)),
+    "rho_per_km2_list": ("spec", "rho_per_km2_list", _list_of(float)),
+    "b_list": ("spec", "b_list", _list_of(int)),
+    "mcs_list": ("spec", "mcs_list", _list_of(str)),
+    "w_list_m": ("spec", "w_list", _list_of(float)),
 
     "rho_per_km2": ("field", "rho", lambda s: float(s) * 1e-6),
     "epsilon": ("field", "epsilon", float),
@@ -199,14 +211,6 @@ _KEYMAP = {
     "bcl_t_s_s": ("bcl", "t_s", float),
 }
 
-_LIST_KEYS = {
-    "p_t_dbm_list": ("p_t_dbm_list", float),
-    "rho_per_km2_list": ("rho_per_km2_list", float),
-    "b_list": ("b_list", int),
-    "mcs_list": ("mcs_list", str),
-    "w_list_m": ("w_list", float),
-}
-
 
 def parse_config(text: str, **overrides) -> ExperimentSpec:
     """Parse `key = value` lines into a spec; '#' starts a comment.
@@ -227,13 +231,6 @@ def parse_config(text: str, **overrides) -> ExperimentSpec:
             diags.append(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
             continue
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in _LIST_KEYS:
-            attr, conv = _LIST_KEYS[key]
-            try:
-                setattr(spec, attr, [conv(v.strip()) for v in value.split(",") if v.strip()])
-            except ValueError as exc:
-                diags.append(f"line {lineno}: {key}: {exc}")
-            continue
         if key not in _KEYMAP:
             diags.append(f"line {lineno}: unknown key '{key}'")
             continue

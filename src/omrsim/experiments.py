@@ -31,21 +31,24 @@ TWO_SRC_A = Point2D(0.0, 120.0)
 TWO_SRC_B = Point2D(0.0, -120.0)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(spec: ExperimentSpec, name: str, header: list[str],
+               rows) -> str:
+    """Write spec.out_dir/<name>; returns its path."""
+    path = os.path.join(spec.out_dir, name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in row])
+    return path
 
 
 def _write_figure(spec: ExperimentSpec, stem: str, header: list[str], rows,
                   title: str, x: str, y: str, series: str | None = None,
                   notes: str = "") -> str:
-    """Write <stem>.csv and its plain-text plot recipe; returns the CSV path."""
-    path = os.path.join(spec.out_dir, f"{stem}.csv")
-    _write_csv(path, header, rows)
+    """Write <stem>.csv and its plot recipe beside it; returns the CSV path."""
+    path = _write_csv(spec, f"{stem}.csv", header, rows)
     lines = [
         f"title = {title}",
         f"data = {stem}.csv",
@@ -56,8 +59,7 @@ def _write_figure(spec: ExperimentSpec, stem: str, header: list[str], rows,
         lines.append(f"series_by = {series}")
     if notes:
         lines.append(f"notes = {notes}")
-    with open(os.path.join(spec.out_dir, f"{stem}.plot.txt"), "w",
-              encoding="utf-8") as fh:
+    with open(path[:-len(".csv")] + ".plot.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
 
@@ -138,27 +140,22 @@ def _bcl_row(res, phy: PhyConfig, p_dbm: float, rho_km2: float,
 
 def scenario_omr_trials(spec: ExperimentSpec) -> list[str]:
     batch = run_omr_batch(spec, spec.field, spec.phy, spec.trials, spec.seed)
-    trace_path = os.path.join(spec.out_dir, "omr_trace.csv")
-    _write_csv(trace_path, TRACE_COLUMNS,
-               [(t.seed, r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0,
-                 t.delay_spread_s) for t in batch for r in t.records])
-    summary = os.path.join(spec.out_dir, "summary.csv")
-    _write_csv(summary, SUMMARY_COLUMNS, [_omr_row(
-        batch, spec.phy, round(watts_to_dbm(spec.phy.p_t), 6),
-        spec.field.rho * 1e6, spec.b)])
-    return [trace_path, summary]
+    return [_write_csv(spec, "omr_trace.csv", TRACE_COLUMNS,
+                       [(t.seed, r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0,
+                         t.delay_spread_s) for t in batch for r in t.records]),
+            _write_csv(spec, "summary.csv", SUMMARY_COLUMNS, [_omr_row(
+                batch, spec.phy, round(watts_to_dbm(spec.phy.p_t), 6),
+                spec.field.rho * 1e6, spec.b)])]
 
 
 def scenario_bcl_trials(spec: ExperimentSpec) -> list[str]:
     phy = spec.phy.with_tx_power(dbm_to_watts(spec.bcl_p_t_dbm))
     res = run_bcl(spec.bcl, spec.field, phy, spec.trials, spec.seed)
-    hop_path = os.path.join(spec.out_dir, "bcl_hops.csv")
-    _write_csv(hop_path, ["trial_id", "hop", "eta", "m_e", "m_n", "progress_m"],
-               res.per_hop)
-    summary = os.path.join(spec.out_dir, "summary.csv")
-    _write_csv(summary, SUMMARY_COLUMNS, [_bcl_row(
-        res, phy, spec.bcl_p_t_dbm, spec.field.rho * 1e6)])
-    return [hop_path, summary]
+    return [_write_csv(spec, "bcl_hops.csv",
+                       ["trial_id", "hop", "eta", "m_e", "m_n", "progress_m"],
+                       res.per_hop),
+            _write_csv(spec, "summary.csv", SUMMARY_COLUMNS, [_bcl_row(
+                res, phy, spec.bcl_p_t_dbm, spec.field.rho * 1e6)])]
 
 
 def _fit_progress(batch, phy: PhyConfig):
@@ -182,11 +179,10 @@ def _fit_progress(batch, phy: PhyConfig):
 def scenario_calibrate(spec: ExperimentSpec) -> list[str]:
     batch = run_omr_batch(spec, spec.field, spec.phy, spec.trials, spec.seed)
     model, mape = _fit_progress(batch, spec.phy)
-    path = os.path.join(spec.out_dir, "calibration.csv")
-    _write_csv(path, ["varphi_m", "beta", "u", "alpha", "r1_m", "mape"],
-               [(model.varphi, model.beta, model.u, model.alpha, model.r1,
-                 mape)])
-    return [path]
+    return [_write_csv(spec, "calibration.csv",
+                       ["varphi_m", "beta", "u", "alpha", "r1_m", "mape"],
+                       [(model.varphi, model.beta, model.u, model.alpha,
+                         model.r1, mape)])]
 
 
 def scenario_analytic(spec: ExperimentSpec) -> list[str]:
@@ -200,10 +196,9 @@ def scenario_analytic(spec: ExperimentSpec) -> list[str]:
         "Per-hop relay/decoder expectations", "hop", "E_K,E_L,E_nr",
         notes=f"progress fit MAPE = {mape:.4f}")]
     if spec.dump_pmfs:
-        for i, dist in enumerate(stats.dists_k, start=1):
-            p = os.path.join(spec.out_dir, f"pmf_K_hop{i}.csv")
-            _write_csv(p, ["k", "prob"], list(enumerate(dist.probs)))
-            out.append(p)
+        out += [_write_csv(spec, f"pmf_K_hop{i}.csv", ["k", "prob"],
+                           list(enumerate(dist.probs)))
+                for i, dist in enumerate(stats.dists_k, start=1)]
     return out
 
 
@@ -332,21 +327,19 @@ def scenario_two_packets(spec: ExperimentSpec) -> list[str]:
         stagger_slots=spec.two_stagger_slots,
     )
     flows = (("a", res.flow_a), ("b", res.flow_b))
-    out = []
-    for name, flow in flows:
-        path = os.path.join(spec.out_dir, f"two_packets_flow_{name}.csv")
-        _write_csv(path, ["hop", "K", "L", "j", "n_r", "n_r_interference",
-                          "xH0", "reached"],
-                   [(r.hop, r.k_prev, r.l, r.j_prev, r.n_r,
-                     r.n_r_interference, r.xh0, flow.reached)
-                    for r in flow.records])
-        out.append(path)
-    summary = os.path.join(spec.out_dir, "two_packets_summary.csv")
-    _write_csv(summary, ["flow", "reached", "hops", "interference_tagged",
-                         "slots_used"],
-               [(name, flow.reached, flow.q, res.interference_tagged,
-                 res.slots_used) for name, flow in flows])
-    out.append(summary)
+    out = [_write_csv(spec, f"two_packets_flow_{name}.csv",
+                      ["hop", "K", "L", "j", "n_r", "n_r_interference", "xH0",
+                       "reached"],
+                      [(r.hop, r.k_prev, r.l, r.j_prev, r.n_r,
+                        r.n_r_interference, r.xh0, flow.reached)
+                       for r in flow.records])
+           for name, flow in flows]
+    out.append(_write_csv(spec, "two_packets_summary.csv",
+                          ["flow", "reached", "hops", "interference_tagged",
+                           "slots_used"],
+                          [(name, flow.reached, flow.q,
+                            res.interference_tagged, res.slots_used)
+                           for name, flow in flows]))
     return out
 
 

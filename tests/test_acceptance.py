@@ -378,10 +378,9 @@ def test_criterion_8_property_suites(tmp_path):
                                    / (counts.size - 1)) / counts.size))
 
     # distribution normalization and convolution mean additivity
-    from omrsim.analytic import ProgressModel, poisson_dist
+    from omrsim.analytic import ProgressModel, poisson_mixture
 
-    a = poisson_dist(3.3)
-    b = poisson_dist(1.7)
+    a, b = (poisson_mixture(np.array([m]), np.ones(1)) for m in (3.3, 1.7))
     c = a.convolve(b)
     c.check_normalized()
     # truncation renormalizes, so means match to the tail tolerance scale

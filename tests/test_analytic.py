@@ -12,7 +12,6 @@ from omrsim.analytic import (
     CalibrationError,
     IntDist,
     ProgressModel,
-    _mixture_poisson,
     _p_z_prefix,
     areas,
     calibrate_progress,
@@ -20,7 +19,7 @@ from omrsim.analytic import (
     init_recursion,
     p_j,
     p_j_pmf,
-    poisson_dist,
+    poisson_mixture,
     propagate_hop,
     run_recursion,
     x_c,
@@ -156,7 +155,7 @@ def test_mixture_poisson_matches_per_component_sum():
     means[[0, 700]] = 0.0                  # point masses at zero
     weights[[5, 600, 1299]] = 0.0          # skipped components
     weights /= weights.sum()
-    got = _mixture_poisson(means, weights)
+    got = poisson_mixture(means, weights)
     ns = np.arange(got.support)
     ref = np.zeros(got.support)
     for m, w in zip(means, weights):
@@ -306,22 +305,41 @@ def test_first_hop_areas():
 
 # ------------------------------------------------------------------ poisson
 
-def test_poisson_dist_truncation_and_mean():
-    d = poisson_dist(4.2)
+def _poisson(mean: float) -> IntDist:
+    return poisson_mixture(np.array([mean]), np.ones(1))
+
+
+def test_poisson_one_component_truncation_and_mean():
+    d = _poisson(4.2)
     d.check_normalized()
     assert d.mean() == pytest.approx(4.2, abs=1e-6)
 
 
+def test_poisson_one_component_is_scipy_pmf_bit_for_bit():
+    # hop 1 of the recursion is a one-component mixture; it must give the
+    # truncated scipy pmf exactly, as the recursion's rows are pinned
+    means = np.concatenate([[0.0, 1e-9, 0.5, 1.0], np.linspace(2, 3000, 150),
+                            np.random.default_rng(3).uniform(0, 60, 150)])
+    for mean in means:
+        got = _poisson(mean).probs
+        if mean == 0.0:
+            assert got.tolist() == [1.0]
+            continue
+        hi = int(poisson.isf(TAIL_TOL * 0.1, mean)) + 2
+        want = IntDist(poisson.pmf(np.arange(hi), mean)).truncated().probs
+        assert np.array_equal(got, want), mean
+
+
 def test_intdist_convolution_mean_additivity():
-    a = poisson_dist(2.0)
-    b = poisson_dist(3.5)
+    a = _poisson(2.0)
+    b = _poisson(3.5)
     c = a.convolve(b)
     c.check_normalized()
     assert c.mean() == pytest.approx(a.mean() + b.mean(), rel=1e-9)
 
 
 def test_intdist_zero_truncation():
-    d = poisson_dist(1.0).zero_truncated()
+    d = _poisson(1.0).zero_truncated()
     assert d.probs[0] == 0.0
     assert d.total() == pytest.approx(1.0, abs=1e-12)
     assert d.mean() == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), abs=1e-6)

@@ -166,10 +166,14 @@ def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
     ("p_t_dbm = 100000", "p_t_dbm"),
     ("gamma_t_db = 100000", "gamma_t_db"),
     ("scenario = compare-power\np_t_dbm_list = 100000", "p_t_dbm_list"),
+    # an unparseable list item
+    ("b_list = 8, x", "b_list"),
+    # numpy's seed sequences take non-negative integers only
+    ("seed = -1", "seed must be >= 0"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
         "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
-        "p_t_dbm_list_overflow"])
+        "p_t_dbm_list_overflow", "b_list", "seed"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
     cfg = tmp_path / "bad.cfg"
@@ -356,6 +360,18 @@ def test_cli_truncation_error_one_line(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "recursion error: support 4587 exceeds cap 4096\n"
+
+
+def test_cli_unwritable_output_one_line(tmp_path, capsys):
+    # the output directory cannot be made under a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["--config", GOLDEN, "--trials", "2", "--workers", "1",
+               "--out", str(blocker / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("cannot write output:")
 
 
 def test_cli_calibrate_fits_at_the_phy_alpha(tmp_path):

@@ -17,9 +17,13 @@ two-packet runs: the golden field with seeds 4400-4439 and
 policy. A third digest covers ``run_bcl(BclConfig(), ...)`` on the golden
 field at each density in ``rho_per_km2_list``, 100 trials each, under the
 golden PHY at ``bcl_p_t_dbm`` and under ``mcs_phy(spec, "QPSK-coherent")``.
-The digests must be equal; floats are compared by their exact
-``repr``. The exit code is 1 if any run or digest differs. The tool itself
-uses the standard library only; the digests run under each side's omrsim.
+A fourth digest covers the rows and the bytes of every ``dists_k`` and
+``dists_l`` pmf of ``run_recursion`` on both ``perfbench`` reference inputs
+and, under the golden progress law, on ``FieldConfig`` at each density in
+``rho_per_km2_list`` with b = 3, 16 and 24. The digests must be equal;
+floats are compared by their exact ``repr``, pmfs by their bytes. The exit
+code is 1 if any run or digest differs. The tool itself uses the standard
+library only; the digests run under each side's omrsim.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ SEED = 5
 OUT_PLACEHOLDER = "<out>"
 REFERENCE_POWERS_DBM = (24.0, 33.0)
 BCL_TRIALS = 100
+RECURSION_SLOTS = (3, 16, 24)
 DIGEST_ARG = "--digest"  # private: print this interpreter's digests as JSON
 
 
@@ -59,11 +64,14 @@ def archive_src(rev: str, dest: Path) -> Path:
 
 def digests() -> dict[str, str]:
     """SHA-256 of the reference-pool trial records, of the two-packet
-    records and of the BCL walks, computed with the omrsim on sys.path."""
+    records, of the BCL walks and of the hop recursions, computed with the
+    omrsim on sys.path."""
     from dataclasses import replace
 
     import numpy as np
+    from omrsim.analytic import ProgressModel, run_recursion
     from omrsim.baseline import BclConfig, run_bcl
+    from omrsim.channel import detection_constant
     from omrsim.config import dbm_to_watts, load_config, mcs_phy
     from omrsim.engine import run_trial, run_two_packet_trial
     from omrsim.field import FieldConfig, Point2D
@@ -101,9 +109,28 @@ def digests() -> dict[str, str]:
             # only the fields both revisions' BclResult carry
             bcl.update(repr((res.per_hop, res.e2e_energy_j, res.e2e_delay_s,
                              res.delivered, res.trials)).encode() + b"\n")
+    recursion = hashlib.sha256()
+    # the perfbench reference inputs: the golden law at the golden PHY's
+    # reach, and the r1 = 75 m law at b = 16
+    golden = ProgressModel(varphi=8.0, beta=0.9,
+                           u=detection_constant(spec.phy).u,
+                           alpha=spec.phy.alpha)
+    inputs = [(spec.field, golden, spec.b),
+              (FieldConfig(rho=1.5e-3, epsilon=0.25, length=2000.0, w=200.0),
+               ProgressModel(varphi=8.0, beta=0.9, u=(1 / 75.0) ** 3,
+                             alpha=3.0), 16)]
+    inputs += [(FieldConfig(rho=rho_km2 * 1e-6), golden, b)
+               for rho_km2 in spec.rho_per_km2_list for b in RECURSION_SLOTS]
+    for field, model, b in inputs:
+        stats = run_recursion(field, model, b)
+        recursion.update(repr([(r.hop, r.e_k, r.e_l, r.e_nr, r.xh0)
+                               for r in stats.rows]).encode() + b"\n")
+        for dist in stats.dists_k + stats.dists_l:
+            recursion.update(dist.probs.tobytes())
     return {"reference trials": trials.hexdigest(),
             "two-packet runs": two.hexdigest(),
-            "BCL walks": bcl.hexdigest()}
+            "BCL walks": bcl.hexdigest(),
+            "hop recursions": recursion.hexdigest()}
 
 
 def side_digests(src: Path) -> dict[str, str]:
