@@ -335,9 +335,9 @@ class HopStatistics:
 def poisson_mixture(means: np.ndarray, weights: np.ndarray) -> IntDist:
     """Sum_w Poisson(mean_w), truncated to the tail tolerance.
 
-    Components are evaluated in blocks of _MIX_CHUNK rows with the Poisson
-    log-mass xlogy(n, m) - gammaln(n + 1) - m and reduced by a weights @ pmf
-    matmul, so memory stays at one block whatever the component count.
+    Components run in blocks of _MIX_CHUNK rows through one reused buffer:
+    n log(m) - gammaln(n + 1) - m with log(m) from xlogy's libm log (numpy's
+    SIMD log rounds differently), exponentiated and reduced by weights @ pmf.
     """
     top = float(means.max(initial=0.0))
     hi = int(_poisson.isf(TAIL_TOL * 0.1, top)) + 2 if top > 0 else 1
@@ -345,11 +345,17 @@ def poisson_mixture(means: np.ndarray, weights: np.ndarray) -> IntDist:
     log_fact = gammaln(ns + 1.0)
     keep = weights > 0.0
     means, weights = means[keep], weights[keep]
+    log_m = xlogy(1.0, means)[:, None]
+    block = np.empty((min(means.size, _MIX_CHUNK), hi))
     probs = np.zeros(hi)
     for lo in range(0, means.size, _MIX_CHUNK):
         m = means[lo:lo + _MIX_CHUNK, None]
-        pmf = np.exp(xlogy(ns, m) - log_fact - m)
-        probs += weights[lo:lo + _MIX_CHUNK] @ pmf
+        pmf = block[:m.shape[0]]
+        np.multiply(ns[1:], log_m[lo:lo + _MIX_CHUNK], out=pmf[:, 1:])
+        pmf[:, 0] = 0.0                  # xlogy(0, m) = 0, also at m = 0
+        pmf -= log_fact
+        pmf -= m
+        probs += weights[lo:lo + _MIX_CHUNK] @ np.exp(pmf, out=pmf)
     return IntDist(probs).truncated()
 
 
@@ -379,6 +385,22 @@ def init_recursion(
         a_decode_prev=np.full(2, a_decode),  # the source's full disc
     )
     return state, row, dist_l1
+
+
+def _relay_mixture(k_prev, ks, a_decode, a_sliver, eps_rho: float, b: int):
+    """Relay-band means and positive weights P(K) p_j(j; K, b) over (K, j),
+    and their j_eff marginal; j = 0 falls back to the arc through the
+    farthest relay, j_eff = K."""
+    wj = np.concatenate([p_j_pmf(int(k), b) for k in ks])
+    k_rep = np.repeat(ks, ks + 1)
+    j_eff = np.arange(k_rep.size) - np.repeat(np.cumsum(ks + 1) - ks - 1, ks + 1)
+    j_eff = np.where(j_eff == 0, k_rep, j_eff)
+    wj = k_prev.probs[k_rep] * wj
+    pos = wj > 0.0
+    k_rep, j_eff, wj = k_rep[pos], j_eff[pos], wj[pos]
+    j_marginal = np.zeros(int(ks[-1]) + 1)
+    np.add.at(j_marginal, j_eff, wj)
+    return eps_rho * (a_decode[k_rep] + a_sliver[j_eff]), wj, j_marginal
 
 
 def propagate_hop(
@@ -422,22 +444,8 @@ def propagate_hop(
                                 state.dist_k_prev2.probs)
     dist_l = p_l.convolve(p_l_minus)
 
-    # relays: mix over (j, previous count); j = 0 falls back to the arc
-    # through the farthest relay
-    means_r, weights_r = [], []
-    j_marginal = np.zeros(k_max + 1)
-    for k in ks:
-        wj = k_prev.probs[k] * p_j_pmf(int(k), b)
-        j_eff = np.arange(k + 1)
-        j_eff[0] = k
-        pos = wj > 0.0
-        j_eff, wj = j_eff[pos], wj[pos]
-        means_r.append(eps * rho * (a_decode[k] + a_sliver[j_eff]))
-        weights_r.append(wj)
-        np.add.at(j_marginal, j_eff, wj)
-    means_r = np.concatenate(means_r)
-    weights_r = np.concatenate(weights_r)
-
+    means_r, weights_r, j_marginal = _relay_mixture(
+        k_prev, ks, a_decode, a_sliver, eps * rho, b)
     p_k = poisson_mixture(means_r, weights_r)
     with np.errstate(over="ignore"):  # a dense band's 1 / inf = 0 is right
         e_nr = float(np.dot(1.0 / np.expm1(means_r), weights_r))

@@ -110,6 +110,15 @@ def _tx_power_phy(spec: ExperimentSpec, p_t_dbm: float) -> PhyConfig:
     return spec.phy.with_tx_power(dbm_to_watts(p_t_dbm))
 
 
+def power_point_seed(spec: ExperimentSpec, p_t_dbm: float) -> int:
+    """Seed of a power-sweep point's trials: spec.seed + int(10 p_t_dbm)."""
+    seed = spec.seed + int(p_t_dbm * 10)
+    if seed < 0:  # numpy's seed sequences take non-negative integers only
+        raise ValueError(f"point seed {spec.seed} + int({p_t_dbm:g} * 10) = "
+                         f"{seed} must be >= 0")
+    return seed
+
+
 def _slots(spec: ExperimentSpec, b: int) -> None:
     """The RACH rule on b, and the recursion's where the scenario runs it."""
     check_rach_slots(b)
@@ -130,7 +139,8 @@ _AXES = {
                          lambda spec, r: replace(spec.field, rho=r * 1e-6)),
     "w_list_m": (lambda spec: spec.w_list,
                  lambda spec, w: replace(spec.field, w=w)),
-    "p_t_dbm_list": (lambda spec: spec.p_t_dbm_list, _tx_power_phy),
+    "p_t_dbm_list": (lambda spec: spec.p_t_dbm_list, lambda spec, p: (
+        _tx_power_phy(spec, p), power_point_seed(spec, p))),
     "mcs_list": (lambda spec: spec.mcs_list, mcs_phy),
     # the BCL reference PHY, built on spec.phy or an MCS copy of it
     "bcl_p_t_dbm": (lambda spec: [spec.bcl_p_t_dbm], _tx_power_phy),

@@ -16,7 +16,7 @@ from .analytic import CalibrationError, calibrate_progress, run_recursion
 from .baseline import run_bcl
 from .channel import PhyConfig, detection_constant
 from .config import (ConfigError, ExperimentSpec, dbm_to_watts, mcs_phy,
-                     watts_to_dbm)
+                     power_point_seed, watts_to_dbm)
 from .engine import run_trial, run_two_packet_trial
 from .field import FieldConfig, Point2D
 from .metrics import edp_and_cost, mcs_table, trial_e2e
@@ -216,7 +216,7 @@ def _power_grid(spec: ExperimentSpec) -> list[tuple]:
     """(rho_km2, p_t_dbm, point) of the density-major density x power sweep."""
     return [(rho_km2, pdbm, (replace(spec.field, rho=rho_km2 * 1e-6),
                              spec.phy.with_tx_power(dbm_to_watts(pdbm)),
-                             spec.b, spec.trials, spec.seed + int(pdbm * 10)))
+                             spec.b, spec.trials, power_point_seed(spec, pdbm)))
             for rho_km2 in spec.rho_per_km2_list
             for pdbm in spec.p_t_dbm_list]
 

@@ -1,13 +1,17 @@
 """Statistical engine: pmf formulas vs enumeration, areas vs hit-count, recursion."""
 
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
+from omrsim import analytic
 from omrsim.analytic import (
+    _MIX_CHUNK,
     TAIL_TOL,
     CalibrationError,
     IntDist,
@@ -25,6 +29,8 @@ from omrsim.analytic import (
     x_c,
     x_h_step,
 )
+from omrsim.channel import detection_constant
+from omrsim.config import load_config
 from omrsim.field import FieldConfig
 
 from rach_oracle import j_distribution, prefix_resolvable_probability
@@ -164,6 +170,45 @@ def test_mixture_poisson_matches_per_component_sum():
     ref /= ref.sum()
     np.testing.assert_allclose(got.probs, ref, rtol=1e-13, atol=0.0)
     got.check_normalized()
+
+
+def _xlogy_block_mixture(means, weights):
+    """poisson_mixture as first written: one xlogy per (component, n)."""
+    top = float(means.max(initial=0.0))
+    hi = int(poisson.isf(TAIL_TOL * 0.1, top)) + 2 if top > 0 else 1
+    ns = np.arange(hi)
+    log_fact = gammaln(ns + 1.0)
+    keep = weights > 0.0
+    means, weights = means[keep], weights[keep]
+    probs = np.zeros(hi)
+    for lo in range(0, means.size, _MIX_CHUNK):
+        m = means[lo:lo + _MIX_CHUNK, None]
+        pmf = np.exp(xlogy(ns, m) - log_fact - m)
+        probs += weights[lo:lo + _MIX_CHUNK] @ pmf
+    return IntDist(probs).truncated()
+
+
+def test_poisson_mixture_bit_identical_to_xlogy_blocks():
+    # the recursion's pmfs are pinned byte for byte: one log per component
+    # must give the bits of one xlogy per (component, n) pair
+    rng = np.random.default_rng(5)
+    n = 1300                        # two full blocks and a partial third
+    means = 10.0 ** rng.uniform(-1.0, 1.8, n)   # 0.1 .. 63
+    means[rng.choice(n, 40, replace=False)] = 0.0
+    means[[1, 600, 1100]] = 0.0     # a zero mean in every block
+    weights = rng.uniform(0.0, 1.0, n)
+    weights[rng.choice(n, 30, replace=False)] = 0.0
+    cases = [
+        (np.array([7.3]), np.ones(1)),                  # one component
+        (np.array([0.0]), np.ones(1)),                  # zero mean alone
+        (np.array([0.0, 2.5]), np.array([0.3, 0.7])),   # zero mean, weighted
+        (np.array([1.0, 4.0, 9.0]), np.array([0.0, 1.0, 0.0])),  # zero weights
+        (means, weights / weights.sum()),
+    ]
+    assert 2 * _MIX_CHUNK < n < 3 * _MIX_CHUNK
+    for m, w in cases:
+        want = _xlogy_block_mixture(m, w).probs
+        assert poisson_mixture(m, w).probs.tobytes() == want.tobytes(), m.size
 
 
 # ------------------------------------------------------------- progress law
@@ -363,6 +408,46 @@ def test_recursion_epsilon_one_kills_stagger_terms():
     # each of the three tail cuts (Poisson range, mixture, convolution) drops
     # under TAIL_TOL of mass past the support, which only lowers the mean
     assert 0.0 <= fresh - row.e_l <= 3 * TAIL_TOL * dist_l.support
+
+
+def _per_k_relay_mixture(k_prev, ks, a_decode, a_sliver, eps_rho, b):
+    """The relay mixture as first written: one pass per previous count K."""
+    means_r, weights_r = [], []
+    j_marginal = np.zeros(int(ks[-1]) + 1)
+    for k in ks:
+        wj = k_prev.probs[k] * p_j_pmf(int(k), b)
+        j_eff = np.arange(k + 1)
+        j_eff[0] = k
+        pos = wj > 0.0
+        j_eff, wj = j_eff[pos], wj[pos]
+        means_r.append(eps_rho * (a_decode[k] + a_sliver[j_eff]))
+        weights_r.append(wj)
+        np.add.at(j_marginal, j_eff, wj)
+    return np.concatenate(means_r), np.concatenate(weights_r), j_marginal
+
+
+def test_propagate_hop_relay_mixture_matches_per_k_loop(monkeypatch):
+    # every hop of both benchmark inputs: the arrays the relay pmf is mixed
+    # from must be the per-K loop's, bit for bit
+    spec = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                    "configs", "golden.cfg"))
+    golden = ProgressModel(varphi=8.0, beta=0.9, u=detection_constant(
+        spec.phy).u, alpha=spec.phy.alpha)
+    calls = []
+    seam = analytic._relay_mixture
+
+    def recorded(*args):
+        calls.append((args, seam(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analytic, "_relay_mixture", recorded)
+    for field, model, b in ((spec.field, golden, spec.b), (FC, MODEL, 16)):
+        calls.clear()
+        stats = run_recursion(field, model, b)
+        assert len(calls) == len(stats.rows) - 1
+        for args, got in calls:
+            for g, w in zip(got, _per_k_relay_mixture(*args)):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_recursion_rows_and_termination():

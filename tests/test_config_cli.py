@@ -170,10 +170,14 @@ def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
     ("b_list = 8, x", "b_list"),
     # numpy's seed sequences take non-negative integers only
     ("seed = -1", "seed must be >= 0"),
+    # a power point's seed is seed + int(10 p_t_dbm): 1 - 200 < 0
+    ("scenario = compare-power\np_t_dbm_list = -20", "p_t_dbm_list"),
+    ("scenario = retransmissions\np_t_dbm_list = -20", "p_t_dbm_list"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
         "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
-        "p_t_dbm_list_overflow", "b_list", "seed"])
+        "p_t_dbm_list_overflow", "b_list", "seed",
+        "compare-power_point_seed", "retransmissions_point_seed"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
     cfg = tmp_path / "bad.cfg"

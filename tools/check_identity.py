@@ -20,7 +20,9 @@ golden PHY at ``bcl_p_t_dbm`` and under ``mcs_phy(spec, "QPSK-coherent")``.
 A fourth digest covers the rows and the bytes of every ``dists_k`` and
 ``dists_l`` pmf of ``run_recursion`` on both ``perfbench`` reference inputs
 and, under the golden progress law, on ``FieldConfig`` at each density in
-``rho_per_km2_list`` with b = 3, 16 and 24. The digests must be equal;
+``rho_per_km2_list`` with b = 3, 16 and 24 and on ``FieldConfig`` at
+300 per km2 with b = 48, followed by the bytes of ``p_j_pmf(k, b)`` for
+k = 1..399 at b = 3, 5, 24 and 40. The digests must be equal;
 floats are compared by their exact ``repr``, pmfs by their bytes. The exit
 code is 1 if any run or digest differs. The tool itself uses the standard
 library only; the digests run under each side's omrsim.
@@ -50,6 +52,8 @@ OUT_PLACEHOLDER = "<out>"
 REFERENCE_POWERS_DBM = (24.0, 33.0)
 BCL_TRIALS = 100
 RECURSION_SLOTS = (3, 16, 24)
+P_J_SLOTS = (3, 5, 24, 40)
+P_J_MAX_RELAYS = 399
 DIGEST_ARG = "--digest"  # private: print this interpreter's digests as JSON
 
 
@@ -69,7 +73,7 @@ def digests() -> dict[str, str]:
     from dataclasses import replace
 
     import numpy as np
-    from omrsim.analytic import ProgressModel, run_recursion
+    from omrsim.analytic import ProgressModel, p_j_pmf, run_recursion
     from omrsim.baseline import BclConfig, run_bcl
     from omrsim.channel import detection_constant
     from omrsim.config import dbm_to_watts, load_config, mcs_phy
@@ -121,12 +125,16 @@ def digests() -> dict[str, str]:
                              alpha=3.0), 16)]
     inputs += [(FieldConfig(rho=rho_km2 * 1e-6), golden, b)
                for rho_km2 in spec.rho_per_km2_list for b in RECURSION_SLOTS]
+    inputs.append((FieldConfig(rho=300e-6), golden, 48))  # sparse, many slots
     for field, model, b in inputs:
         stats = run_recursion(field, model, b)
         recursion.update(repr([(r.hop, r.e_k, r.e_l, r.e_nr, r.xh0)
                                for r in stats.rows]).encode() + b"\n")
         for dist in stats.dists_k + stats.dists_l:
             recursion.update(dist.probs.tobytes())
+    for b in P_J_SLOTS:
+        for k in range(1, P_J_MAX_RELAYS + 1):
+            recursion.update(p_j_pmf(k, b).tobytes())
     return {"reference trials": trials.hexdigest(),
             "two-packet runs": two.hexdigest(),
             "BCL walks": bcl.hexdigest(),
