@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,7 @@ class BclConfig:
     """Contention-cycle baseline parameters, checked on construction.
 
     The transmission range and the positive-progress fraction are not
-    parameters: run_bcl derives them from the PHY (the single-transmitter
+    parameters: the walk derives them from the PHY (the single-transmitter
     detection reach) and the forward-lens geometry at half the
     source-destination distance.
     """
@@ -145,14 +146,16 @@ def hop_delay(e_eta: float, e_m_e_plus_m_n: float, cfg: BclConfig) -> float:
     return 2.0 * (e_eta * cfg.n_p + e_m_e_plus_m_n) * cfg.t_s
 
 
-def run_bcl(
-    cfg: BclConfig,
-    field_cfg: FieldConfig,
-    phy: PhyConfig,
-    trials: int,
-    seed: int,
-) -> BclResult:
-    """Monte Carlo walk of the contention baseline over fresh deployments.
+class BclWalk(NamedTuple):
+    """One trial of the baseline."""
+
+    delivered: bool     # the last row is then the destination's own hop
+    hops: list          # (hop, eta, m_e, m_n, progress) rows
+
+
+def bcl_walk(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
+             tss: np.random.SeedSequence) -> BclWalk:
+    """Walk the contention baseline once over a deployment drawn from tss.
 
     Per cycle the candidate set is the awake (i.i.d. with the duty cycle)
     in-range nodes offering positive progress; the best-progress candidate
@@ -161,81 +164,68 @@ def run_bcl(
     """
     d_m = default_range(phy)
     dst = np.array([field_cfg.length, 0.0])
-
-    ss = np.random.SeedSequence(seed)
-    per_hop = []
-    hops_per_trial = []
-    delivered = 0
-
-    for trial, tss in enumerate(ss.spawn(trials)):
-        dep_ss, proto_ss = tss.spawn(2)
-        dep = deploy(field_cfg, dep_ss, t_p=phy.t_p, max_strip_width=6.0 * d_m)
-        rng = np.random.default_rng(proto_ss)
-        holder = np.array([0.0, 0.0])
+    dep_ss, proto_ss = tss.spawn(2)
+    dep = deploy(field_cfg, dep_ss, t_p=phy.t_p, max_strip_width=6.0 * d_m)
+    rng = np.random.default_rng(proto_ss)
+    holder = np.array([0.0, 0.0])
+    d_hold = float(np.linalg.norm(holder - dst))
+    rows = []
+    max_hops = int(20.0 * field_cfg.length / d_m) + 100
+    while d_hold > d_m:
+        if len(rows) >= max_hops:
+            return BclWalk(False, rows)  # micro-progress walk: undelivered
+        i0, i1 = dep.window(holder[0] - d_m, holder[0] + d_m)
+        xs, ys = dep.xs[i0:i1], dep.ys[i0:i1]
+        in_disc = (xs - holder[0]) ** 2 + (ys - holder[1]) ** 2 <= d_m * d_m
+        d_cand = np.hypot(xs - dst[0], ys - dst[1])
+        forward = in_disc & (d_cand < d_hold)
+        if not forward.any():  # structural deadlock: none can ever progress
+            return BclWalk(False, rows)
+        fx, fy = xs[forward], ys[forward]
+        fprog = d_hold - d_cand[forward]
+        for eta in range(MAX_CYCLES_PER_HOP + 1):  # eta: empty cycles
+            awake_idx = np.flatnonzero(rng.random(fx.size) < field_cfg.epsilon)
+            if awake_idx.size:
+                break
+        else:
+            return BclWalk(False, rows)
+        outcome = contention_cycle(fprog[awake_idx], cfg.n_p, d_m, rng)
+        winner = int(awake_idx[outcome.winner_index])
+        holder = np.array([fx[winner], fy[winner]])
         d_hold = float(np.linalg.norm(holder - dst))
-        hops = 0
-        alive = True
-        max_hops = int(20.0 * field_cfg.length / d_m) + 100
+        rows.append((len(rows) + 1, eta, outcome.m_e, outcome.m_n,
+                     float(fprog[winner])))
+    # destination in range: it always answers on the first slot
+    rows.append((len(rows) + 1, 0, 0, 1, d_hold))
+    return BclWalk(True, rows)
 
-        while d_hold > d_m:
-            if hops >= max_hops:
-                alive = False  # micro-progress walk; report as undelivered
-                break
-            i0, i1 = dep.window(holder[0] - d_m, holder[0] + d_m)
-            xs = dep.xs[i0:i1]
-            ys = dep.ys[i0:i1]
-            in_disc = (xs - holder[0]) ** 2 + (ys - holder[1]) ** 2 <= d_m * d_m
-            d_cand = np.hypot(xs - dst[0], ys - dst[1])
-            forward = in_disc & (d_cand < d_hold)
-            if not forward.any():
-                alive = False  # structural deadlock: nobody can ever progress
-                break
-            fx = xs[forward]
-            fy = ys[forward]
-            fprog = d_hold - d_cand[forward]
-            eta = 0
-            outcome = None
-            awake_idx = None
-            while eta <= MAX_CYCLES_PER_HOP:
-                awake = rng.random(fx.size) < field_cfg.epsilon
-                if awake.any():
-                    awake_idx = np.flatnonzero(awake)
-                    outcome = contention_cycle(fprog[awake_idx], cfg.n_p, d_m, rng)
-                    break
-                eta += 1
-            if outcome is None:
-                alive = False
-                break
-            winner = int(awake_idx[outcome.winner_index])
-            holder = np.array([fx[winner], fy[winner]])
-            d_hold = float(np.linalg.norm(holder - dst))
-            hops += 1
-            per_hop.append((trial, hops, eta, outcome.m_e, outcome.m_n,
-                            float(fprog[winner])))
 
-        if alive:
-            # destination in range: it always answers on the first slot
-            hops += 1
-            per_hop.append((trial, hops, 0, 0, 1, d_hold))
-            delivered += 1
-            hops_per_trial.append(hops)
-
-    if not delivered:
-        return BclResult(math.nan, math.nan, math.nan, math.nan, math.nan,
-                         math.nan, 0, trials, per_hop)
-
+def bcl_summary(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
+                walks: list[BclWalk]) -> BclResult:
+    """Means, energy and delay of the walks; per_hop rows carry the index
+    of their walk as the trial number."""
+    per_hop = [(trial, *row) for trial, walk in enumerate(walks)
+               for row in walk.hops]
+    hops_per_trial = [len(walk.hops) for walk in walks if walk.delivered]
+    if not hops_per_trial:
+        return BclResult(*[math.nan] * 6, 0, len(walks), per_hop)
     _, _, etas, mes, mns, _ = zip(*per_hop)
     e_eta, e_m_e, e_m_n = map(lambda v: float(np.mean(v)), (etas, mes, mns))
-
     e_hops = float(np.mean(hops_per_trial))
+    d_m = default_range(phy)
     xi = xi_geometric(field_cfg.length / 2.0, d_m)
-    he = hop_energy_tx(e_eta, e_m_e, e_m_n, cfg, phy, field_cfg.epsilon,
-                       field_cfg.rho, d_m, xi) \
-        + hop_energy_rx(e_eta, e_m_e, e_m_n, cfg, phy, field_cfg.epsilon,
-                        field_cfg.rho, d_m, xi)
+    hop_args = (e_eta, e_m_e, e_m_n, cfg, phy, field_cfg.epsilon,
+                field_cfg.rho, d_m, xi)
+    he = hop_energy_tx(*hop_args) + hop_energy_rx(*hop_args)
     hd = hop_delay(e_eta, e_m_e + e_m_n, cfg)
-    return BclResult(
-        e_eta=e_eta, e_m_e=e_m_e, e_m_n=e_m_n, e_hops=e_hops,
-        e2e_energy_j=e_hops * he, e2e_delay_s=e_hops * hd,
-        delivered=delivered, trials=trials, per_hop=per_hop,
-    )
+    return BclResult(e_eta, e_m_e, e_m_n, e_hops, e_hops * he, e_hops * hd,
+                     len(hops_per_trial), len(walks), per_hop)
+
+
+def run_bcl(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
+            trials: int, seed: int) -> BclResult:
+    """Monte Carlo walk of the contention baseline over fresh deployments:
+    trial i walks on child i of SeedSequence(seed)."""
+    return bcl_summary(cfg, field_cfg, phy, [
+        bcl_walk(cfg, field_cfg, phy, tss)
+        for tss in np.random.SeedSequence(seed).spawn(trials)])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
+from typing import NamedTuple
 
 from .analytic import check_recursion_slots
 from .baseline import BclConfig
@@ -71,7 +73,7 @@ class ExperimentSpec:
         """All invariant violations as named diagnostics (empty when valid).
 
         field, phy, policy and bcl are valid by construction; each value a
-        scenario builds from is checked by building it (see SWEEPS)."""
+        scenario builds its points from is checked by building its plan."""
         diags = []
         if self.scenario not in SCENARIOS:
             diags.append(f"scenario must be one of {SCENARIOS}, got "
@@ -82,16 +84,8 @@ class ExperimentSpec:
             diags.append(f"seed must be >= 0, got {self.seed}")
         if self.workers < 0:
             diags.append("workers must be >= 0")
-        for key in SWEEPS.get(self.scenario, ()):
-            values, build = _AXES[key]
-            if not values(self):
-                diags.append(f"{key}: scenario '{self.scenario}' needs a "
-                             f"non-empty sweep axis")
-            for value in values(self):
-                try:
-                    build(self, value)
-                except ValueError as exc:
-                    diags.append(f"{key}: {exc}")
+        if self.scenario in PLANS:
+            diags += plan(self)[1]
         if not (self.interference_radius > 0):
             diags.append("interference_radius must be positive")
         return diags
@@ -106,64 +100,147 @@ def mcs_phy(spec: ExperimentSpec, name: str) -> PhyConfig:
                    r=table[name].rate(spec.phy.symbol_rate))
 
 
-def _tx_power_phy(spec: ExperimentSpec, p_t_dbm: float) -> PhyConfig:
-    return spec.phy.with_tx_power(dbm_to_watts(p_t_dbm))
+class Point(NamedTuple):
+    """One sweep point: protocol, inputs, seed, and its rows' coordinates."""
+
+    protocol: str                 # "omr" or "bcl"
+    field: FieldConfig
+    phy: PhyConfig
+    b: int | None                 # RACH slots; None for the baseline
+    trials: int
+    seed: int                     # trial i runs on child i of its sequence
+    rho_km2: float | None = None
+    p_t_dbm: float | None = None
+    mcs: str = ""
 
 
-def power_point_seed(spec: ExperimentSpec, p_t_dbm: float) -> int:
-    """Seed of a power-sweep point's trials: spec.seed + int(10 p_t_dbm)."""
-    seed = spec.seed + int(p_t_dbm * 10)
-    if seed < 0:  # numpy's seed sequences take non-negative integers only
-        raise ValueError(f"point seed {spec.seed} + int({p_t_dbm:g} * 10) = "
-                         f"{seed} must be >= 0")
-    return seed
+def _slot_counts(spec: ExperimentSpec, axis, key: str = "b_rach_slots"):
+    """The slot counts under key that pass the RACH rule and, where the
+    scenario runs it, the recursion's."""
+    def check(b: int) -> int:
+        check_rach_slots(b)
+        if spec.scenario in ("analytic", "retransmissions"):
+            try:
+                check_recursion_slots(b)
+            except ValueError as exc:
+                raise ValueError(f"scenario '{spec.scenario}': {exc}") from None
+        return b
+    return axis(key, check)
 
 
-def _slots(spec: ExperimentSpec, b: int) -> None:
-    """The RACH rule on b, and the recursion's where the scenario runs it."""
-    check_rach_slots(b)
-    if spec.scenario in ("analytic", "retransmissions"):
-        try:
-            check_recursion_slots(b)
-        except ValueError as exc:
-            raise ValueError(f"scenario '{spec.scenario}': {exc}") from None
+def _bcl_refs(spec: ExperimentSpec, axis, base: Point, mcs: str = ""):
+    """The baseline point at bcl_p_t_dbm that a cost-ratio sweep divides by,
+    on spec.phy or on MCS mcs's copy of it."""
+    return [base._replace(protocol="bcl", phy=phy, b=None, mcs=mcs,
+                          trials=max(100, spec.trials // 5),
+                          seed=spec.seed + 17, p_t_dbm=spec.bcl_p_t_dbm)
+            for phy in axis("bcl_p_t_dbm", lambda p: (
+                mcs_phy(spec, mcs) if mcs else spec.phy).with_tx_power(
+                    dbm_to_watts(p)))]
 
 
-# Config key of each value a scenario builds from -> (the spec's values for
-# it, the construction the scenario runs on one value). A bad value raises
-# the ValueError of the rule it breaks; a scalar is a one-value axis.
-_AXES = {
-    "b_rach_slots": (lambda spec: [spec.b], _slots),
-    "b_list": (lambda spec: spec.b_list, _slots),
-    "rho_per_km2_list": (lambda spec: spec.rho_per_km2_list,
-                         lambda spec, r: replace(spec.field, rho=r * 1e-6)),
-    "w_list_m": (lambda spec: spec.w_list,
-                 lambda spec, w: replace(spec.field, w=w)),
-    "p_t_dbm_list": (lambda spec: spec.p_t_dbm_list, lambda spec, p: (
-        _tx_power_phy(spec, p), power_point_seed(spec, p))),
-    "mcs_list": (lambda spec: spec.mcs_list, mcs_phy),
-    # the BCL reference PHY, built on spec.phy or an MCS copy of it
-    "bcl_p_t_dbm": (lambda spec: [spec.bcl_p_t_dbm], _tx_power_phy),
-    "two_stagger_slots": (lambda spec: [spec.two_stagger_slots],
-                          lambda spec, s: check_stagger_slots(
-                              s, spec.field, spec.phy, spec.policy)),
+def _plan_one(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
+    return [base._replace(b=b) for b in _slot_counts(spec, axis)]
+
+
+def _plan_powers(spec: ExperimentSpec, axis, base: Point, bcl: bool):
+    """The density-major density x power grid; with bcl, each density's
+    points open with its baseline reference."""
+    densities = axis("rho_per_km2_list",
+                     lambda r: (r, replace(spec.field, rho=r * 1e-6)))
+    def power(p: float) -> Point:
+        phy = spec.phy.with_tx_power(dbm_to_watts(p))
+        seed = spec.seed + int(p * 10)
+        if seed < 0:  # numpy's seed sequences take non-negative integers only
+            raise ValueError(f"point seed {spec.seed} + int({p:g} * 10) = "
+                             f"{seed} must be >= 0")
+        return base._replace(phy=phy, seed=seed, p_t_dbm=p)
+    powers = axis("p_t_dbm_list", power)
+    refs = _bcl_refs(spec, axis, base) if bcl else []
+    _slot_counts(spec, axis)
+    return [point._replace(field=field, rho_km2=rho_km2)
+            for rho_km2, field in densities for point in refs + powers]
+
+
+def _plan_compare_b(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
+    points = [base._replace(b=b, seed=spec.seed + b)
+              for b in _slot_counts(spec, axis, "b_list")]
+    return _bcl_refs(spec, axis, base) + points
+
+
+def _plan_compare_mcs(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
+    """Each MCS in mcs_list against the baseline running coherent QPSK."""
+    bits = {m.name: m.bits_per_symbol for m in mcs_table(spec.coding_gain_db)}
+    schemes = axis("mcs_list", lambda name: base._replace(
+        phy=mcs_phy(spec, name), seed=spec.seed + bits[name], mcs=name))
+    refs = _bcl_refs(spec, axis, base, "QPSK-coherent")
+    _slot_counts(spec, axis)
+    return refs + schemes
+
+
+def _plan_delay_spread(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
+    densities = axis("rho_per_km2_list",
+                     lambda r: (r, replace(spec.field, rho=r * 1e-6)))
+    widths = axis("w_list_m", lambda w: replace(spec.field, w=w).w)
+    _slot_counts(spec, axis)
+    return [base._replace(field=replace(field, w=w), rho_km2=rho_km2,
+                          seed=spec.seed + int(w) + int(rho_km2))
+            for rho_km2, field in densities for w in widths]
+
+
+def _plan_two_packets(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
+    # no sweep: the scenario's one two-flow run is seeded by spec.seed itself
+    _slot_counts(spec, axis)
+    axis("two_stagger_slots", lambda s: check_stagger_slots(
+        s, spec.field, spec.phy, spec.policy))
+    return []
+
+
+# scenario -> its plan(spec, axis, base), base being the OMR point on the
+# spec's own inputs; the scenario list is this table's keys
+PLANS = {
+    "omr-trials": _plan_one,
+    "bcl-trials": lambda spec, axis, base: [
+        ref._replace(trials=spec.trials, seed=spec.seed)
+        for ref in _bcl_refs(spec, axis, base)],
+    "analytic": lambda spec, axis, base: [
+        point._replace(trials=max(200, spec.trials // 5), seed=spec.seed + 1)
+        for point in _plan_one(spec, axis, base)],
+    "compare-power": partial(_plan_powers, bcl=True),
+    "compare-B": _plan_compare_b,
+    "compare-mcs": _plan_compare_mcs,
+    "delay-spread": _plan_delay_spread,
+    "retransmissions": partial(_plan_powers, bcl=False),
+    "two-packets": _plan_two_packets,
+    "calibrate": _plan_one,
 }
+SCENARIOS = tuple(PLANS)
 
-# scenario -> the axes it runs on; the scenario list is this table's keys
-SWEEPS = {
-    "omr-trials": ("b_rach_slots",),
-    "bcl-trials": ("bcl_p_t_dbm",),
-    "analytic": ("b_rach_slots",),
-    "compare-power": ("rho_per_km2_list", "p_t_dbm_list", "bcl_p_t_dbm",
-                      "b_rach_slots"),
-    "compare-B": ("b_list", "bcl_p_t_dbm"),
-    "compare-mcs": ("mcs_list", "bcl_p_t_dbm", "b_rach_slots"),
-    "delay-spread": ("rho_per_km2_list", "w_list_m", "b_rach_slots"),
-    "retransmissions": ("rho_per_km2_list", "p_t_dbm_list", "b_rach_slots"),
-    "two-packets": ("b_rach_slots", "two_stagger_slots"),
-    "calibrate": ("b_rach_slots",),
-}
-SCENARIOS = tuple(SWEEPS)
+
+def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
+    """The scenario's points in run order, and a `<config key>: <problem>`
+    diagnostic per value they cannot be built from and per empty sweep
+    axis; the points are only whole when there is none."""
+    diags = []
+
+    def axis(key: str, build) -> list:
+        """build(value) of each value of key that builds; a scalar is a
+        one-value axis."""
+        values = getattr(spec, _KEYMAP[key][1])
+        if values == []:
+            diags.append(f"{key}: scenario '{spec.scenario}' needs a "
+                         f"non-empty sweep axis")
+        built = []
+        for value in values if isinstance(values, list) else [values]:
+            try:
+                built.append(build(value))
+            except ValueError as exc:
+                diags.append(f"{key}: {exc}")
+        return built
+
+    return PLANS[spec.scenario](spec, axis, Point(
+        "omr", spec.field, spec.phy, spec.b, spec.trials, spec.seed,
+        spec.field.rho * 1e6, round(watts_to_dbm(spec.phy.p_t), 6))), diags
 
 
 def _list_of(conv):

@@ -14,11 +14,13 @@ from omrsim.channel import PhyConfig, detection_constant
 from omrsim.cli import main
 from omrsim.config import (
     ConfigError,
+    PLANS,
     ExperimentSpec,
-    SWEEPS,
     dbm_to_watts,
     load_config,
+    mcs_phy,
     parse_config,
+    plan,
     watts_to_dbm,
 )
 from omrsim.engine import RetransmitPolicy, run_two_packet_trial, slot_budget
@@ -268,8 +270,64 @@ def test_scenario_lists_match():
     loader = importlib.util.spec_from_file_location("check_identity", path)
     check_identity = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(check_identity)
-    assert list(SWEEPS) == list(_SCENARIO_FUNCS) \
+    assert list(PLANS) == list(_SCENARIO_FUNCS) \
         == list(check_identity.SCENARIOS)
+
+
+# configs/golden.cfg at seed 5 and 12 trials: each scenario's points per
+# density, in run order, as (protocol, p_t_dbm, B, mcs, trials, seed)
+POWERS = (24.0, 25.5, 27.0, 28.5, 30.0, 31.5, 33.0)
+POWER_SEEDS = (245, 260, 275, 290, 305, 320, 335)  # 5 + int(10 p_t_dbm)
+DENSITIES = (900.0, 1200.0, 1500.0)
+BCL_REF = ("bcl", 33.0, None, "", 100, 22)  # max(100, 12 // 5) at 5 + 17
+GOLDEN_PLANS = {
+    "omr-trials": {1500.0: [("omr", 33.0, 24, "", 12, 5)]},
+    "bcl-trials": {1500.0: [("bcl", 33.0, None, "", 12, 5)]},
+    "analytic": {1500.0: [("omr", 33.0, 24, "", 200, 6)]},
+    "compare-power": {rho: [BCL_REF] + [
+        ("omr", p, 24, "", 12, seed) for p, seed in zip(POWERS, POWER_SEEDS)]
+        for rho in DENSITIES},
+    "compare-B": {1500.0: [BCL_REF] + [
+        ("omr", 33.0, b, "", 12, seed)
+        for b, seed in ((8, 13), (16, 21), (24, 29), (48, 53))]},
+    "compare-mcs": {1500.0: [BCL_REF[:3] + ("QPSK-coherent", 100, 22)] + [
+        ("omr", 33.0, 24, name, 12, seed)
+        for name, seed in (("DQPSK", 7), ("8-DPSK", 8), ("16-DPSK", 9))]},
+    "retransmissions": {rho: [
+        ("omr", p, 24, "", 12, seed) for p, seed in zip(POWERS, POWER_SEEDS)]
+        for rho in DENSITIES},
+    "two-packets": {},
+    "calibrate": {1500.0: [("omr", 33.0, 24, "", 12, 5)]},
+}
+# delay-spread's points carry a strip width: (rho, w) -> seed 5 + w + rho
+DELAY_SPREAD_SEEDS = {(900.0, 100.0): 1005, (900.0, 150.0): 1055,
+                      (900.0, 200.0): 1105, (1200.0, 100.0): 1305,
+                      (1200.0, 150.0): 1355, (1200.0, 200.0): 1405,
+                      (1500.0, 100.0): 1605, (1500.0, 150.0): 1655,
+                      (1500.0, 200.0): 1705}
+
+
+@pytest.mark.parametrize("scenario", list(PLANS))
+def test_golden_plan_points(scenario):
+    # every point's protocol, coordinates, trials and seed, in run order
+    spec = load_config(GOLDEN, scenario=scenario, seed=5, trials=12)
+    points, diags = plan(spec)
+    assert diags == []
+    if scenario == "delay-spread":
+        got = [(p.protocol, p.rho_km2, p.field.w, p.b, p.trials, p.seed)
+               for p in points]
+        assert got == [("omr", rho, w, 24, 12, seed)
+                       for (rho, w), seed in DELAY_SPREAD_SEEDS.items()]
+        return
+    got = [(p.rho_km2, (p.protocol, p.p_t_dbm, p.b, p.mcs, p.trials, p.seed))
+           for p in points]
+    assert got == [(rho, point) for rho, row in GOLDEN_PLANS[scenario].items()
+                   for point in row]
+    for p in points:
+        assert p.field.rho == p.rho_km2 * 1e-6
+        assert p.phy.p_t == dbm_to_watts(p.p_t_dbm)
+        if p.mcs:
+            assert p.phy.gamma_t == mcs_phy(spec, p.mcs).gamma_t
 
 
 def test_cli_flag_overrides(tmp_path):
@@ -318,15 +376,20 @@ def test_summary_schema_stable(tmp_path):
 
 
 def test_workers_parallel_matches_serial(tmp_path):
-    a = _small_spec(str(tmp_path / "a"))
-    a.trials = 12
-    b = _small_spec(str(tmp_path / "b"))
-    b.trials = 12
-    b.workers = 2
-    run(a)
-    run(b)
-    assert filecmp.cmp(tmp_path / "a" / "omr_trace.csv",
-                       tmp_path / "b" / "omr_trace.csv", shallow=False)
+    # the BCL walks of bcl-trials and compare-power share the OMR trials' pool
+    for scenario in ("omr-trials", "bcl-trials", "compare-power"):
+        a = _small_spec(str(tmp_path / scenario / "a"), scenario)
+        a.trials = 12
+        b = _small_spec(str(tmp_path / scenario / "b"), scenario)
+        b.trials = 12
+        b.workers = 2
+        names = [os.path.basename(p) for p in run(a)]
+        assert [os.path.basename(p) for p in run(b)] == names
+        assert sorted(os.listdir(a.out_dir)) == sorted(os.listdir(b.out_dir))
+        for name in os.listdir(a.out_dir):
+            assert filecmp.cmp(os.path.join(a.out_dir, name),
+                               os.path.join(b.out_dir, name),
+                               shallow=False), (scenario, name)
 
 
 def test_delay_spread_scenario_schema(tmp_path):

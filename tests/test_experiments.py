@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from omrsim import experiments
-from omrsim.config import ExperimentSpec, dbm_to_watts
+from omrsim.baseline import bcl_summary, run_bcl
+from omrsim.config import ExperimentSpec, Point, dbm_to_watts
 from omrsim.engine import run_trial
 from omrsim.experiments import TrialSummary, run, run_omr_batch, run_sweep
 
@@ -32,20 +33,30 @@ def test_sweep_matches_per_point_batches(tmp_path, workers):
     spec = _spec(tmp_path, workers=workers)
     phy = spec.phy
     points = [
-        (SHORT_FIELD, phy, 24, 3, 11),
-        (replace(SHORT_FIELD, rho=1.2e-3), phy, 8, 4, 12),
-        (SHORT_FIELD, phy.with_tx_power(dbm_to_watts(30.0)), 24, 2, 13),
+        Point("omr", SHORT_FIELD, phy, 24, 3, 11),
+        Point("bcl", SHORT_FIELD, phy, None, 5, 14),
+        Point("omr", replace(SHORT_FIELD, rho=1.2e-3), phy, 8, 4, 12),
+        Point("omr", SHORT_FIELD, phy.with_tx_power(dbm_to_watts(30.0)), 24,
+              2, 13),
     ]
     batches = run_sweep(spec, points)
-    assert [len(b) for b in batches] == [3, 4, 2]
-    for (field, point_phy, b, trials, seed), batch in zip(points, batches):
-        alone = run_omr_batch(replace(spec, b=b, workers=1), field,
-                              point_phy, trials, seed)
+    assert [len(b) for b in batches] == [3, 5, 4, 2]
+    for point, batch in zip(points, batches):
+        if point.protocol == "bcl":
+            # the walks aggregate to run_bcl's result on the point's seed
+            alone = run_bcl(spec.bcl, point.field, point.phy, point.trials,
+                            point.seed)
+            assert _same(bcl_summary(spec.bcl, point.field, point.phy, batch),
+                         alone)
+            continue
+        alone = run_omr_batch(replace(spec, b=point.b, workers=1),
+                              point.field, point.phy, point.trials, point.seed)
         assert _same(batch, alone)
 
 
 @pytest.mark.parametrize("scenario", ["compare-power", "compare-B",
-                                      "delay-spread"])
+                                      "compare-mcs", "delay-spread",
+                                      "bcl-trials"])
 def test_one_pool_per_scenario(tmp_path, monkeypatch, scenario):
     real = experiments.ProcessPoolExecutor
     created = []
@@ -55,7 +66,8 @@ def test_one_pool_per_scenario(tmp_path, monkeypatch, scenario):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
-    spec = _spec(tmp_path, scenario, trials=4, workers=2)
+    # eight trials: bcl-trials has no other point to fill the pool
+    spec = _spec(tmp_path, scenario, trials=8, workers=2)
     spec.rho_per_km2_list = [1500.0]
     spec.p_t_dbm_list = [30.0, 33.0]
     spec.b_list = [8, 24]
@@ -118,7 +130,8 @@ def test_compare_mcs_rejects_unknown_name_before_any_work(tmp_path,
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the MCS names were checked")
 
-    monkeypatch.setattr(experiments, "run_bcl", no_work)
+    # every OMR and BCL trial of the sweep runner goes through _one_trial
+    monkeypatch.setattr(experiments, "_one_trial", no_work)
     monkeypatch.setattr(experiments, "run_trial", no_work)
     spec = _spec(tmp_path, "compare-mcs", trials=2)
     spec.mcs_list = ["DQPSK", "NOT-A-SCHEME"]
