@@ -12,7 +12,7 @@ from .baseline import BclConfig
 from .channel import PhyConfig
 from .engine import RetransmitPolicy, check_rach_slots, check_stagger_slots
 from .field import FieldConfig
-from .metrics import mcs_table
+from .metrics import db_to_linear, mcs_table
 
 class ConfigError(ValueError):
     """Invalid configuration; carries line-referenced diagnostics."""
@@ -20,13 +20,6 @@ class ConfigError(ValueError):
     def __init__(self, diagnostics: list[str]):
         self.diagnostics = diagnostics
         super().__init__("; ".join(diagnostics))
-
-
-def db_to_linear(db: float) -> float:
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        raise ValueError("too large for a float in linear units") from None
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -243,6 +236,14 @@ def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
         spec.field.rho * 1e6, round(watts_to_dbm(spec.phy.p_t), 6))), diags
 
 
+def _boolean(s: str) -> bool:
+    """true/yes/1 or false/no/0, in any case."""
+    word = s.lower()
+    if word not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expected true/false/yes/no/1/0, got '{s}'")
+    return word in ("true", "yes", "1")
+
+
 def _list_of(conv):
     """Converter of a comma-separated list whose items convert with conv."""
     return lambda s: [conv(v.strip()) for v in s.split(",") if v.strip()]
@@ -259,7 +260,7 @@ _KEYMAP = {
     "b_rach_slots": ("spec", "b", int),
     "bcl_p_t_dbm": ("spec", "bcl_p_t_dbm", float),
     "coding_gain_db": ("spec", "coding_gain_db", float),
-    "dump_pmfs": ("spec", "dump_pmfs", lambda s: s.lower() in ("1", "true", "yes")),
+    "dump_pmfs": ("spec", "dump_pmfs", _boolean),
     "interference_radius_m": ("spec", "interference_radius", float),
     "two_stagger_slots": ("spec", "two_stagger_slots", int),
     "p_t_dbm_list": ("spec", "p_t_dbm_list", _list_of(float)),

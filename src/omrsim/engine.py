@@ -8,21 +8,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    SPEED_OF_LIGHT,
-    PhyConfig,
-    aggregate_power,
-    coverage_contour,
-    detection_constant,
-)
-from .field import (
-    Deployment,
-    FieldConfig,
-    Point2D,
-    Strip,
-    awake_mask,
-    deploy,
-)
+from .channel import (SPEED_OF_LIGHT, PhyConfig, aggregate_power,
+                      coverage_contour, detection_constant)
+from .field import Deployment, FieldConfig, Point2D, Strip, awake_mask, deploy
 
 
 @dataclass(frozen=True)
@@ -85,24 +73,22 @@ def rach_round(k: int, b: int, n: int,
     return resolvable, (resolvable.argmax(axis=1) + 1) * resolvable.any(axis=1)
 
 
-def decision_distance(relay_xy: np.ndarray, j: int, dst: Point2D) -> float:
+def decision_distance(relay_d: np.ndarray, j: int) -> float:
     """Distance to dst of the decision arc set by the transmitting relays.
 
-    relay_xy is sorted by distance to dst; at hop 1 it is the source alone,
-    with j = 1. The arc passes through relay j (1-based), the first
-    resolvable one; when all collided (j = 0) it falls back to the farthest
-    relay.
+    relay_d holds their distances to dst, ascending; at hop 1 it is the
+    source's alone, with j = 1. The arc passes through relay j (1-based),
+    the first resolvable one; when all collided (j = 0) the index wraps to
+    the last, farthest relay.
     """
-    d = np.hypot(relay_xy[:, 0] - dst.x, relay_xy[:, 1] - dst.y)
-    return float(d[j - 1]) if j >= 1 else float(d.max())
+    return float(relay_d[j - 1])
 
 
-def eligible(xs, ys, d_ref: float, strip: Strip, width: float) -> np.ndarray:
-    """Relay rule: strictly closer to dst than the decision arc, and inside
-    the strip of the given (possibly widened) width, boundary included."""
-    _, lateral = strip.frame(xs, ys)
-    d = np.hypot(xs - strip.dst.x, ys - strip.dst.y)
-    return (d < d_ref) & (np.abs(lateral) <= width / 2.0)
+def eligible(d_dst, lateral, d_ref: float, width: float) -> np.ndarray:
+    """Relay rule on nodes' distances to dst and lateral offsets: strictly
+    closer to dst than the decision arc, and inside the strip of the given
+    (possibly widened) width, boundary included."""
+    return (d_dst < d_ref) & (np.abs(lateral) <= width / 2.0)
 
 
 def _detects(xs, ys, relay_xy: np.ndarray, phy: PhyConfig, u: float,
@@ -174,14 +160,28 @@ def interference_pn_fn(
     return pn_extra
 
 
+class _Run(NamedTuple):
+    """What every flow of one run shares."""
+
+    deployment: Deployment
+    phy: PhyConfig
+    policy: RetransmitPolicy
+    u: float                      # detection threshold
+    slot: float                   # grid slot, t_p + t_guard
+
+
 @dataclass
 class _FlowState:
     """Mutable per-packet forwarding state (one flow)."""
 
+    run: _Run
     strip: Strip
     strip_width: float            # current width; retransmissions widen it
     b: int                        # RACH slot count
+    d_dst: np.ndarray             # every node's distance to dst
+    lateral: np.ndarray           # every node's lateral offset from the axis
     relay_xy: np.ndarray          # transmitters of the next hop, global coords
+    relay_d: np.ndarray           # their distances to dst, ascending
     dp: np.ndarray                # accumulated propagation path length, m
     seen: np.ndarray
     parked: np.ndarray            # decoded earlier, never relayed; may re-qualify
@@ -221,32 +221,25 @@ class _Reception(NamedTuple):
         return self.dst_detected or self.relays.size > 0
 
 
-def _receive(
-    state: _FlowState,
-    deployment: Deployment,
-    phy: PhyConfig,
-    u: float,
-    d_ref: float,
-    pn_extra_fn=None,
-) -> _Reception:
+def _receive(state: _FlowState, d_ref: float, pn_extra_fn=None) -> _Reception:
     """What one transmission by the current relay set achieves; reads the
     state and changes nothing."""
-    relay_xy = state.relay_xy
+    run, relay_xy = state.run, state.relay_xy
     # one detection pass over every node that has not relayed: fresh nodes
     # decode, and parked nodes (decoded on an earlier transmission, never
     # relayed) re-read the header and re-evaluate the position criteria,
     # which matters when a retransmission widened the strip or moved the arc
-    heard = decode_set(deployment, relay_xy, state.t, phy, u=u,
+    heard = decode_set(run.deployment, relay_xy, state.t, run.phy, u=run.u,
                        seen=state.seen & ~state.parked,
                        pn_extra_fn=pn_extra_fn)
     decoded = heard[~state.seen[heard]]
     pool = np.concatenate([decoded, heard[state.parked[heard]]])
-    relays = pool[eligible(deployment.xs[pool], deployment.ys[pool], d_ref,
-                           state.strip, state.strip_width)]
+    relays = pool[eligible(state.d_dst[pool], state.lateral[pool], d_ref,
+                           state.strip_width)]
     # the destination is an always-awake receiver applying the same test
     dst = state.strip.dst
-    heard = _detects(np.array([dst.x]), np.array([dst.y]), relay_xy, phy, u,
-                     pn_extra_fn)[0]
+    heard = _detects(np.array([dst.x]), np.array([dst.y]), relay_xy, run.phy,
+                     run.u, pn_extra_fn)[0]
     return _Reception(decoded, relays, bool(heard))
 
 
@@ -259,45 +252,39 @@ def _path_step(new_xy: np.ndarray, prev_xy: np.ndarray, prev_dp: np.ndarray,
     return (link + prev_dp[None, :]).min(axis=1) + delta_r
 
 
-def _delay_spread(xy: np.ndarray, dp: np.ndarray, dst) -> float:
-    """Forwarding delay spread at dst, s: spread of the relays' arrivals."""
-    arrivals = np.hypot(xy[:, 0] - dst[0], xy[:, 1] - dst[1]) + dp
+def _delay_spread(d_dst: np.ndarray, dp: np.ndarray) -> float:
+    """Forwarding delay spread at dst, s: spread of the arrivals of relays
+    at distances d_dst from dst with path lengths dp."""
+    arrivals = d_dst + dp
     return float(arrivals.max() - arrivals.min()) / SPEED_OF_LIGHT
 
 
-def _advance_relays(
-    state: _FlowState,
-    deployment: Deployment,
-    r_idx: np.ndarray,
-    phy: PhyConfig,
-) -> int:
+def _advance_relays(state: _FlowState, r_idx: np.ndarray) -> int:
     """Install the new relay set (sorted by distance to dst) and update delays."""
-    dst = state.strip.dst
+    dst, deployment = state.strip.dst, state.run.deployment
     new_xy = np.column_stack([deployment.xs[r_idx], deployment.ys[r_idx]])
-    new_dp = _path_step(new_xy, state.relay_xy, state.dp, phy.delta_r)
+    new_dp = _path_step(new_xy, state.relay_xy, state.dp,
+                        state.run.phy.delta_r)
     extra = state.stragglers.pop(state.hop, None)
     if extra:
         new_xy = np.vstack([new_xy, [e[:2] for e in extra]])
         new_dp = np.concatenate([new_dp, [e[2] for e in extra]])
-    order = np.argsort(np.hypot(new_xy[:, 0] - dst.x, new_xy[:, 1] - dst.y),
-                       kind="stable")
-    state.relay_xy = new_xy[order]
+    d = np.hypot(new_xy[:, 0] - dst.x, new_xy[:, 1] - dst.y)
+    order = np.argsort(d, kind="stable")
+    state.relay_xy, state.relay_d = new_xy[order], d[order]
     state.dp = new_dp[order]
     return new_xy.shape[0]
 
 
-def _register_false_alarms(
-    state: _FlowState,
-    old_xy: np.ndarray,
-    old_dp: np.ndarray,
-    policy: RetransmitPolicy,
-) -> None:
+def _register_false_alarms(state: _FlowState, old_xy: np.ndarray,
+                           old_dp: np.ndarray) -> None:
     """Relays that miss the forwarded packet ID rejoin later transmit sets.
 
     A listener of relay set R_i that false-alarms keeps retransmitting, which
     adds it to the relay sets R_{i+2} .. R_{i+n_r_max+1} (one extra member
     each). The listeners of the hop just completed form R_{hop-1}.
     """
+    policy = state.run.policy
     if policy.fa_rate <= 0.0:
         return
     fa = state.rng.random(old_xy.shape[0]) < policy.fa_rate
@@ -309,15 +296,7 @@ def _register_false_alarms(
             )
 
 
-def run_flow_hop(
-    state: _FlowState,
-    deployment: Deployment,
-    phy: PhyConfig,
-    policy: RetransmitPolicy,
-    u: float,
-    slot: float,
-    pn_extra_fn=None,
-) -> bool:
+def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> bool:
     """Process one transmission attempt of a flow, mutating its state.
 
     On an empty relay set the attempt counts as a retransmission: the strip is
@@ -327,17 +306,18 @@ def run_flow_hop(
     or the destination detects; it fails when the retransmission cap is spent.
     Returns whether the attempt was a retransmission.
     """
+    policy = state.run.policy
     old_xy, old_dp = state.relay_xy, state.dp
     # the source position travels in the header; it is always resolvable
     j_prev = 1 if state.hop == 1 \
         else int(rach_round(old_xy.shape[0], state.b, 1, state.rng)[1][0])
-    d_ref = decision_distance(old_xy, j_prev, state.strip.dst)
-    rx = _receive(state, deployment, phy, u, d_ref, pn_extra_fn)
+    d_ref = decision_distance(state.relay_d, j_prev)
+    rx = _receive(state, d_ref, pn_extra_fn)
     retransmit = not rx.progressed and state.n_r < policy.n_r_max
     # tag the retransmission when the same attempt on a clean channel, from
     # the same state, would have reached the destination or formed relays
     if retransmit and pn_extra_fn is not None \
-            and _receive(state, deployment, phy, u, d_ref).progressed:
+            and _receive(state, d_ref).progressed:
         state.n_r_interference += 1
     state.seen[rx.decoded] = True
     state.parked[rx.decoded] = True
@@ -345,16 +325,16 @@ def run_flow_hop(
         state.n_r += 1
         # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
         state.strip_width += policy.delta_w
-        state.t += 2.0 * phy.t_p
+        state.t += 2.0 * state.run.phy.t_p
         return True
 
     k_new = 0
     if rx.dst_detected:
-        state.delay_spread_s = _delay_spread(old_xy, old_dp, state.strip.dst)
+        state.delay_spread_s = _delay_spread(state.relay_d, old_dp)
         state.reached = True
     elif rx.relays.size:
         state.parked[rx.relays] = False
-        k_new = _advance_relays(state, deployment, rx.relays, phy)
+        k_new = _advance_relays(state, rx.relays)
     else:
         state.failed = True
     state.records.append(HopRecord(
@@ -365,9 +345,9 @@ def run_flow_hop(
     state.sent_xy.append(old_xy)
     state.n_r = state.n_r_interference = 0  # the record holds this hop's count
     if k_new:
-        _register_false_alarms(state, old_xy, old_dp, policy)
+        _register_false_alarms(state, old_xy, old_dp)
         state.hop += 1
-        state.t += slot
+        state.t += state.run.slot
     return False
 
 
@@ -388,22 +368,28 @@ def check_stagger_slots(stagger_slots: int, field_cfg: FieldConfig,
                          f"{stagger_slots}")
 
 
-def new_flow_state(strip: Strip, strip_width: float, b: int,
-                   deployment: Deployment, rng: np.random.Generator,
-                   slot: float, start_slot: int = 0) -> _FlowState:
+def new_flow_state(run: _Run, strip: Strip, strip_width: float, b: int,
+                   rng: np.random.Generator, start_slot: int = 0) -> _FlowState:
     """A packet at its source, first transmitting in grid slot start_slot
-    (slots of `slot` seconds) and drawing its protocol randomness from rng."""
+    and drawing its protocol randomness from rng. Every node's distance to
+    dst and lateral offset are fixed for the flow, so they are computed
+    here once."""
+    xs, ys, dst = run.deployment.xs, run.deployment.ys, strip.dst
     return _FlowState(
+        run=run,
         strip=strip,
         strip_width=strip_width,
         b=b,
+        d_dst=np.hypot(xs - dst.x, ys - dst.y),
+        lateral=strip.frame(xs, ys)[1],
         relay_xy=np.asarray([[strip.src.x, strip.src.y]], dtype=float),
+        relay_d=np.hypot([strip.src.x - dst.x], [strip.src.y - dst.y]),
         dp=np.zeros(1),
-        seen=np.zeros(deployment.n, dtype=bool),
-        parked=np.zeros(deployment.n, dtype=bool),
+        seen=np.zeros(run.deployment.n, dtype=bool),
+        parked=np.zeros(run.deployment.n, dtype=bool),
         rng=rng,
         next_slot=start_slot,
-        t=start_slot * slot,
+        t=start_slot * run.slot,
     )
 
 
@@ -438,14 +424,12 @@ def _run_flows(
     deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
                         max_strip_width=lateral_span)
     dc = detection_constant(phy)
-    u = dc.u
-    slot = phy.t_p + phy.t_guard
+    run = _Run(deployment, phy, policy, dc.u, phy.t_p + phy.t_guard)
     max_hops = max(256, int(8.0 * field_cfg.length / dc.single_relay_radius))
     max_slots = slot_budget(field_cfg, phy, policy)
 
-    flows = [new_flow_state(Strip(src=src, dst=dst), field_cfg.w, b,
-                            deployment, np.random.default_rng(ss), slot,
-                            i * stagger_slots)
+    flows = [new_flow_state(run, Strip(src=src, dst=dst), field_cfg.w, b,
+                            np.random.default_rng(ss), i * stagger_slots)
              for i, (src, ss) in enumerate(zip(srcs, flow_ss))]
 
     slot_idx = 0
@@ -459,24 +443,23 @@ def _run_flows(
             if f.hop + f.n_r == 1 and any(
                     g is not f and g.hop + g.n_r > 1
                     and _detects(f.strip.src.x, f.strip.src.y, g.relay_xy,
-                                 phy, u)[0] for g in txers):
+                                 phy, run.u)[0] for g in txers):
                 f.next_slot += 1
-                f.t += slot
+                f.t += run.slot
                 txers.remove(f)
         # built before any hop runs, since a hop replaces its relay set
         pn_fns = [interference_pn_fn(
             np.vstack([g.relay_xy for g in txers if g is not f]), phy,
             interference_radius) if len(txers) > 1 else None for f in txers]
         for f, pn_fn in zip(txers, pn_fns):
-            retransmitted = run_flow_hop(f, deployment, phy, policy, u, slot,
-                                         pn_extra_fn=pn_fn)
+            retransmitted = run_flow_hop(f, pn_extra_fn=pn_fn)
             f.next_slot += 2 if retransmitted else 1
         slot_idx += 1
     for f in flows:  # no forwarding decision reads xh0: one solve per flow
         k = [r.k_prev for r in f.records]
         xy = np.concatenate([np.empty((0, 2))] + f.sent_xy)
         xh0 = coverage_contour(*f.strip.frame(xy[:, 0], xy[:, 1]),
-                               np.cumsum(k) - k, u, phy.alpha)
+                               np.cumsum(k) - k, run.u, phy.alpha)
         f.records = [r._replace(xh0=float(x)) for r, x in zip(f.records, xh0)]
     return flows, slot_idx
 

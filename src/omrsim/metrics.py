@@ -7,6 +7,13 @@ from dataclasses import dataclass
 from .channel import PhyConfig
 
 
+def db_to_linear(db: float) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError("too large for a float in linear units") from None
+
+
 @dataclass(frozen=True)
 class McsEntry:
     name: str
@@ -17,7 +24,7 @@ class McsEntry:
     @property
     def gamma_t(self) -> float:
         """Linear detection threshold after any coding gain."""
-        return 10.0 ** ((self.detection_threshold_db - self.coding_gain_db) / 10.0)
+        return db_to_linear(self.detection_threshold_db - self.coding_gain_db)
 
     def rate(self, symbol_rate: float) -> float:
         """PHY bit rate for this constellation at the given symbol rate."""

@@ -137,6 +137,16 @@ def test_cli_unknown_mcs_rejected(tmp_path, capsys):
     assert err[0].startswith("config error:") and "'64-QAM'" in err[0]
 
 
+def test_cli_mcs_threshold_overflow_rejected(tmp_path, capsys):
+    # each MCS threshold is 10^((dB - coding gain) / 10), past a float here
+    cfg = tmp_path / "mcs.cfg"
+    cfg.write_text("scenario = compare-mcs\ncoding_gain_db = -3100\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("config error:") for line in err)
+    assert any("mcs_list:" in line for line in err)
+
+
 @pytest.mark.parametrize("scenario,axis,value", [
     ("compare-B", "b_list = 8, 1", "b must be >= 2, got 1"),
     ("delay-spread", "w_list_m = 100, -5", "w must be positive, got -5.0"),
@@ -175,11 +185,14 @@ def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
     # a power point's seed is seed + int(10 p_t_dbm): 1 - 200 < 0
     ("scenario = compare-power\np_t_dbm_list = -20", "p_t_dbm_list"),
     ("scenario = retransmissions\np_t_dbm_list = -20", "p_t_dbm_list"),
+    # a misspelt boolean would silently turn the dump off
+    ("dump_pmfs = ture", "dump_pmfs"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
         "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
         "p_t_dbm_list_overflow", "b_list", "seed",
-        "compare-power_point_seed", "retransmissions_point_seed"])
+        "compare-power_point_seed", "retransmissions_point_seed",
+        "dump_pmfs"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
     cfg = tmp_path / "bad.cfg"

@@ -9,6 +9,7 @@ from omrsim import engine
 from omrsim.channel import PhyConfig, detection_constant
 from omrsim.engine import (
     RetransmitPolicy,
+    _Run,
     _delay_spread,
     _path_step,
     decision_distance,
@@ -77,11 +78,18 @@ def test_rach_j_zero_possible_when_k_exceeds_b():
     assert 0 in js
 
 
+def _d_dst(points, dst):
+    """Distances of points to dst, as one array."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    return np.hypot(xy[:, 0] - dst.x, xy[:, 1] - dst.y)
+
+
 def _relays(points, r_prev, j, strip, width=200.0):
     """Relay-rule verdicts for points against the arc of r_prev's relay j."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d_ref = decision_distance(np.asarray(r_prev, dtype=float), j, strip.dst)
-    return eligible(pts[:, 0], pts[:, 1], d_ref, strip, width)
+    d_ref = decision_distance(_d_dst(r_prev, strip.dst), j)
+    return eligible(_d_dst(pts, strip.dst),
+                    strip.frame(pts[:, 0], pts[:, 1])[1], d_ref, width)
 
 
 def test_decision_contour_semantics():
@@ -94,7 +102,7 @@ def test_decision_contour_semantics():
     # closer to dst but out of strip
     assert not _relays(Point2D(500.0, 140.0), r_prev, 1, strip)[0]
     # all collided (j = 0): the arc falls back to the farthest relay
-    assert decision_distance(np.asarray(r_prev), 0, strip.dst) == 1940.0
+    assert decision_distance(_d_dst(r_prev, strip.dst), 0) == 1940.0
     behind_head = Point2D(100.0, 0.0)
     assert _relays(behind_head, r_prev, 0, strip)[0]
     assert not _relays(behind_head, r_prev, 1, strip)[0]
@@ -171,19 +179,18 @@ def test_interference_tag_counts_requalifying_parked_node():
     # clean channel the parked node re-qualifies, so the retransmission is
     # tagged as caused by interference
     dep = _tiny_deployment([0.5 * R1], [0.0])
-    slot = PHY.t_p + PHY.t_guard
-    state = new_flow_state(Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
-                           200.0, 16, dep, np.random.default_rng(0), slot)
+    run = _Run(dep, PHY, RetransmitPolicy(), U, PHY.t_p + PHY.t_guard)
+    state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
+                           200.0, 16, np.random.default_rng(0))
     state.seen[0] = state.parked[0] = True
 
     def jammed(xs, ys):
         return np.full(np.shape(xs), 1e3)
 
-    pol = RetransmitPolicy()
-    run_flow_hop(state, dep, PHY, pol, U, slot, pn_extra_fn=jammed)
+    run_flow_hop(state, pn_extra_fn=jammed)
     assert (state.hop, state.n_r, state.n_r_interference) == (1, 1, 1)
     # and on the clean channel the parked node does relay
-    run_flow_hop(state, dep, PHY, pol, U, slot)
+    run_flow_hop(state)
     assert state.hop == 2 and state.records[-1].k == 1
     assert not state.parked[0]
 
@@ -223,7 +230,7 @@ def test_propagation_delays_chain_spread_zero():
                    np.array([[130.0, -10.0]]))
     dp1 = _path_step(r1, src, np.zeros(1), 0.0)
     dp2 = _path_step(r2, r1, dp1, 0.0)
-    assert _delay_spread(r2, dp2, Point2D(200.0, 0.0)) == 0.0
+    assert _delay_spread(_d_dst(r2, Point2D(200.0, 0.0)), dp2) == 0.0
     assert dp1[0] == pytest.approx(math.hypot(60, 5))
     assert dp2[0] == pytest.approx(math.hypot(60, 5) + math.hypot(70, 15))
 
@@ -231,7 +238,7 @@ def test_propagation_delays_chain_spread_zero():
 def test_propagation_delays_colocated_final_hop():
     src, r1 = np.array([[0.0, 0.0]]), np.array([[50.0, 0.0], [50.0, 0.0]])
     dp1 = _path_step(r1, src, np.zeros(1), 0.0)
-    assert _delay_spread(r1, dp1, Point2D(100.0, 0.0)) == 0.0
+    assert _delay_spread(_d_dst(r1, Point2D(100.0, 0.0)), dp1) == 0.0
 
 
 def test_propagation_delays_min_over_parents():
@@ -293,17 +300,17 @@ def test_trial_invariants_ordering_duplicates_strip():
     d_ss, p_ss = ss.spawn(2)
     dep = deploy(fc, d_ss, t_p=phy.t_p,
                  max_strip_width=fc.w + pol.n_r_max * pol.delta_w)
-    slot = phy.t_p + phy.t_guard
-    state = new_flow_state(Strip(src=Point2D(0, 0), dst=Point2D(fc.length, 0)),
-                           fc.w, 16, dep, np.random.default_rng(p_ss), slot)
-    u = detection_constant(phy).u
+    run = _Run(dep, phy, pol, detection_constant(phy).u, phy.t_p + phy.t_guard)
+    state = new_flow_state(run,
+                           Strip(src=Point2D(0, 0), dst=Point2D(fc.length, 0)),
+                           fc.w, 16, np.random.default_rng(p_ss))
 
     decoded_once = np.zeros(dep.n, dtype=int)
     widths = [state.strip_width]
     seen_before = state.seen.copy()
     for _ in range(600):
         prev_relays = state.relay_xy.copy()
-        run_flow_hop(state, dep, phy, pol, u, slot)
+        run_flow_hop(state)
         widths.append(state.strip_width)
         newly = state.seen & ~seen_before
         decoded_once += newly
@@ -360,12 +367,13 @@ def test_false_alarm_straggler_bookkeeping():
 
     pol = RetransmitPolicy(n_r_max=3, fa_rate=0.999)
     state = _FlowState.__new__(_FlowState)
+    state.run = _Run(None, PHY, pol, U, PHY.t_p + PHY.t_guard)
     state.hop = 5          # the listeners form R_4
     state.stragglers = {}
     state.rng = np.random.default_rng(0)
     xy = np.array([[100.0, 0.0]])
     dp = np.array([123.0])
-    _register_false_alarms(state, xy, dp, pol)
+    _register_false_alarms(state, xy, dp)
     assert sorted(state.stragglers) == [6, 7, 8]  # R_{4+2} .. R_{4+4}
     for entries in state.stragglers.values():
         assert entries == [(100.0, 0.0, 123.0)]

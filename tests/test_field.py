@@ -30,7 +30,9 @@ def test_config_validation():
 
 def _inside_strip(p: Point2D, strip: Strip, width: float) -> bool:
     """The relay rule's strip test alone: no decision arc (d_ref = inf)."""
-    return bool(eligible(np.array([p.x]), np.array([p.y]), math.inf, strip,
+    d_dst = np.hypot(p.x - strip.dst.x, p.y - strip.dst.y)
+    _, lateral = strip.frame(p.x, p.y)
+    return bool(eligible(np.array([d_dst]), np.array([lateral]), math.inf,
                          width)[0])
 
 

@@ -22,7 +22,10 @@ A fourth digest covers the rows and the bytes of every ``dists_k`` and
 and, under the golden progress law, on ``FieldConfig`` at each density in
 ``rho_per_km2_list`` with b = 3, 16 and 24 and on ``FieldConfig`` at
 300 per km2 with b = 48, followed by the bytes of ``p_j_pmf(k, b)`` for
-k = 1..399 at b = 3, 5, 24 and 40. The digests must be equal;
+k = 1..399 at b = 3, 5, 24 and 40. A fifth digest covers the records of
+``run_trial`` with false alarms on, ``RetransmitPolicy(fa_rate=0.1)`` at
+b = 16, on the golden field with seeds 0-149 at 24 and 33 dBm, where
+stragglers rejoin later relay sets. The digests must be equal;
 floats are compared by their exact ``repr``, pmfs by their bytes. The exit
 code is 1 if any run or digest differs. The tool itself uses the standard
 library only; the digests run under each side's omrsim.
@@ -54,6 +57,9 @@ BCL_TRIALS = 100
 RECURSION_SLOTS = (3, 16, 24)
 P_J_SLOTS = (3, 5, 24, 40)
 P_J_MAX_RELAYS = 399
+FA_RATE = 0.1
+FA_SLOTS = 16
+FA_SEEDS = range(150)
 DIGEST_ARG = "--digest"  # private: print this interpreter's digests as JSON
 
 
@@ -68,8 +74,8 @@ def archive_src(rev: str, dest: Path) -> Path:
 
 def digests() -> dict[str, str]:
     """SHA-256 of the reference-pool trial records, of the two-packet
-    records, of the BCL walks and of the hop recursions, computed with the
-    omrsim on sys.path."""
+    records, of the BCL walks, of the hop recursions and of the false-alarm
+    trial records, computed with the omrsim on sys.path."""
     from dataclasses import replace
 
     import numpy as np
@@ -77,7 +83,7 @@ def digests() -> dict[str, str]:
     from omrsim.baseline import BclConfig, run_bcl
     from omrsim.channel import detection_constant
     from omrsim.config import dbm_to_watts, load_config, mcs_phy
-    from omrsim.engine import run_trial, run_two_packet_trial
+    from omrsim.engine import RetransmitPolicy, run_trial, run_two_packet_trial
     from omrsim.field import FieldConfig, Point2D
 
     def line(res) -> str:
@@ -135,10 +141,18 @@ def digests() -> dict[str, str]:
     for b in P_J_SLOTS:
         for k in range(1, P_J_MAX_RELAYS + 1):
             recursion.update(p_j_pmf(k, b).tobytes())
+    false_alarms = hashlib.sha256()
+    for p_t_dbm in REFERENCE_POWERS_DBM:
+        phy = spec.phy.with_tx_power(dbm_to_watts(p_t_dbm))
+        for seed in FA_SEEDS:
+            res = run_trial(spec.field, phy, RetransmitPolicy(fa_rate=FA_RATE),
+                            FA_SLOTS, seed)
+            false_alarms.update(line(res).encode() + b"\n")
     return {"reference trials": trials.hexdigest(),
             "two-packet runs": two.hexdigest(),
             "BCL walks": bcl.hexdigest(),
-            "hop recursions": recursion.hexdigest()}
+            "hop recursions": recursion.hexdigest(),
+            "false-alarm trials": false_alarms.hexdigest()}
 
 
 def side_digests(src: Path) -> dict[str, str]:
@@ -217,7 +231,7 @@ def main(argv: list[str]) -> int:
     for name in want:
         same = want[name] == got[name]
         failed += not same
-        print(f"{name:<17} digest {got[name][:16]}  "
+        print(f"{name:<18} digest {got[name][:16]}  "
               f"{'identical' if same else 'DIFFERS from ' + want[name][:16]}")
     return 1 if failed else 0
 
