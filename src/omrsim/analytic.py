@@ -7,8 +7,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
-from scipy.stats import poisson as _poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .field import FieldConfig
 
@@ -27,6 +26,25 @@ MAX_HOPS = 512          # recursion hops before it counts as diverged
 MIN_BIN = 5             # samples a relay-count bin needs to enter the MAPE
 _MIX_CHUNK = 512        # mixture components evaluated per block
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+
+
+class _Poisson:
+    """scipy.stats.poisson's pmf and isf on scipy.special alone; importing
+    scipy.stats for one tail quantile per mixture would take longer than
+    most runs spend in the recursion."""
+
+    @staticmethod
+    def pmf(k, mu):
+        return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+    @staticmethod
+    def isf(q: float, mu: float) -> int:
+        p = 1.0 - q                         # scipy's poisson._ppf(1 - q, mu)
+        k = math.ceil(pdtrik(p, mu))
+        return k - 1 if pdtr(k - 1, mu) >= p else k
+
+
+_poisson = _Poisson()
 
 
 @dataclass

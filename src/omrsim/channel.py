@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# not called here: the benchmark's span tracer rebinds channel.brentq by name
-from scipy.optimize import brentq  # noqa: F401
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -146,3 +144,12 @@ def coverage_contour(axial, lateral, starts, u: float,
             out[done] = x[done]
             todo &= ~done
     return out
+
+
+def __getattr__(name: str):
+    # nothing here calls brentq: the benchmark's span tracer rebinds
+    # channel.brentq by name, so scipy.optimize loads only when it asks
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -233,9 +233,8 @@ def _receive(state: _FlowState, d_ref: float, pn_extra_fn=None) -> _Reception:
                        seen=state.seen & ~state.parked,
                        pn_extra_fn=pn_extra_fn)
     decoded = heard[~state.seen[heard]]
-    pool = np.concatenate([decoded, heard[state.parked[heard]]])
-    relays = pool[eligible(state.d_dst[pool], state.lateral[pool], d_ref,
-                           state.strip_width)]
+    relays = heard[eligible(state.d_dst[heard], state.lateral[heard], d_ref,
+                            state.strip_width)]
     # the destination is an always-awake receiver applying the same test
     dst = state.strip.dst
     heard = _detects(np.array([dst.x]), np.array([dst.y]), relay_xy, run.phy,

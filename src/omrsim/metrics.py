@@ -24,7 +24,11 @@ class McsEntry:
     @property
     def gamma_t(self) -> float:
         """Linear detection threshold after any coding gain."""
-        return db_to_linear(self.detection_threshold_db - self.coding_gain_db)
+        try:
+            return db_to_linear(self.detection_threshold_db - self.coding_gain_db)
+        except ValueError as exc:
+            raise ValueError(f"{self.name} at coding_gain_db = "
+                             f"{self.coding_gain_db:g}: {exc}") from None
 
     def rate(self, symbol_rate: float) -> float:
         """PHY bit rate for this constellation at the given symbol rate."""

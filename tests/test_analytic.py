@@ -375,6 +375,20 @@ def test_poisson_one_component_is_scipy_pmf_bit_for_bit():
         assert np.array_equal(got, want), mean
 
 
+def test_poisson_stand_in_matches_scipy_stats():
+    # analytic._poisson replaces scipy.stats.poisson, which the package does
+    # not import: its tail quantile sizes every mixture, so it must agree
+    means = np.concatenate([np.logspace(-6.0, math.log10(5e3), 40000),
+                            np.arange(1, 40001) * 0.01])
+    q = TAIL_TOL * 0.1
+    want = poisson.isf(q, means).astype(int)
+    got = np.array([analytic._poisson.isf(q, m) for m in means])
+    assert np.array_equal(got, want), means[got != want][:5]
+    ks = np.arange(800)[None, :]
+    grid = means[::97, None]
+    assert np.array_equal(analytic._poisson.pmf(ks, grid), poisson.pmf(ks, grid))
+
+
 def test_intdist_convolution_mean_additivity():
     a = _poisson(2.0)
     b = _poisson(3.5)

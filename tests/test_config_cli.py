@@ -147,6 +147,17 @@ def test_cli_mcs_threshold_overflow_rejected(tmp_path, capsys):
     assert any("mcs_list:" in line for line in err)
 
 
+def test_cli_mcs_threshold_overflow_names_each_scheme(tmp_path, capsys):
+    cfg = tmp_path / "mcs.cfg"
+    cfg.write_text("scenario = compare-mcs\ncoding_gain_db = -3100\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if "mcs_list:" in line]
+    assert [line.split("mcs_list: ")[1].split(" at ")[0] for line in err] \
+        == ["DQPSK", "8-DPSK", "16-DPSK"]
+    assert all("coding_gain_db = -3100" in line for line in err)
+
+
 @pytest.mark.parametrize("scenario,axis,value", [
     ("compare-B", "b_list = 8, 1", "b must be >= 2, got 1"),
     ("delay-spread", "w_list_m = 100, -5", "w must be positive, got -5.0"),

@@ -115,3 +115,25 @@ def test_tracer_installs_and_counts_one_contour_solve_per_trial(monkeypatch):
     # one RACH draw per attempt after the source's hop
     assert calls["engine.rach_round"] \
         == sum(1 + r.n_r for r in res.records if r.hop >= 2) > 0
+
+
+def test_tracer_keeps_recursion_rows_and_finds_brentq(monkeypatch):
+    # the tracer wraps analytic._poisson and rebinds channel.brentq, which
+    # omrsim provides without importing scipy.stats or scipy.optimize itself
+    from scipy.optimize import brentq
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    from tracing import Tracer
+
+    inputs = _recursion_input("golden")
+    want = run_recursion(*inputs).rows
+    tracer = Tracer()
+    tracer.install(omrsim)
+    try:
+        assert omrsim.channel.brentq.__wrapped__ is brentq
+        got = omrsim.analytic.run_recursion(*inputs).rows
+    finally:
+        tracer.remove()
+    assert got == want
+    assert tracer.totals()["calls"]["analytic.run_recursion"] == 1
