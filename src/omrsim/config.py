@@ -101,7 +101,8 @@ class Point(NamedTuple):
     phy: PhyConfig
     b: int | None                 # RACH slots; None for the baseline
     trials: int
-    seed: int                     # trial i runs on child i of its sequence
+    seed: int                     # keyed by scenario and coordinates in plan();
+                                  # trial i runs on child i of its sequence
     rho_km2: float | None = None
     p_t_dbm: float | None = None
     mcs: str = ""
@@ -126,7 +127,7 @@ def _bcl_refs(spec: ExperimentSpec, axis, base: Point, mcs: str = ""):
     on spec.phy or on MCS mcs's copy of it."""
     return [base._replace(protocol="bcl", phy=phy, b=None, mcs=mcs,
                           trials=max(100, spec.trials // 5),
-                          seed=spec.seed + 17, p_t_dbm=spec.bcl_p_t_dbm)
+                          p_t_dbm=spec.bcl_p_t_dbm)
             for phy in axis("bcl_p_t_dbm", lambda p: (
                 mcs_phy(spec, mcs) if mcs else spec.phy).with_tx_power(
                     dbm_to_watts(p)))]
@@ -141,14 +142,8 @@ def _plan_powers(spec: ExperimentSpec, axis, base: Point, bcl: bool):
     points open with its baseline reference."""
     densities = axis("rho_per_km2_list",
                      lambda r: (r, replace(spec.field, rho=r * 1e-6)))
-    def power(p: float) -> Point:
-        phy = spec.phy.with_tx_power(dbm_to_watts(p))
-        seed = spec.seed + int(p * 10)
-        if seed < 0:  # numpy's seed sequences take non-negative integers only
-            raise ValueError(f"point seed {spec.seed} + int({p:g} * 10) = "
-                             f"{seed} must be >= 0")
-        return base._replace(phy=phy, seed=seed, p_t_dbm=p)
-    powers = axis("p_t_dbm_list", power)
+    powers = axis("p_t_dbm_list", lambda p: base._replace(
+        phy=spec.phy.with_tx_power(dbm_to_watts(p)), p_t_dbm=p))
     refs = _bcl_refs(spec, axis, base) if bcl else []
     _slot_counts(spec, axis)
     return [point._replace(field=field, rho_km2=rho_km2)
@@ -156,16 +151,14 @@ def _plan_powers(spec: ExperimentSpec, axis, base: Point, bcl: bool):
 
 
 def _plan_compare_b(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
-    points = [base._replace(b=b, seed=spec.seed + b)
-              for b in _slot_counts(spec, axis, "b_list")]
-    return _bcl_refs(spec, axis, base) + points
+    return _bcl_refs(spec, axis, base) + [
+        base._replace(b=b) for b in _slot_counts(spec, axis, "b_list")]
 
 
 def _plan_compare_mcs(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
     """Each MCS in mcs_list against the baseline running coherent QPSK."""
-    bits = {m.name: m.bits_per_symbol for m in mcs_table(spec.coding_gain_db)}
     schemes = axis("mcs_list", lambda name: base._replace(
-        phy=mcs_phy(spec, name), seed=spec.seed + bits[name], mcs=name))
+        phy=mcs_phy(spec, name), mcs=name))
     refs = _bcl_refs(spec, axis, base, "QPSK-coherent")
     _slot_counts(spec, axis)
     return refs + schemes
@@ -176,8 +169,7 @@ def _plan_delay_spread(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
                      lambda r: (r, replace(spec.field, rho=r * 1e-6)))
     widths = axis("w_list_m", lambda w: replace(spec.field, w=w).w)
     _slot_counts(spec, axis)
-    return [base._replace(field=replace(field, w=w), rho_km2=rho_km2,
-                          seed=spec.seed + int(w) + int(rho_km2))
+    return [base._replace(field=replace(field, w=w), rho_km2=rho_km2)
             for rho_km2, field in densities for w in widths]
 
 
@@ -194,10 +186,10 @@ def _plan_two_packets(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
 PLANS = {
     "omr-trials": _plan_one,
     "bcl-trials": lambda spec, axis, base: [
-        ref._replace(trials=spec.trials, seed=spec.seed)
+        ref._replace(trials=spec.trials)
         for ref in _bcl_refs(spec, axis, base)],
     "analytic": lambda spec, axis, base: [
-        point._replace(trials=max(200, spec.trials // 5), seed=spec.seed + 1)
+        point._replace(trials=max(200, spec.trials // 5))
         for point in _plan_one(spec, axis, base)],
     "compare-power": partial(_plan_powers, bcl=True),
     "compare-B": _plan_compare_b,
@@ -231,9 +223,15 @@ def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
                 diags.append(f"{key}: {exc}")
         return built
 
-    return PLANS[spec.scenario](spec, axis, Point(
+    points = PLANS[spec.scenario](spec, axis, Point(
         "omr", spec.field, spec.phy, spec.b, spec.trials, spec.seed,
-        spec.field.rho * 1e6, round(watts_to_dbm(spec.phy.p_t), 6))), diags
+        spec.field.rho * 1e6, round(watts_to_dbm(spec.phy.p_t), 6)))
+    # the one seed rule: a point's seed is its key's repr read as an integer,
+    # so points with distinct coordinates never share a seed, and a point
+    # keeps its seed when another value joins its axis
+    return [p._replace(seed=int.from_bytes(repr((
+        spec.seed, spec.scenario, p.protocol, p.rho_km2, p.p_t_dbm, p.b,
+        p.mcs, p.field.w)).encode(), "big")) for p in points], diags
 
 
 def _boolean(s: str) -> bool:

@@ -58,9 +58,7 @@ def _write_figure(spec: ExperimentSpec, stem: str, header: list[str], rows,
 class TrialSummary(NamedTuple):
     """What a sweep keeps of one OMR trial."""
 
-    seed: int
     reached: bool
-    q: int                  # hops traversed
     delay_spread_s: float
     records: list           # the trial's HopRecords, one per hop
     energy_j: float
@@ -72,11 +70,10 @@ def _one_trial(args):
     spec, point, tss = args
     if point.protocol == "bcl":
         return bcl_walk(spec.bcl, point.field, point.phy, tss)
-    seed = int(tss.generate_state(1)[0])
+    seed = int.from_bytes(tss.generate_state(4).tobytes(), "little")
     res = run_trial(point.field, point.phy, spec.policy, point.b, seed)
     e, l = trial_e2e(res.records, point.phy)
-    return TrialSummary(seed, res.reached, res.q, res.delay_spread_s,
-                        res.records, e, l)
+    return TrialSummary(res.reached, res.delay_spread_s, res.records, e, l)
 
 
 def run_sweep(spec: ExperimentSpec, points: list[Point]) -> list[list]:
@@ -85,8 +82,9 @@ def run_sweep(spec: ExperimentSpec, points: list[Point]) -> list[list]:
 
     Returns one batch per point, in point order, each in trial order. Trial
     i of a point runs on child i of SeedSequence(point.seed); an OMR trial
-    seeds run_trial with that child's first state word. So a batch depends
-    neither on the other points nor on the worker count.
+    seeds run_trial with that child's first four state words as one 128-bit
+    integer. So a batch depends neither on the other points nor on the
+    worker count.
     """
     args = [(spec, point, tss) for point in points for tss in
             np.random.SeedSequence(point.seed).spawn(point.trials)]
@@ -134,8 +132,9 @@ def _bcl_row(res, point: Point, ratio: float | str = "") -> tuple:
 def scenario_omr_trials(spec: ExperimentSpec, results: list) -> list[str]:
     ((point, batch),) = results
     return [_write_csv(spec, "omr_trace.csv", TRACE_COLUMNS,
-                       [(t.seed, r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0,
-                         t.delay_spread_s) for t in batch for r in t.records]),
+                       [(i, r.hop, r.k_prev, r.l, r.j_prev, r.n_r, r.xh0,
+                         t.delay_spread_s) for i, t in enumerate(batch)
+                        for r in t.records]),
             _write_csv(spec, "summary.csv", SUMMARY_COLUMNS,
                        [_omr_row(batch, point)])]
 

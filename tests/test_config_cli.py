@@ -193,17 +193,12 @@ def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
     ("b_list = 8, x", "b_list"),
     # numpy's seed sequences take non-negative integers only
     ("seed = -1", "seed must be >= 0"),
-    # a power point's seed is seed + int(10 p_t_dbm): 1 - 200 < 0
-    ("scenario = compare-power\np_t_dbm_list = -20", "p_t_dbm_list"),
-    ("scenario = retransmissions\np_t_dbm_list = -20", "p_t_dbm_list"),
     # a misspelt boolean would silently turn the dump off
     ("dump_pmfs = ture", "dump_pmfs"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
         "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
-        "p_t_dbm_list_overflow", "b_list", "seed",
-        "compare-power_point_seed", "retransmissions_point_seed",
-        "dump_pmfs"])
+        "p_t_dbm_list_overflow", "b_list", "seed", "dump_pmfs"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
     cfg = tmp_path / "bad.cfg"
@@ -212,6 +207,22 @@ def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and field in err[0]
+
+
+@pytest.mark.parametrize("scenario", ["compare-power", "retransmissions"])
+def test_negative_power_runs(tmp_path, capsys, scenario):
+    # -20 dBm is a valid power: a point's seed is never negative
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text(f"scenario = {scenario}\nseed = 1\np_t_dbm_list = -20\n"
+                   "rho_per_km2_list = 900\nlength_m = 600\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 0
+    assert capsys.readouterr().out == "configuration ok\n"
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--trials", "2", "--workers", "1",
+                 "--out", str(out)]) == 0
+    (path,) = capsys.readouterr().out.split()
+    with open(path, encoding="utf-8") as fh:
+        assert [r for r in csv.DictReader(fh) if r["p_t_dbm"] == "-20.0"]
 
 
 def test_negative_stagger_rejected(tmp_path, capsys):
@@ -299,51 +310,43 @@ def test_scenario_lists_match():
 
 
 # configs/golden.cfg at seed 5 and 12 trials: each scenario's points per
-# density, in run order, as (protocol, p_t_dbm, B, mcs, trials, seed)
+# density, in run order, as (protocol, p_t_dbm, B, mcs, trials)
 POWERS = (24.0, 25.5, 27.0, 28.5, 30.0, 31.5, 33.0)
-POWER_SEEDS = (245, 260, 275, 290, 305, 320, 335)  # 5 + int(10 p_t_dbm)
 DENSITIES = (900.0, 1200.0, 1500.0)
-BCL_REF = ("bcl", 33.0, None, "", 100, 22)  # max(100, 12 // 5) at 5 + 17
+BCL_REF = ("bcl", 33.0, None, "", 100)  # max(100, 12 // 5) trials
 GOLDEN_PLANS = {
-    "omr-trials": {1500.0: [("omr", 33.0, 24, "", 12, 5)]},
-    "bcl-trials": {1500.0: [("bcl", 33.0, None, "", 12, 5)]},
-    "analytic": {1500.0: [("omr", 33.0, 24, "", 200, 6)]},
-    "compare-power": {rho: [BCL_REF] + [
-        ("omr", p, 24, "", 12, seed) for p, seed in zip(POWERS, POWER_SEEDS)]
-        for rho in DENSITIES},
-    "compare-B": {1500.0: [BCL_REF] + [
-        ("omr", 33.0, b, "", 12, seed)
-        for b, seed in ((8, 13), (16, 21), (24, 29), (48, 53))]},
-    "compare-mcs": {1500.0: [BCL_REF[:3] + ("QPSK-coherent", 100, 22)] + [
-        ("omr", 33.0, 24, name, 12, seed)
-        for name, seed in (("DQPSK", 7), ("8-DPSK", 8), ("16-DPSK", 9))]},
-    "retransmissions": {rho: [
-        ("omr", p, 24, "", 12, seed) for p, seed in zip(POWERS, POWER_SEEDS)]
-        for rho in DENSITIES},
+    "omr-trials": {1500.0: [("omr", 33.0, 24, "", 12)]},
+    "bcl-trials": {1500.0: [("bcl", 33.0, None, "", 12)]},
+    "analytic": {1500.0: [("omr", 33.0, 24, "", 200)]},
+    "compare-power": {rho: [BCL_REF] + [("omr", p, 24, "", 12) for p in POWERS]
+                      for rho in DENSITIES},
+    "compare-B": {1500.0: [BCL_REF] + [("omr", 33.0, b, "", 12)
+                                       for b in (8, 16, 24, 48)]},
+    "compare-mcs": {1500.0: [BCL_REF[:3] + ("QPSK-coherent", 100)] + [
+        ("omr", 33.0, 24, name, 12) for name in ("DQPSK", "8-DPSK", "16-DPSK")]},
+    "retransmissions": {rho: [("omr", p, 24, "", 12) for p in POWERS]
+                        for rho in DENSITIES},
     "two-packets": {},
-    "calibrate": {1500.0: [("omr", 33.0, 24, "", 12, 5)]},
+    "calibrate": {1500.0: [("omr", 33.0, 24, "", 12)]},
 }
-# delay-spread's points carry a strip width: (rho, w) -> seed 5 + w + rho
-DELAY_SPREAD_SEEDS = {(900.0, 100.0): 1005, (900.0, 150.0): 1055,
-                      (900.0, 200.0): 1105, (1200.0, 100.0): 1305,
-                      (1200.0, 150.0): 1355, (1200.0, 200.0): 1405,
-                      (1500.0, 100.0): 1605, (1500.0, 150.0): 1655,
-                      (1500.0, 200.0): 1705}
+# delay-spread's points carry a strip width, density-major
+DELAY_SPREAD_POINTS = [(rho, w) for rho in DENSITIES
+                       for w in (100.0, 150.0, 200.0)]
 
 
 @pytest.mark.parametrize("scenario", list(PLANS))
 def test_golden_plan_points(scenario):
-    # every point's protocol, coordinates, trials and seed, in run order
+    # every point's protocol, coordinates and trials, in run order
     spec = load_config(GOLDEN, scenario=scenario, seed=5, trials=12)
     points, diags = plan(spec)
     assert diags == []
     if scenario == "delay-spread":
-        got = [(p.protocol, p.rho_km2, p.field.w, p.b, p.trials, p.seed)
+        got = [(p.protocol, p.rho_km2, p.field.w, p.b, p.trials)
                for p in points]
-        assert got == [("omr", rho, w, 24, 12, seed)
-                       for (rho, w), seed in DELAY_SPREAD_SEEDS.items()]
+        assert got == [("omr", rho, w, 24, 12)
+                       for rho, w in DELAY_SPREAD_POINTS]
         return
-    got = [(p.rho_km2, (p.protocol, p.p_t_dbm, p.b, p.mcs, p.trials, p.seed))
+    got = [(p.rho_km2, (p.protocol, p.p_t_dbm, p.b, p.mcs, p.trials))
            for p in points]
     assert got == [(rho, point) for rho, row in GOLDEN_PLANS[scenario].items()
                    for point in row]
@@ -352,6 +355,31 @@ def test_golden_plan_points(scenario):
         assert p.phy.p_t == dbm_to_watts(p.p_t_dbm)
         if p.mcs:
             assert p.phy.gamma_t == mcs_phy(spec, p.mcs).gamma_t
+
+
+def test_delay_spread_point_seeds_distinct():
+    # density + width is 1200 at both (1000, 200) and (1100, 100)
+    spec = load_config(GOLDEN, scenario="delay-spread")
+    spec.rho_per_km2_list = [1000.0, 1100.0]
+    spec.w_list = [100.0, 200.0]
+    points, diags = plan(spec)
+    assert diags == []
+    assert len({p.seed for p in points}) == len(points) == 4
+
+
+def test_power_point_keeps_seed_when_axis_grows():
+    # a point's seed is keyed by its own coordinates, not by its place
+    spec = load_config(GOLDEN, scenario="compare-power")
+
+    def seeds() -> dict:
+        return {(p.protocol, p.rho_km2, p.p_t_dbm): p.seed
+                for p in plan(spec)[0]}
+
+    before = seeds()
+    spec.p_t_dbm_list = [22.5] + spec.p_t_dbm_list
+    after = seeds()
+    assert len(after) == len(before) + len(DENSITIES)
+    assert all(after[key] == seed for key, seed in before.items())
 
 
 def test_cli_flag_overrides(tmp_path):

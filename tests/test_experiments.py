@@ -2,18 +2,28 @@
 
 import csv
 import math
+import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from omrsim import experiments
 from omrsim.baseline import bcl_summary, run_bcl
-from omrsim.config import ExperimentSpec, Point, dbm_to_watts
+from omrsim.config import (
+    PLANS,
+    ExperimentSpec,
+    Point,
+    dbm_to_watts,
+    load_config,
+    plan,
+)
 from omrsim.engine import run_trial
 from omrsim.experiments import TrialSummary, run, run_omr_batch, run_sweep
 
 SHORT_FIELD = replace(ExperimentSpec().field, length=600.0)
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
 
 
 def _spec(out_dir, scenario="omr-trials", trials=4, workers=1):
@@ -81,27 +91,55 @@ def test_trial_summary_named_fields_match_index(tmp_path):
                           3, 7)
     for summary in batch:
         assert isinstance(summary, TrialSummary)
-        assert len(summary) == len(TrialSummary._fields) == 7
+        assert len(summary) == len(TrialSummary._fields) == 5
         for i, name in enumerate(TrialSummary._fields):
             assert getattr(summary, name) is summary[i]
 
 
 def test_omr_trace_rows_are_the_trial_records(tmp_path):
-    # each trace row is one hop record of run_trial at that row's trial seed
+    # each trace row is one hop record of trial i of the point, which runs
+    # on the 128-bit seed of child i of the point's seed sequence
     spec = _spec(tmp_path, trials=3)
     trace, _ = run(spec)
     with open(trace, encoding="utf-8") as fh:
         got = list(csv.reader(fh))[1:]
-    seeds = [int(s.generate_state(1)[0])
-             for s in np.random.SeedSequence(spec.seed).spawn(spec.trials)]
+    ((point,), _) = plan(spec)
+    children = np.random.SeedSequence(point.seed).spawn(spec.trials)
     expect = []
-    for seed in seeds:
+    for i, child in enumerate(children):
+        seed = int.from_bytes(child.generate_state(4).tobytes(), "little")
         res = run_trial(spec.field, spec.phy, spec.policy, spec.b, seed)
-        expect += [[str(seed), str(r.hop), str(r.k_prev), str(r.l),
+        expect += [[str(i), str(r.hop), str(r.k_prev), str(r.l),
                     str(r.j_prev), str(r.n_r), repr(r.xh0),
                     repr(res.delay_spread_s)] for r in res.records]
     assert len(expect) > spec.trials
     assert got == expect
+
+
+@pytest.mark.parametrize("scenario", list(PLANS))
+def test_golden_seeds_never_repeat(monkeypatch, scenario):
+    # every point seed and every trial seed the scenario draws on the golden
+    # config at its default trials; a baseline walk's seed is the 128-bit
+    # state of its child sequence, as an OMR trial's is
+    drawn = []
+
+    def trial(field, phy, policy, b, seed):
+        drawn.append(seed)
+        return SimpleNamespace(reached=False, q=0, delay_spread_s=math.nan,
+                               records=[])
+
+    def walk(bcl, field, phy, tss):
+        drawn.append(int.from_bytes(tss.generate_state(4).tobytes(), "little"))
+
+    monkeypatch.setattr(experiments, "run_trial", trial)
+    monkeypatch.setattr(experiments, "trial_e2e", lambda records, phy: (0, 0))
+    monkeypatch.setattr(experiments, "bcl_walk", walk)
+    spec = load_config(GOLDEN, scenario=scenario, workers=1)
+    points, _ = plan(spec)
+    run_sweep(spec, points)
+    assert len(drawn) == sum(p.trials for p in points)
+    assert len({p.seed for p in points}) == len(points)
+    assert len(set(drawn)) == len(drawn)
 
 
 def test_retransmissions_runs_sparse_point_once(tmp_path, monkeypatch):
