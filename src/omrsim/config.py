@@ -204,19 +204,24 @@ SCENARIOS = tuple(PLANS)
 
 def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
     """The scenario's points in run order, and a `<config key>: <problem>`
-    diagnostic per value they cannot be built from and per empty sweep
-    axis; the points are only whole when there is none."""
+    diagnostic per value they cannot be built from, per repeated value and
+    per empty sweep axis; the points are only whole when there is none."""
     diags = []
 
     def axis(key: str, build) -> list:
         """build(value) of each value of key that builds; a scalar is a
-        one-value axis."""
+        one-value axis. A repeated value is a problem: its points would
+        share coordinates, and so one seed."""
         values = getattr(spec, _KEYMAP[key][1])
         if values == []:
             diags.append(f"{key}: scenario '{spec.scenario}' needs a "
                          f"non-empty sweep axis")
+        values = values if isinstance(values, list) else [values]
         built = []
-        for value in values if isinstance(values, list) else [values]:
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                diags.append(f"{key}: repeats {value}")
+                continue
             try:
                 built.append(build(value))
             except ValueError as exc:

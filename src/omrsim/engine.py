@@ -64,12 +64,12 @@ def rach_round(k: int, b: int, n: int,
 
     Returns the (n, k) resolvable flags (in destination-distance order) and
     the (n,) 1-based indices of the first resolvable relay, 0 where all
-    collided. Slots are counted with one bincount over row-offset slot ids.
+    collided. A relay is resolvable when no other relay of its round drew
+    its slot, so its slot equals one of the round's k slots: its own.
     """
     check_rach_slots(b)
     slots = rng.integers(0, b, size=(n, k))
-    slots += np.arange(0, n * b, b)[:, None]
-    resolvable = np.bincount(slots.ravel(), minlength=n * b)[slots] == 1
+    resolvable = (slots[:, :, None] == slots[:, None, :]).sum(axis=2) == 1
     return resolvable, (resolvable.argmax(axis=1) + 1) * resolvable.any(axis=1)
 
 
@@ -89,6 +89,13 @@ def eligible(d_dst, lateral, d_ref: float, width: float) -> np.ndarray:
     closer to dst than the decision arc, and inside the strip of the given
     (possibly widened) width, boundary included."""
     return (d_dst < d_ref) & (np.abs(lateral) <= width / 2.0)
+
+
+def reach(k: int, u: float, alpha: float) -> float:
+    """Distance beyond which a receiver cannot hear k transmitters: past
+    (k / u)^(1/alpha) each one's term of the aggregate power is below u / k.
+    The relative margin of 1e-6 is far above the rounding of a power sum."""
+    return (k / u) ** (1.0 / alpha) * (1.0 + 1e-6)
 
 
 def _detects(xs, ys, relay_xy: np.ndarray, phy: PhyConfig, u: float,
@@ -123,16 +130,16 @@ def decode_set(
     supply additive per-node noise-plus-interference power (per subcarrier).
     """
     relays = np.asarray(relays, dtype=float).reshape(-1, 2)
-    # a node beyond (k / u)^(1/alpha) of every transmitter cannot reach u
-    d_cut = (relays.shape[0] / u) ** (1.0 / phy.alpha)
-    i0, i1 = deployment.window(relays[:, 0].min() - d_cut,
-                               relays[:, 0].max() + d_cut)
+    # a node beyond reach of every transmitter cannot hear them
+    d_cut = reach(relays.shape[0], u, phy.alpha)
+    relay_xs = relays[:, 0].tolist()
+    i0, i1 = deployment.window(min(relay_xs) - d_cut, max(relay_xs) + d_cut)
     mask = awake_mask(
         deployment.sleep_phases[i0:i1], t_now, phy.t_p, deployment.cfg.epsilon
     )
     if seen is not None:
         mask &= ~seen[i0:i1]
-    idx = np.flatnonzero(mask) + i0
+    idx = mask.nonzero()[0] + i0
     return idx[_detects(deployment.xs[idx], deployment.ys[idx], relays, phy, u,
                         pn_extra_fn)]
 
@@ -183,8 +190,8 @@ class _FlowState:
     relay_xy: np.ndarray          # transmitters of the next hop, global coords
     relay_d: np.ndarray           # their distances to dst, ascending
     dp: np.ndarray                # accumulated propagation path length, m
-    seen: np.ndarray
-    parked: np.ndarray            # decoded earlier, never relayed; may re-qualify
+    seen: np.ndarray              # decoded at least once
+    relayed: np.ndarray           # was in a relay set; seen & ~relayed are parked
     rng: np.random.Generator      # RACH draws and false alarms
     next_slot: int                # grid slot of the flow's next transmission
     t: float                      # sleep-schedule clock (see docs/decisions.md)
@@ -213,7 +220,7 @@ class _FlowState:
 
 class _Reception(NamedTuple):
     decoded: np.ndarray    # nodes hearing the packet for the first time
-    relays: np.ndarray     # decoders and re-qualifying parked nodes that relay
+    relays: np.ndarray     # fresh and re-qualifying decoders that relay
     dst_detected: bool
 
     @property
@@ -230,14 +237,16 @@ def _receive(state: _FlowState, d_ref: float, pn_extra_fn=None) -> _Reception:
     # relayed) re-read the header and re-evaluate the position criteria,
     # which matters when a retransmission widened the strip or moved the arc
     heard = decode_set(run.deployment, relay_xy, state.t, run.phy, u=run.u,
-                       seen=state.seen & ~state.parked,
-                       pn_extra_fn=pn_extra_fn)
+                       seen=state.relayed, pn_extra_fn=pn_extra_fn)
     decoded = heard[~state.seen[heard]]
     relays = heard[eligible(state.d_dst[heard], state.lateral[heard], d_ref,
                             state.strip_width)]
-    # the destination is an always-awake receiver applying the same test
+    # the destination is an always-awake receiver applying the same test,
+    # which it can pass only within reach of the nearest transmitter (extra
+    # noise only raises the threshold)
     dst = state.strip.dst
-    heard = _detects(np.array([dst.x]), np.array([dst.y]), relay_xy, run.phy,
+    heard = state.relay_d[0] <= reach(relay_xy.shape[0], run.u, run.phy.alpha) \
+        and _detects(np.array([dst.x]), np.array([dst.y]), relay_xy, run.phy,
                      run.u, pn_extra_fn)[0]
     return _Reception(decoded, relays, bool(heard))
 
@@ -248,7 +257,7 @@ def _path_step(new_xy: np.ndarray, prev_xy: np.ndarray, prev_dp: np.ndarray,
     relays of (link distance + their path), plus the first-echo excess."""
     link = np.hypot(new_xy[:, 0:1] - prev_xy[None, :, 0],
                     new_xy[:, 1:2] - prev_xy[None, :, 1])
-    return (link + prev_dp[None, :]).min(axis=1) + delta_r
+    return np.minimum.reduce(link + prev_dp[None, :], axis=1) + delta_r
 
 
 def _delay_spread(d_dst: np.ndarray, dp: np.ndarray) -> float:
@@ -260,16 +269,17 @@ def _delay_spread(d_dst: np.ndarray, dp: np.ndarray) -> float:
 
 def _advance_relays(state: _FlowState, r_idx: np.ndarray) -> int:
     """Install the new relay set (sorted by distance to dst) and update delays."""
-    dst, deployment = state.strip.dst, state.run.deployment
-    new_xy = np.column_stack([deployment.xs[r_idx], deployment.ys[r_idx]])
+    new_xy = state.run.deployment.xy[r_idx]
     new_dp = _path_step(new_xy, state.relay_xy, state.dp,
                         state.run.phy.delta_r)
+    d = state.d_dst[r_idx]
     extra = state.stragglers.pop(state.hop, None)
-    if extra:
-        new_xy = np.vstack([new_xy, [e[:2] for e in extra]])
+    if extra:  # false-alarm stragglers, not deployment nodes
+        extra_xy = np.array([e[:2] for e in extra])
+        new_xy = np.vstack([new_xy, extra_xy])
         new_dp = np.concatenate([new_dp, [e[2] for e in extra]])
-    d = np.hypot(new_xy[:, 0] - dst.x, new_xy[:, 1] - dst.y)
-    order = np.argsort(d, kind="stable")
+        d = np.concatenate([d, np.hypot(*(extra_xy - state.strip.dst).T)])
+    order = d.argsort(kind="stable")
     state.relay_xy, state.relay_d = new_xy[order], d[order]
     state.dp = new_dp[order]
     return new_xy.shape[0]
@@ -319,7 +329,6 @@ def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> bool:
             and _receive(state, d_ref).progressed:
         state.n_r_interference += 1
     state.seen[rx.decoded] = True
-    state.parked[rx.decoded] = True
     if retransmit:
         state.n_r += 1
         # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
@@ -332,7 +341,7 @@ def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> bool:
         state.delay_spread_s = _delay_spread(state.relay_d, old_dp)
         state.reached = True
     elif rx.relays.size:
-        state.parked[rx.relays] = False
+        state.relayed[rx.relays] = True
         k_new = _advance_relays(state, rx.relays)
     else:
         state.failed = True
@@ -385,7 +394,7 @@ def new_flow_state(run: _Run, strip: Strip, strip_width: float, b: int,
         relay_d=np.hypot([strip.src.x - dst.x], [strip.src.y - dst.y]),
         dp=np.zeros(1),
         seen=np.zeros(run.deployment.n, dtype=bool),
-        parked=np.zeros(run.deployment.n, dtype=bool),
+        relayed=np.zeros(run.deployment.n, dtype=bool),
         rng=rng,
         next_slot=start_slot,
         t=start_slot * run.slot,

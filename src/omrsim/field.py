@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +86,10 @@ class Deployment:
     sleep_phases: np.ndarray
     cfg: FieldConfig
     bounds: tuple[float, float, float, float]  # (x_lo, x_hi, y_lo, y_hi)
+    xy: np.ndarray = dc_field(init=False, repr=False)  # (n, 2) positions
+
+    def __post_init__(self) -> None:
+        self.xy = np.column_stack([self.xs, self.ys])
 
     @property
     def n(self) -> int:
@@ -93,9 +97,8 @@ class Deployment:
 
     def window(self, x_lo: float, x_hi: float) -> tuple[int, int]:
         """Index range [i0, i1) of nodes with x in [x_lo, x_hi]."""
-        i0 = int(np.searchsorted(self.xs, x_lo, side="left"))
-        i1 = int(np.searchsorted(self.xs, x_hi, side="right"))
-        return i0, i1
+        return (int(self.xs.searchsorted(x_lo, side="left")),
+                int(self.xs.searchsorted(x_hi, side="right")))
 
 
 def deploy(

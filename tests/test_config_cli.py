@@ -367,6 +367,24 @@ def test_delay_spread_point_seeds_distinct():
     assert len({p.seed for p in points}) == len(points) == 4
 
 
+@pytest.mark.parametrize("key,values,problem", [
+    ("p_t_dbm_list", [24.0, 27.0, 24.0], "repeats 24.0"),
+    ("rho_per_km2_list", [900.0, 900.0], "repeats 900.0"),
+])
+def test_sweep_axis_rejects_repeated_value(key, values, problem):
+    # two points with the same coordinates would get the same seed
+    spec = load_config(GOLDEN, scenario="compare-power")
+    setattr(spec, key, values)
+    assert f"{key}: {problem}" in plan(spec)[1]
+
+
+def test_cli_rejects_repeated_sweep_value(tmp_path, capsys):
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text("scenario = compare-power\np_t_dbm_list = 24, 24\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    assert "p_t_dbm_list: repeats 24.0" in capsys.readouterr().err
+
+
 def test_power_point_keeps_seed_when_axis_grows():
     # a point's seed is keyed by its own coordinates, not by its place
     spec = load_config(GOLDEN, scenario="compare-power")

@@ -72,6 +72,26 @@ def test_rach_round_is_one_row_of_the_batch(b):
             assert jv == (int(np.argmax(flags)) + 1 if flags.any() else 0)
 
 
+def _rach_round_bincount(k, b, n, rng):
+    """The earlier rach_round: slots counted with one bincount over
+    row-offset slot ids."""
+    slots = rng.integers(0, b, size=(n, k))
+    slots += np.arange(0, n * b, b)[:, None]
+    resolvable = np.bincount(slots.ravel(), minlength=n * b)[slots] == 1
+    return resolvable, (resolvable.argmax(axis=1) + 1) * resolvable.any(axis=1)
+
+
+@pytest.mark.parametrize("b", [2, 3, 24])
+@pytest.mark.parametrize("n", [1, 8, 2000])
+def test_rach_round_matches_offset_bincount_form(n, b):
+    for k in range(1, 50):
+        resolvable, j = rach_round(k, b, n, np.random.default_rng(k))
+        want_flags, want_j = _rach_round_bincount(k, b, n,
+                                                  np.random.default_rng(k))
+        assert resolvable.shape == want_flags.shape == (n, k)
+        assert (resolvable == want_flags).all() and (j == want_j).all(), k
+
+
 def test_rach_j_zero_possible_when_k_exceeds_b():
     rng = np.random.default_rng(3)
     js = rach_round(5, 3, 2000, rng)[1].tolist()
@@ -173,6 +193,47 @@ def test_decode_set_respects_sleep():
     assert decode_set(dep, relays, 0.0105, PHY, u=U).size == 1
 
 
+@pytest.mark.parametrize("with_noise", [False, True])
+def test_destination_skipped_only_beyond_reach(with_noise):
+    # the destination test runs only when the nearest transmitter is within
+    # reach of k transmitters; relay sets whose nearest member lies at
+    # 0.9-1.1x that reach, or whose members all lie on it, must get the
+    # full test's answer, and a skipped test must be a miss
+    dst = Point2D(2000.0, 0.0)
+    run = _Run(_tiny_deployment([0.0], [0.0]), PHY, RetransmitPolicy(), U,
+               PHY.t_p + PHY.t_guard)
+    state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=dst), 200.0, 16,
+                           np.random.default_rng(0))
+    pn_fn = (lambda xs, ys: np.full(np.shape(xs), 0.3 * PHY.p_n)) \
+        if with_noise else None
+    rng = np.random.default_rng(17)
+    outcomes = {(skip, heard): 0 for skip in (False, True)
+                for heard in (False, True)}
+    for trial in range(600):
+        k = int(rng.integers(1, 41))
+        edge = (k / U) ** (1.0 / PHY.alpha)
+        if trial % 4 == 0:
+            d = np.full(k, edge)
+        else:
+            d = rng.uniform(0.9, 1.1) * edge \
+                * np.concatenate([[1.0], 1.0 + rng.uniform(0.0, 0.02, k - 1)])
+        theta = rng.uniform(0.0, 2.0 * math.pi, k)
+        xy = np.column_stack([dst.x + d * np.cos(theta),
+                              dst.y + d * np.sin(theta)])
+        d_xy = np.hypot(xy[:, 0] - dst.x, xy[:, 1] - dst.y)
+        order = np.argsort(d_xy, kind="stable")
+        state.relay_xy, state.relay_d = xy[order], d_xy[order]
+        heard = bool(engine._detects(np.array([dst.x]), np.array([dst.y]),
+                                     state.relay_xy, PHY, U, pn_fn)[0])
+        skip = bool(state.relay_d[0] > engine.reach(k, U, PHY.alpha))
+        assert not (skip and heard), (k, state.relay_d[0] / edge)
+        assert engine._receive(state, math.inf, pn_fn).dst_detected == heard
+        outcomes[skip, heard] += 1
+    # the bound is exercised on both sides
+    assert outcomes[True, False] and outcomes[False, True] \
+        and outcomes[False, False]
+
+
 def test_interference_tag_counts_requalifying_parked_node():
     # the only node that could relay is parked (decoded earlier, never
     # relayed): under the interfered attempt nothing hears the source, on a
@@ -182,7 +243,7 @@ def test_interference_tag_counts_requalifying_parked_node():
     run = _Run(dep, PHY, RetransmitPolicy(), U, PHY.t_p + PHY.t_guard)
     state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
                            200.0, 16, np.random.default_rng(0))
-    state.seen[0] = state.parked[0] = True
+    state.seen[0] = True  # decoded earlier; state.relayed[0] stays False
 
     def jammed(xs, ys):
         return np.full(np.shape(xs), 1e3)
@@ -192,7 +253,7 @@ def test_interference_tag_counts_requalifying_parked_node():
     # and on the clean channel the parked node does relay
     run_flow_hop(state)
     assert state.hop == 2 and state.records[-1].k == 1
-    assert not state.parked[0]
+    assert state.relayed[0]
 
 
 def test_two_packet_tags_count_each_retransmission_once():

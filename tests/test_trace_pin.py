@@ -117,6 +117,30 @@ def test_tracer_installs_and_counts_one_contour_solve_per_trial(monkeypatch):
         == sum(1 + r.n_r for r in res.records if r.hop >= 2) > 0
 
 
+def test_tracer_counts_one_decode_set_per_attempt(monkeypatch):
+    # the hop step's boundary: each transmission attempt, retransmissions
+    # included, makes one decode_set call; per-attempt benchmark figures
+    # divide by that count
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    from tracing import Tracer
+
+    spec = load_config(GOLDEN)
+    phy = spec.phy.with_tx_power(dbm_to_watts(24.0))
+    tracer = Tracer()
+    tracer.install(omrsim)
+    try:
+        records = []
+        for seed in range(4):
+            records += omrsim.engine.run_trial(spec.field, phy, spec.policy,
+                                               spec.b, seed).records
+    finally:
+        tracer.remove()
+    attempts = sum(1 + r.n_r for r in records)
+    assert attempts > len(records)  # some attempts were retransmissions
+    assert tracer.totals()["calls"]["engine.decode_set"] == attempts
+
+
 def test_tracer_keeps_recursion_rows_and_finds_brentq(monkeypatch):
     # the tracer wraps analytic._poisson and rebinds channel.brentq, which
     # omrsim provides without importing scipy.stats or scipy.optimize itself
