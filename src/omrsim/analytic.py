@@ -25,6 +25,7 @@ TAIL_TOL = 1e-9         # pmf mass a truncation may drop
 MAX_HOPS = 512          # recursion hops before it counts as diverged
 MIN_BIN = 5             # samples a relay-count bin needs to enter the MAPE
 _MIX_CHUNK = 512        # mixture components evaluated per block
+_DIAG_CHUNK = 16        # relay-pmf product rows per block, see _relay_pmf
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
 
 
@@ -137,6 +138,29 @@ def check_recursion_slots(b: int) -> None:
                          f"recursion, got {b}")
 
 
+_BINOMIAL: dict[int, tuple[np.ndarray, list[int]]] = {}
+
+
+def _binomial_table(z_max: int, n: int) -> np.ndarray:
+    """float(C(m, z)) at [z, m] for z = 0..z_max and m = 0..n-1 at least.
+
+    One table per z_max, shared by every relay count and grown on demand
+    along m by Pascal's rule on exact ints; only the exact row of the last
+    m is kept, so the floats are those of the exact binomials.
+    """
+    if z_max not in _BINOMIAL:              # C(0, z)
+        _BINOMIAL[z_max] = np.eye(z_max + 1, 1), [1] + [0] * z_max
+    table, exact = _BINOMIAL[z_max]
+    if table.shape[1] < n:
+        cols = []
+        for _ in range(table.shape[1], n):
+            exact = [1] + [a + b for a, b in zip(exact[1:], exact)]
+            cols.append([float(c) for c in exact])
+        table = np.concatenate([table, np.array(cols).T], axis=1)
+        _BINOMIAL[z_max] = table, exact
+    return table
+
+
 @lru_cache(maxsize=4096)
 def _p_j_weights(k: int, b: int) -> np.ndarray:
     """[p_j(0), .., p_j(k)] before normalization, built in one pass.
@@ -150,15 +174,14 @@ def _p_j_weights(k: int, b: int) -> np.ndarray:
     check_recursion_slots(b)
     if k < 1:
         raise ValueError(f"relay count k must be >= 1, got {k}")
-    z_max = min(k - 1, max(1, b - 3))
+    z_cap = max(1, b - 3)
+    z_max = min(k - 1, z_cap)
     pz = _p_z_prefix(k, b - 1, z_max) if z_max >= 1 else []
-    acc = np.ones(k)                      # acc[j - 1] for j = 1..k
-    comb = np.ones(k, dtype=object)       # comb[n] = C(n, z) as exact ints
+    comb = _binomial_table(z_cap, k)       # comb[z, j - 1] = C(j - 1, z)
+    acc = np.ones(k)                       # acc[j - 1] for j = 1..k
     for z, pz_val in enumerate(pz, start=1):
-        comb[z:] = np.cumsum(comb[z - 1:k - 1])   # hockey-stick identity
         # float(+-C(j-1, z)) * p_z is how Python multiplies int by float
-        signed = comb[z:] if z % 2 == 0 else -comb[z:]
-        acc[z:] += signed.astype(float) * pz_val
+        acc[z:] += comb[z, z:k] * (pz_val if z % 2 == 0 else -pz_val)
     heads = ((b - 1) / b) ** (k - 1) * acc
     heads = np.where(heads > 0.0, heads, 0.0)
     vals = np.empty(k + 1)
@@ -350,30 +373,80 @@ class HopStatistics:
     dists_l: list[IntDist] = dc_field(default_factory=list)
 
 
+def _support_size(means: np.ndarray) -> int:
+    """Points [0, hi) a Poisson mixture over these means is evaluated on."""
+    top = float(means.max(initial=0.0))
+    return int(_poisson.isf(TAIL_TOL * 0.1, top)) + 2 if top > 0 else 1
+
+
+def _poisson_rows(means: np.ndarray, log_fact: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Pmf rows of Poisson(means) on [0, log_fact.size), in out if given.
+
+    n log(m) - gammaln(n + 1) - m with log(m) from xlogy's libm log (numpy's
+    SIMD log rounds differently), exponentiated in place; a zero mean gives
+    the point mass at 0.
+    """
+    if out is None:
+        out = np.empty((means.size, log_fact.size))
+    np.multiply(np.arange(1, log_fact.size), xlogy(1.0, means)[:, None],
+                out=out[:, 1:])
+    out[:, 0] = 0.0                      # xlogy(0, m) = 0, also at m = 0
+    out -= log_fact
+    out -= means[:, None]
+    return np.exp(out, out=out)
+
+
 def poisson_mixture(means: np.ndarray, weights: np.ndarray) -> IntDist:
     """Sum_w Poisson(mean_w), truncated to the tail tolerance.
 
-    Components run in blocks of _MIX_CHUNK rows through one reused buffer:
-    n log(m) - gammaln(n + 1) - m with log(m) from xlogy's libm log (numpy's
-    SIMD log rounds differently), exponentiated and reduced by weights @ pmf.
+    Components run in blocks of _MIX_CHUNK rows through one reused buffer,
+    each block reduced by weights @ pmf.
     """
-    top = float(means.max(initial=0.0))
-    hi = int(_poisson.isf(TAIL_TOL * 0.1, top)) + 2 if top > 0 else 1
-    ns = np.arange(hi)
-    log_fact = gammaln(ns + 1.0)
+    hi = _support_size(means)
+    log_fact = gammaln(np.arange(hi) + 1.0)
     keep = weights > 0.0
     means, weights = means[keep], weights[keep]
-    log_m = xlogy(1.0, means)[:, None]
     block = np.empty((min(means.size, _MIX_CHUNK), hi))
     probs = np.zeros(hi)
     for lo in range(0, means.size, _MIX_CHUNK):
-        m = means[lo:lo + _MIX_CHUNK, None]
-        pmf = block[:m.shape[0]]
-        np.multiply(ns[1:], log_m[lo:lo + _MIX_CHUNK], out=pmf[:, 1:])
-        pmf[:, 0] = 0.0                  # xlogy(0, m) = 0, also at m = 0
-        pmf -= log_fact
-        pmf -= m
-        probs += weights[lo:lo + _MIX_CHUNK] @ np.exp(pmf, out=pmf)
+        m = means[lo:lo + _MIX_CHUNK]
+        probs += weights[lo:lo + _MIX_CHUNK] @ _poisson_rows(
+            m, log_fact, block[:m.size])
+    return IntDist(probs).truncated()
+
+
+def _relay_pmf(weights: np.ndarray, mean_k: np.ndarray, mean_j: np.ndarray,
+               hi: int) -> IntDist:
+    """Sum over (K, j) of weights[K, j] Poisson(mean_k[K] + mean_j[j]) on
+    [0, hi), truncated to the tail tolerance.
+
+    Poisson(l + m) is Poisson(l) convolved with Poisson(m), so the mixture
+    is sum_K P_K * Q_K with P_K the Poisson(mean_k[K]) row and
+    Q = weights @ S over the Poisson(mean_j[j]) rows S: K + J rows of exp in
+    place of one per component, and on [0, hi) the product is exact. The
+    convolutions are the anti-diagonal sums of Q^T @ P, taken _DIAG_CHUNK
+    columns of Q at a time; P is taken _MIX_CHUNK rows at a time, and S has
+    one row per sliver index. Blocks this small keep each matrix product of
+    the benchmark inputs near 10^5 multiply-adds, which OpenBLAS runs on one
+    thread; it splits larger ones across threads, and those stalled for
+    milliseconds whenever the other core was busy.
+    """
+    log_fact = gammaln(np.arange(hi) + 1.0)
+    s = _poisson_rows(mean_j, log_fact)
+    probs = np.zeros(hi)
+    for k0 in range(0, mean_k.size, _MIX_CHUNK):
+        w = weights[k0:k0 + _MIX_CHUNK]
+        p = _poisson_rows(mean_k[k0:k0 + _MIX_CHUNK], log_fact)
+        for a0 in range(0, hi, _DIAG_CHUNK):
+            rows, cols = min(_DIAG_CHUNK, hi - a0), hi - a0
+            q = w @ s[:, a0:a0 + rows]
+            buf = np.zeros((rows, cols + rows))
+            np.matmul(q.T, p[:, :cols], out=buf[:, :cols])
+            # read with rows one shorter, row r shifts right by r onto the
+            # zero padding, so column n sums the products landing on a0 + n
+            shifted = buf.reshape(-1)[:rows * (cols + rows - 1)]
+            probs[a0:] += shifted.reshape(rows, -1)[:, :cols].sum(axis=0)
     return IntDist(probs).truncated()
 
 
@@ -407,18 +480,22 @@ def init_recursion(
 
 def _relay_mixture(k_prev, ks, a_decode, a_sliver, eps_rho: float, b: int):
     """Relay-band means and positive weights P(K) p_j(j; K, b) over (K, j),
-    and their j_eff marginal; j = 0 falls back to the arc through the
-    farthest relay, j_eff = K."""
+    their j_eff marginal, and the weights as a (K in ks, j_eff) matrix;
+    j = 0 falls back to the arc through the farthest relay, j_eff = K."""
     wj = np.concatenate([p_j_pmf(int(k), b) for k in ks])
     k_rep = np.repeat(ks, ks + 1)
+    k_row = np.repeat(np.arange(ks.size), ks + 1)
     j_eff = np.arange(k_rep.size) - np.repeat(np.cumsum(ks + 1) - ks - 1, ks + 1)
     j_eff = np.where(j_eff == 0, k_rep, j_eff)
     wj = k_prev.probs[k_rep] * wj
     pos = wj > 0.0
-    k_rep, j_eff, wj = k_rep[pos], j_eff[pos], wj[pos]
+    k_rep, k_row, j_eff, wj = k_rep[pos], k_row[pos], j_eff[pos], wj[pos]
     j_marginal = np.zeros(int(ks[-1]) + 1)
     np.add.at(j_marginal, j_eff, wj)
-    return eps_rho * (a_decode[k_rep] + a_sliver[j_eff]), wj, j_marginal
+    w_kj = np.zeros((ks.size, j_marginal.size))
+    np.add.at(w_kj, (k_row, j_eff), wj)
+    return (eps_rho * (a_decode[k_rep] + a_sliver[j_eff]), wj, j_marginal,
+            w_kj)
 
 
 def propagate_hop(
@@ -462,9 +539,10 @@ def propagate_hop(
                                 state.dist_k_prev2.probs)
     dist_l = p_l.convolve(p_l_minus)
 
-    means_r, weights_r, j_marginal = _relay_mixture(
+    means_r, weights_r, j_marginal, w_kj = _relay_mixture(
         k_prev, ks, a_decode, a_sliver, eps * rho, b)
-    p_k = poisson_mixture(means_r, weights_r)
+    p_k = _relay_pmf(w_kj, eps * rho * a_decode[ks], eps * rho * a_sliver,
+                     _support_size(means_r))
     with np.errstate(over="ignore"):  # a dense band's 1 / inf = 0 is right
         e_nr = float(np.dot(1.0 / np.expm1(means_r), weights_r))
 

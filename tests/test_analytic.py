@@ -16,6 +16,7 @@ from omrsim.analytic import (
     CalibrationError,
     IntDist,
     ProgressModel,
+    TruncationError,
     _p_z_prefix,
     areas,
     calibrate_progress,
@@ -151,6 +152,21 @@ def test_p_j_pmf_bit_identical_to_printed_formula(b):
         assert np.array_equal(got, _printed_p_j_pmf(k, b)), (k, b)
         scalar = np.array([p_j(j, k, b) for j in range(k + 1)])
         assert np.array_equal(scalar / scalar.sum(), got), (k, b)
+
+
+def _p_j_pmf_bytes(ks, b):
+    """p_j_pmf bytes per k, built in the order of ks from empty caches."""
+    analytic._p_j_weights.cache_clear()
+    analytic._BINOMIAL.clear()
+    return {k: p_j_pmf(k, b).tobytes() for k in ks}
+
+
+@pytest.mark.parametrize("b", [3, 5, 24, 40, 48])
+def test_p_j_pmf_bytes_independent_of_binomial_table_growth(b):
+    # the shared binomial table grows with the largest k seen so far; one
+    # build down from k = 399 must give the bytes of k-by-k growth upward
+    descending = _p_j_pmf_bytes(range(399, 0, -1), b)
+    assert descending == _p_j_pmf_bytes(range(1, 400), b)
 
 
 def test_mixture_poisson_matches_per_component_sum():
@@ -464,6 +480,65 @@ def test_propagate_hop_relay_mixture_matches_per_k_loop(monkeypatch):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+def _assert_matches_components(got, means, weights):
+    """got has the support of the component mixture and its entries above
+    1e-300 within 1e-12 relative."""
+    want = poisson_mixture(means, weights).probs
+    assert got.support == want.size
+    big = (want > 1e-300) | (got.probs > 1e-300)
+    np.testing.assert_allclose(got.probs[big], want[big], rtol=1e-12, atol=0.0)
+
+
+def test_relay_pmf_matches_component_mixture_on_every_reference_hop(
+        monkeypatch):
+    # every hop of both benchmark inputs: the product form of the relay pmf
+    # against the mixture of the (K, j_eff) components it replaces
+    spec = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                    "configs", "golden.cfg"))
+    golden = ProgressModel(varphi=8.0, beta=0.9, u=detection_constant(
+        spec.phy).u, alpha=spec.phy.alpha)
+    mixtures, pmfs = [], []
+    seams = analytic._relay_mixture, analytic._relay_pmf
+
+    def mixture(*args):
+        mixtures.append(seams[0](*args))
+        return mixtures[-1]
+
+    def pmf(*args):
+        pmfs.append(seams[1](*args))
+        return pmfs[-1]
+
+    monkeypatch.setattr(analytic, "_relay_mixture", mixture)
+    monkeypatch.setattr(analytic, "_relay_pmf", pmf)
+    for field, model, b in ((spec.field, golden, spec.b), (FC, MODEL, 16)):
+        mixtures.clear()
+        pmfs.clear()
+        stats = run_recursion(field, model, b)
+        assert len(pmfs) == len(mixtures) == len(stats.rows) - 1
+        for (means_r, weights_r, *_), got in zip(mixtures, pmfs):
+            _assert_matches_components(got, means_r, weights_r)
+
+
+@pytest.mark.parametrize("n_k, n_j", [(1, 7), (1, 1), (4, 30), (600, 530)])
+def test_relay_pmf_matches_component_mixture_synthetic(n_k, n_j):
+    # a single K, a single j, and more than _MIX_CHUNK rows on both sides;
+    # sliver means past _DIAG_CHUNK put Q's mass in every block of Q^T @ P
+    rng = np.random.default_rng(n_k * 1000 + n_j)
+    mean_k = rng.uniform(0.5, 60.0, n_k)
+    mean_j = np.concatenate([[0.0], rng.uniform(0.0, 200.0, n_j - 1)])
+    w_kj = rng.uniform(0.0, 1.0, (n_k, n_j))
+    w_kj[rng.uniform(size=w_kj.shape) < 0.3] = 0.0     # zero weights
+    w_kj[0, 0] = 1.0                    # a zero sliver mean with weight
+    w_kj /= w_kj.sum()
+    k_idx, j_idx = np.nonzero(w_kj)
+    means = mean_k[k_idx] + mean_j[j_idx]
+    hi = analytic._support_size(means)
+    if n_k > _MIX_CHUNK:
+        assert n_j > _MIX_CHUNK and hi > analytic._DIAG_CHUNK
+    got = analytic._relay_pmf(w_kj, mean_k, mean_j, hi)
+    _assert_matches_components(got, means, w_kj[k_idx, j_idx])
+
+
 def test_recursion_rows_and_termination():
     stats = run_recursion(FC, MODEL, b=16)
     rows = stats.rows
@@ -480,6 +555,16 @@ def test_recursion_short_path_single_hop():
     fc = FieldConfig(rho=1.5e-3, epsilon=0.25, length=30.0, w=200.0)
     stats = run_recursion(fc, MODEL, b=16)
     assert len(stats.rows) == 1
+
+
+def test_recursion_dense_band_exceeds_support_cap():
+    # 1800 per km2, every node awake, r1 = 90 m, b = 3: the decoder pmf of
+    # hop 4 needs more support than the cap allows
+    fc = FieldConfig(rho=1.8e-3, epsilon=1.0, length=2000.0, w=200.0)
+    model = ProgressModel(varphi=10.0, beta=0.8, u=(1 / 90.0) ** 3, alpha=3.0)
+    with pytest.raises(TruncationError,
+                       match=r"^support 4587 exceeds cap 4096$"):
+        run_recursion(fc, model, b=3)
 
 
 def test_recursion_divergence_error():

@@ -297,16 +297,35 @@ def test_cli_flags_override_before_validation(tmp_path, capsys):
                  "--validate-only"]) == 0
 
 
-def test_scenario_lists_match():
-    # a scenario missing from one list would skip validation, have no runner
-    # or escape the byte-identity check
+def _check_identity():
+    """tools/check_identity.py as a module."""
     path = os.path.join(os.path.dirname(__file__), "..", "tools",
                         "check_identity.py")
     loader = importlib.util.spec_from_file_location("check_identity", path)
     check_identity = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(check_identity)
+    return check_identity
+
+
+def test_scenario_lists_match():
+    # a scenario missing from one list would skip validation, have no runner
+    # or escape the byte-identity check
     assert list(PLANS) == list(_SCENARIO_FUNCS) \
-        == list(check_identity.SCENARIOS)
+        == list(_check_identity().SCENARIOS)
+
+
+def test_check_identity_labels_csv_by_largest_relative_difference():
+    differences = _check_identity().differences
+
+    def run(csv, txt=b"1"):
+        return 0, "", "", {"rows.csv": csv, "note.txt": txt}
+
+    base = run(b"k,e_k\n1,2.0\n2,x\n")
+    assert differences(base, run(b"k,e_k\n1,2.0000000002\n2,x\n", b"2")) \
+        == ["note.txt", "rows.csv (max rel diff 1e-10)"]
+    assert differences(base, run(b"k,e_k\n1,2.0\n2,y\n")) \
+        == ["rows.csv (max rel diff 0, 1 other cells differ)"]
+    assert differences(base, run(b"k,e_k\n1,2.0,3\n2,x\n")) == ["rows.csv"]
 
 
 # configs/golden.cfg at seed 5 and 12 trials: each scenario's points per

@@ -8,7 +8,10 @@ worktree is created). Every scenario then runs on this checkout's
 and 2, once on REV's source and once on this checkout's ``src/``. A run is
 identical when both sides give the same exit code, the same stdout and stderr
 (with each side's output directory replaced by one placeholder) and the same
-set of written files, byte for byte. One verdict line is printed per run.
+set of written files, byte for byte. One verdict line is printed per run;
+for a CSV file that differs but keeps its shape, the line gives the largest
+relative difference over its numeric cells, so a declared numerical change
+can be read off one run.
 
 Each side then digests the records of every trial seed in the pools under
 ``perfbench/reference/`` (6,144 trials at 24 and 33 dBm) and of 240
@@ -33,9 +36,11 @@ library only; the digests run under each side's omrsim.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,6 +185,32 @@ def run_cli(src: Path, scenario: str, trials: int, workers: int,
             proc.stderr.replace(str(out), OUT_PLACEHOLDER), files)
 
 
+def csv_difference(a: bytes, b: bytes) -> str:
+    """' (max rel diff X)' for two CSV files of the same shape: the largest
+    |x - y| / max(|x|, |y|) over the cells that differ, with a count of
+    differing cells that are not finite numbers; '' for different shapes."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(data.decode())))
+                      for data in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return ""
+    worst, text = 0.0, 0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for cell_a, cell_b in zip(row_a, row_b):
+            if cell_a == cell_b:
+                continue
+            try:
+                x, y = float(cell_a), float(cell_b)
+            except ValueError:
+                text += 1
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                text += 1
+            elif x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return f" (max rel diff {worst:.2g}" + \
+        (f", {text} other cells differ)" if text else ")")
+
+
 def differences(a, b) -> list[str]:
     """What differs between two run_cli results, as short labels."""
     (rc_a, out_a, err_a, files_a), (rc_b, out_b, err_b, files_b) = a, b
@@ -191,8 +222,11 @@ def differences(a, b) -> list[str]:
     if err_a != err_b:
         diffs.append("stderr")
     for name in sorted(files_a.keys() | files_b.keys()):
-        if files_a.get(name) != files_b.get(name):
-            diffs.append(name)
+        data_a, data_b = files_a.get(name), files_b.get(name)
+        if data_a != data_b:
+            both_csv = name.endswith(".csv") and None not in (data_a, data_b)
+            diffs.append(name + (csv_difference(data_a, data_b)
+                                 if both_csv else ""))
     return diffs
 
 
