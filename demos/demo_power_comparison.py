@@ -1,14 +1,12 @@
 """The headline tradeoff: multihop relaying at reduced power against the
 contention baseline at 33 dBm, cost = energy-delay product per bit."""
 
-import numpy as np
-
 from omrsim.baseline import BclConfig, run_bcl
 from omrsim.channel import PhyConfig
 from omrsim.config import dbm_to_watts
 from omrsim.engine import RetransmitPolicy, run_trial
 from omrsim.field import FieldConfig
-from omrsim.metrics import edp_and_cost, trial_e2e
+from omrsim.metrics import edp_and_cost, point_e2e
 
 field = FieldConfig()
 policy = RetransmitPolicy()
@@ -25,16 +23,11 @@ print("OMR power sweep (cost ratio < 1 means OMR transports a bit cheaper):")
 print("P_t_dBm   delivered   E/delivery_J   latency_ms   cost_ratio")
 for pdbm in (24.0, 25.5, 27.0, 28.5, 30.0, 31.5, 33.0):
     phy = PhyConfig(p_t=dbm_to_watts(pdbm))
-    total_e, delays, ok = 0.0, [], 0
-    for s in range(TRIALS):
-        res = run_trial(field, phy, policy, b=B, seed=50_000 + s)
-        e, l = trial_e2e(res.records, phy)
-        total_e += e
-        if res.reached:
-            ok += 1
-            delays.append(l)
-    e_per = total_e / max(ok, 1)
-    l_mean = float(np.mean(delays))
+    results = [run_trial(field, phy, policy, b=B, seed=50_000 + s)
+               for s in range(TRIALS)]
+    ok = sum(res.reached for res in results)
+    # failed trials' energy is charged to the delivered ones
+    e_per, l_mean = point_e2e(results, phy)
     _, cost_o = edp_and_cost(e_per, l_mean, phy.r, phy.t_p)
     print(f"{pdbm:7.1f}   {ok:4d}/{TRIALS}    {e_per:12.3f}   "
           f"{l_mean * 1e3:10.1f}   {cost_o / cost_b:10.3f}")

@@ -167,9 +167,9 @@ def _p_j_weights(k: int, b: int) -> np.ndarray:
 
     p_z at b-1 slots is evaluated once for the z that can be nonzero (z = 1,
     and z = 2..b-3); the z at or beyond b-2 add a zero term and are skipped.
-    Each j's alternating sum still runs over z in order, so every weight has
-    the rounding of the term-by-term sum. The j = 0 weight is the complement
-    of the j >= 1 weights, summed in order of j.
+    Each j's alternating sum is a running sum over z in order (+-0.0 where
+    C(j-1, z) = 0), so every weight has the rounding of the term-by-term sum.
+    The j = 0 weight is one minus the j >= 1 weights summed in order of j.
     """
     check_recursion_slots(b)
     if k < 1:
@@ -177,11 +177,11 @@ def _p_j_weights(k: int, b: int) -> np.ndarray:
     z_cap = max(1, b - 3)
     z_max = min(k - 1, z_cap)
     pz = _p_z_prefix(k, b - 1, z_max) if z_max >= 1 else []
+    coef = np.array([1.0] + pz)
+    coef[1::2] *= -1.0                     # [1, -p_1, +p_2, ..]
     comb = _binomial_table(z_cap, k)       # comb[z, j - 1] = C(j - 1, z)
-    acc = np.ones(k)                       # acc[j - 1] for j = 1..k
-    for z, pz_val in enumerate(pz, start=1):
-        # float(+-C(j-1, z)) * p_z is how Python multiplies int by float
-        acc[z:] += comb[z, z:k] * (pz_val if z % 2 == 0 else -pz_val)
+    # accumulate, not reduce: a reduce along a contiguous axis sums pairwise
+    acc = np.add.accumulate(comb[:coef.size, :k] * coef[:, None], axis=0)[-1]
     heads = ((b - 1) / b) ** (k - 1) * acc
     heads = np.where(heads > 0.0, heads, 0.0)
     vals = np.empty(k + 1)

@@ -7,7 +7,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,9 +16,9 @@ from .analytic import CalibrationError, calibrate_progress, run_recursion
 from .baseline import bcl_summary, bcl_walk, run_bcl  # noqa: F401
 from .channel import PhyConfig, detection_constant
 from .config import ConfigError, ExperimentSpec, Point, plan
-from .engine import run_trial, run_two_packet_trial
+from .engine import TrialResult, run_trial, run_two_packet_trial
 from .field import FieldConfig, Point2D
-from .metrics import edp_and_cost, trial_e2e
+from .metrics import edp_and_cost, point_e2e
 
 TRACE_COLUMNS = ["trial_id", "hop", "K", "L", "j", "n_r", "xH0",
                  "delay_spread_s"]
@@ -55,25 +54,14 @@ def _write_figure(spec: ExperimentSpec, stem: str, header: list[str], rows,
     return path
 
 
-class TrialSummary(NamedTuple):
-    """What a sweep keeps of one OMR trial."""
-
-    reached: bool
-    delay_spread_s: float
-    records: list           # the trial's HopRecords, one per hop
-    energy_j: float
-    delay_s: float
-
-
 def _one_trial(args):
-    """One trial of a point: a BclWalk for the baseline, else a TrialSummary."""
+    """One trial of a point: a BclWalk for the baseline, else run_trial's
+    TrialResult; both are costed where their rows are written."""
     spec, point, tss = args
     if point.protocol == "bcl":
         return bcl_walk(spec.bcl, point.field, point.phy, tss)
     seed = int.from_bytes(tss.generate_state(4).tobytes(), "little")
-    res = run_trial(point.field, point.phy, spec.policy, point.b, seed)
-    e, l = trial_e2e(res.records, point.phy)
-    return TrialSummary(res.reached, res.delay_spread_s, res.records, e, l)
+    return run_trial(point.field, point.phy, spec.policy, point.b, seed)
 
 
 def run_sweep(spec: ExperimentSpec, points: list[Point]) -> list[list]:
@@ -99,7 +87,7 @@ def run_sweep(spec: ExperimentSpec, points: list[Point]) -> list[list]:
 
 
 def run_omr_batch(spec: ExperimentSpec, field: FieldConfig, phy: PhyConfig,
-                  trials: int, seed: int) -> list[TrialSummary]:
+                  trials: int, seed: int) -> list[TrialResult]:
     """One OMR point of `trials` trials at spec.b slots."""
     return run_sweep(spec, [Point("omr", field, phy, spec.b, trials, seed)])[0]
 
@@ -107,17 +95,13 @@ def run_omr_batch(spec: ExperimentSpec, field: FieldConfig, phy: PhyConfig,
 def _omr_row(batch, point: Point, cost_b: float | None = None) -> tuple:
     """A point's summary row: delivery-normalized energy, mean delivered
     delay, EDP and cost; the cost ratio is blank without a baseline cost."""
-    delivered = [t for t in batch if t.reached]
-    e = l = edp = cost = math.nan
-    if delivered:
-        e = sum(t.energy_j for t in batch) / len(delivered)
-        l = float(np.mean([t.delay_s for t in delivered]))
-        edp, cost = edp_and_cost(e, l, point.phy.r, point.phy.t_p)
+    e, l = point_e2e(batch, point.phy)
+    edp, cost = edp_and_cost(e, l, point.phy.r, point.phy.t_p)
     ratio = ""
     if cost_b is not None:
         ratio = cost / cost_b if cost == cost else math.nan
     return ("omr", point.p_t_dbm, point.rho_km2, point.b, point.mcs, e, l,
-            edp, cost, ratio, len(delivered), len(batch))
+            edp, cost, ratio, sum(t.reached for t in batch), len(batch))
 
 
 def _bcl_row(res, point: Point, ratio: float | str = "") -> tuple:

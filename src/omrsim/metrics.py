@@ -1,8 +1,11 @@
-"""End-to-end cost assembly: per-hop energy, delay, energy-delay product, MCS."""
+"""End-to-end cost: per-hop energy, delay, EDP, per-point costs, MCS table."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import PhyConfig
 
@@ -93,3 +96,17 @@ def trial_e2e(records, phy: PhyConfig) -> tuple[float, float]:
         energy += hop_energy(rec.l, rec.k_prev, rec.n_r, phy)
         nrs.append(rec.n_r)
     return energy, e2e_delay(nrs, phy.t_p)
+
+
+def point_e2e(trials, phy: PhyConfig) -> tuple[float, float]:
+    """A sweep point's energy per delivery and mean delivered delay.
+
+    Every trial's energy, failed trials included, is charged to the delivered
+    ones; the delay is the mean over the delivered trials only. NaN, NaN when
+    nothing was delivered.
+    """
+    costs = [trial_e2e(t.records, phy) for t in trials]
+    delays = [l for t, (_, l) in zip(trials, costs) if t.reached]
+    if not delays:
+        return math.nan, math.nan
+    return sum(e for e, _ in costs) / len(delays), float(np.mean(delays))

@@ -19,7 +19,7 @@ from omrsim.config import ExperimentSpec, dbm_to_watts
 from omrsim.engine import RetransmitPolicy, rach_round, run_two_packet_trial
 from omrsim.experiments import _fit_progress, run_omr_batch
 from omrsim.field import FieldConfig, Point2D
-from omrsim.metrics import edp_and_cost, trial_e2e
+from omrsim.metrics import edp_and_cost, point_e2e
 
 from rach_oracle import j_distribution
 
@@ -339,10 +339,7 @@ def test_criterion_7_headline_comparison():
         for pdbm in powers:
             phy = GOLDEN_PHY.with_tx_power(dbm_to_watts(pdbm))
             batch = _batch(field, phy, trials, 900 + int(10 * pdbm) + i)
-            delivered = [b for b in batch if b.reached]
-            e = sum(b.energy_j for b in batch) / max(len(delivered), 1)
-            l = float(np.mean([b.delay_s for b in delivered]))
-            _, cost_o = edp_and_cost(e, l, phy.r, phy.t_p)
+            _, cost_o = edp_and_cost(*point_e2e(batch, phy), phy.r, phy.t_p)
             curve.append(cost_o / cost_b)
         curves[rho] = curve
         minima[rho] = min(curve)

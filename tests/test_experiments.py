@@ -1,4 +1,4 @@
-"""The sweep runner: per-point results, one worker pool, named trial summaries."""
+"""The sweep runner: per-point results, one worker pool, uncosted trials."""
 
 import csv
 import math
@@ -19,8 +19,9 @@ from omrsim.config import (
     load_config,
     plan,
 )
-from omrsim.engine import run_trial
-from omrsim.experiments import TrialSummary, run, run_omr_batch, run_sweep
+from omrsim.engine import TrialResult, run_trial
+from omrsim.experiments import run, run_omr_batch, run_sweep
+from omrsim.metrics import point_e2e
 
 SHORT_FIELD = replace(ExperimentSpec().field, length=600.0)
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
@@ -86,14 +87,34 @@ def test_one_pool_per_scenario(tmp_path, monkeypatch, scenario):
     assert len(created) == 1
 
 
-def test_trial_summary_named_fields_match_index(tmp_path):
-    batch = run_omr_batch(_spec(tmp_path), SHORT_FIELD, ExperimentSpec().phy,
-                          3, 7)
-    for summary in batch:
-        assert isinstance(summary, TrialSummary)
-        assert len(summary) == len(TrialSummary._fields) == 5
-        for i, name in enumerate(TrialSummary._fields):
-            assert getattr(summary, name) is summary[i]
+def test_sweep_items_are_run_trial_results(tmp_path):
+    # an OMR batch item is run_trial's own result on the 128-bit seed of its
+    # trial's child sequence: the sweep neither costs nor repacks it
+    spec = _spec(tmp_path)
+    batch = run_omr_batch(spec, SHORT_FIELD, spec.phy, 3, 7)
+    children = np.random.SeedSequence(7).spawn(3)
+    assert len(batch) == 3
+    for res, child in zip(batch, children):
+        seed = int.from_bytes(child.generate_state(4).tobytes(), "little")
+        assert type(res) is TrialResult
+        assert _same(res, run_trial(SHORT_FIELD, spec.phy, spec.policy,
+                                    spec.b, seed))
+
+
+def test_energy_only_keys_leave_trials_unchanged(tmp_path):
+    # p_rx, t_id and the rate enter the costs alone, so a batch can be
+    # re-costed under other values of them without running it again
+    spec = _spec(tmp_path, trials=6)
+    phy = spec.phy
+    other = replace(phy, p_rx=2.0 * phy.p_rx, t_id=0.5 * phy.t_id,
+                    r=2.0 * phy.r)
+    (a,), (b,) = (run_sweep(spec, [Point("omr", SHORT_FIELD, p, 24, 6, 11)])
+                  for p in (phy, other))
+    assert sum(t.reached for t in a) > 0
+    assert _same(a, b)
+    (e_a, l_a), (e_b, l_b) = point_e2e(a, phy), point_e2e(b, other)
+    assert e_a != e_b
+    assert l_a == l_b
 
 
 def test_omr_trace_rows_are_the_trial_records(tmp_path):
@@ -132,7 +153,6 @@ def test_golden_seeds_never_repeat(monkeypatch, scenario):
         drawn.append(int.from_bytes(tss.generate_state(4).tobytes(), "little"))
 
     monkeypatch.setattr(experiments, "run_trial", trial)
-    monkeypatch.setattr(experiments, "trial_e2e", lambda records, phy: (0, 0))
     monkeypatch.setattr(experiments, "bcl_walk", walk)
     spec = load_config(GOLDEN, scenario=scenario, workers=1)
     points, _ = plan(spec)

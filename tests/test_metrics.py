@@ -1,16 +1,21 @@
 """Cost assembly: per-hop energy, latency, EDP normalization, MCS table."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from omrsim.channel import PhyConfig
-from omrsim.engine import HopRecord
+from omrsim.config import ExperimentSpec, dbm_to_watts
+from omrsim.engine import HopRecord, TrialResult
+from omrsim.experiments import run_omr_batch
 from omrsim.metrics import (
     e2e_delay,
     edp_and_cost,
     hop_energy,
     mcs_table,
+    point_e2e,
     trial_e2e,
 )
 
@@ -108,6 +113,57 @@ def test_trial_e2e_matches_row_form():
           + hop_energy(18, 7, 0, PHY))
     assert e == pytest.approx(e2, rel=1e-12)
     assert l == pytest.approx(PHY.t_p * (2 + 1 + 1), rel=1e-12)
+
+
+def _trial(reached: bool, *n_rs: int) -> TrialResult:
+    """A synthetic trial, one hop per retransmission count."""
+    records = [HopRecord(hop=h, k_prev=h, j_prev=1, l=10 + h, k=h + 1,
+                         n_r=n_r, xh0=100.0 * h)
+               for h, n_r in enumerate(n_rs, start=1)]
+    return TrialResult(records, reached, len(records), 0.0)
+
+
+def test_point_e2e_charges_failed_energy_to_deliveries():
+    batch = [_trial(True, 0, 1), _trial(False, 2, 2, 3), _trial(True, 1)]
+    e, _ = point_e2e(batch, PHY)
+    spent = [trial_e2e(t.records, PHY)[0] for t in batch]
+    assert spent[1] > 0
+    assert e == pytest.approx(sum(spent) / 2, rel=1e-12)
+
+
+def test_point_e2e_averages_delay_over_deliveries_only():
+    # the failed trial's five attempts would raise the mean if counted
+    _, l = point_e2e([_trial(True, 0, 1), _trial(False, 2, 3),
+                      _trial(True, 1)], PHY)
+    assert l == pytest.approx(PHY.t_p * (3 + 2) / 2, rel=1e-12)
+
+
+def test_point_e2e_delay_is_numpy_mean():
+    # the rows have always held float(np.mean(...)), which sums pairwise;
+    # over delays of 1..8 attempts a running sum already rounds apart
+    batch = [_trial(True, attempts - 1) for attempts in range(1, 9)]
+    delays = [PHY.t_p * attempts for attempts in range(1, 9)]
+    assert point_e2e(batch, PHY)[1] == float(np.mean(delays)) != sum(delays) / 8
+
+
+def test_point_e2e_without_delivery_is_nan():
+    for batch in ([], [_trial(False, 0), _trial(False, 4, 1)]):
+        e, l = point_e2e(batch, PHY)
+        assert math.isnan(e) and math.isnan(l)
+
+
+def test_point_e2e_sums_trial_costs_of_a_sweep_batch():
+    # at 22 dBm over 600 m, nine of the sixteen trials fail; over these
+    # energies np.sum's pairwise sum rounds apart from the running sum
+    spec = ExperimentSpec(trials=16, seed=3, workers=1)
+    phy = spec.phy.with_tx_power(dbm_to_watts(22.0))
+    batch = run_omr_batch(spec, replace(spec.field, length=600.0), phy, 16, 5)
+    costs = [trial_e2e(t.records, phy) for t in batch]
+    delays = [l for t, (_, l) in zip(batch, costs) if t.reached]
+    assert 0 < len(delays) < len(batch)
+    e, l = point_e2e(batch, phy)
+    assert e == sum(c[0] for c in costs) / len(delays)
+    assert l == float(np.mean(delays))
 
 
 def test_dimensional_sanity():
