@@ -151,18 +151,18 @@ def interference_pn_fn(
 
     Mean received interference per subcarrier is (2 p_t / n_s) * sigma^2 of the
     interfering set, applied only within `radius` of any interferer (beyond it
-    the contribution is treated as part of the background p_n).
+    the contribution is treated as part of the background p_n). A receiver on
+    an interferer gets inf, so it cannot detect.
     """
     ixy = np.asarray(interferer_xy, dtype=float).reshape(-1, 2)
-    scale = (phy.lambda_c / (4.0 * math.pi)) ** phy.alpha
-    factor = 2.0 * phy.p_t / phy.n_s
+    gain = 2.0 * phy.p_t / phy.n_s * (phy.lambda_c / (4.0 * math.pi)) ** phy.alpha
 
     def pn_extra(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            power = gain * aggregate_power(xs, ys, ixy[:, 0], ixy[:, 1],
+                                           phy.alpha)
         d2 = (xs[:, None] - ixy[None, :, 0]) ** 2 + (ys[:, None] - ixy[None, :, 1]) ** 2
-        d2 = np.maximum(d2, 1e-12)
-        power = factor * scale * np.sum(d2 ** (-phy.alpha / 2.0), axis=1)
-        within = (d2 <= radius * radius).any(axis=1)
-        return np.where(within, power, 0.0)
+        return np.where((d2 <= radius * radius).any(axis=1), power, 0.0)
 
     return pn_extra
 
@@ -203,7 +203,7 @@ class _FlowState:
     reached: bool = False
     failed: bool = False
     delay_spread_s: float = math.nan
-    stragglers: dict = dc_field(default_factory=dict)  # hop -> list of (x, y, dp)
+    stragglers: list = dc_field(default_factory=list)  # (first hop, x, y, dp)
 
     @property
     def done(self) -> bool:
@@ -273,11 +273,12 @@ def _advance_relays(state: _FlowState, r_idx: np.ndarray) -> int:
     new_dp = _path_step(new_xy, state.relay_xy, state.dp,
                         state.run.phy.delta_r)
     d = state.d_dst[r_idx]
-    extra = state.stragglers.pop(state.hop, None)
+    n_r_max, hop = state.run.policy.n_r_max, state.hop
+    extra = [e for e in state.stragglers if e[0] <= hop < e[0] + n_r_max]
     if extra:  # false-alarm stragglers, not deployment nodes
-        extra_xy = np.array([e[:2] for e in extra])
+        extra_xy = np.array([e[1:3] for e in extra])
         new_xy = np.vstack([new_xy, extra_xy])
-        new_dp = np.concatenate([new_dp, [e[2] for e in extra]])
+        new_dp = np.concatenate([new_dp, [e[3] for e in extra]])
         d = np.concatenate([d, np.hypot(*(extra_xy - state.strip.dst).T)])
     order = d.argsort(kind="stable")
     state.relay_xy, state.relay_d = new_xy[order], d[order]
@@ -291,29 +292,27 @@ def _register_false_alarms(state: _FlowState, old_xy: np.ndarray,
 
     A listener of relay set R_i that false-alarms keeps retransmitting, which
     adds it to the relay sets R_{i+2} .. R_{i+n_r_max+1} (one extra member
-    each). The listeners of the hop just completed form R_{hop-1}.
+    each). The listeners of the hop just completed form R_{hop-1}, so each
+    is stored once with its first set, R_{hop+1}.
     """
-    policy = state.run.policy
-    if policy.fa_rate <= 0.0:
+    fa_rate = state.run.policy.fa_rate
+    if fa_rate <= 0.0:
         return
-    fa = state.rng.random(old_xy.shape[0]) < policy.fa_rate
-    for i in np.flatnonzero(fa):
-        for n in range(2, policy.n_r_max + 2):
-            target_set = (state.hop - 1) + n
-            state.stragglers.setdefault(target_set, []).append(
-                (float(old_xy[i, 0]), float(old_xy[i, 1]), float(old_dp[i]))
-            )
+    fa = state.rng.random(old_xy.shape[0]) < fa_rate
+    state.stragglers += [(state.hop + 1, float(old_xy[i, 0]),
+                          float(old_xy[i, 1]), float(old_dp[i]))
+                         for i in np.flatnonzero(fa)]
 
 
-def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> bool:
+def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> None:
     """Process one transmission attempt of a flow, mutating its state.
 
     On an empty relay set the attempt counts as a retransmission: the strip is
-    widened, time advances two packet slots (listen-then-retransmit), and the
-    RACH is redrawn. A retransmission that would have succeeded without
-    cross-flow interference is tagged. The hop completes when a relay set forms
-    or the destination detects; it fails when the retransmission cap is spent.
-    Returns whether the attempt was a retransmission.
+    widened, the flow's next transmission moves two grid slots on
+    (listen-then-retransmit), and the RACH is redrawn. A retransmission that
+    would have succeeded without cross-flow interference is tagged. Any other
+    attempt takes one grid slot. The hop completes when a relay set forms or
+    the destination detects; it fails when the retransmission cap is spent.
     """
     policy = state.run.policy
     old_xy, old_dp = state.relay_xy, state.dp
@@ -333,8 +332,10 @@ def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> bool:
         state.n_r += 1
         # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
         state.strip_width += policy.delta_w
+        # FL-CLOCKS (docs/decisions.md): two grid slots, but 2 t_p of sleep clock
+        state.next_slot += 2
         state.t += 2.0 * state.run.phy.t_p
-        return True
+        return
 
     k_new = 0
     if rx.dst_detected:
@@ -352,11 +353,11 @@ def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> bool:
     ))
     state.sent_xy.append(old_xy)
     state.n_r = state.n_r_interference = 0  # the record holds this hop's count
+    state.next_slot += 1
+    state.t += state.run.slot
     if k_new:
         _register_false_alarms(state, old_xy, old_dp)
         state.hop += 1
-        state.t += state.run.slot
-    return False
 
 
 def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
@@ -408,11 +409,10 @@ def _run_flows(
     b: int,
     seed: int,
     srcs: list[Point2D],
-    dst: Point2D,
     interference_radius: float = 0.0,
     stagger_slots: int = 0,
 ) -> tuple[list[_FlowState], int]:
-    """Forward one packet per source toward dst on one field and slot grid.
+    """Forward one packet per source toward (L, 0) on one field and slot grid.
 
     Deterministic for a given seed: the first child stream deploys the field,
     the others drive one flow each (RACH draws, false alarms). Flow i is
@@ -420,9 +420,9 @@ def _run_flows(
     slot, each one's receivers see the others' transmit sets as added
     noise-plus-interference (within interference_radius). A source defers
     its injection while it detects another flow's relays transmitting (carrier
-    sense applies to sources only). A flow stops when it delivers, spends its
-    retransmission cap or passes the hop cap. Returns the flow states and the
-    number of slots used.
+    sense applies to sources only). A flow stops when it delivers or spends
+    its retransmission cap; the slot budget stops the run, as every attempt
+    takes a slot. Returns the flow states and the number of slots used.
     """
     check_rach_slots(b)
     dep_ss, *flow_ss = np.random.SeedSequence(seed).spawn(1 + len(srcs))
@@ -431,18 +431,18 @@ def _run_flows(
     lateral_span = 2.0 * max(abs(src.y) for src in srcs) + w_max
     deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
                         max_strip_width=lateral_span)
-    dc = detection_constant(phy)
-    run = _Run(deployment, phy, policy, dc.u, phy.t_p + phy.t_guard)
-    max_hops = max(256, int(8.0 * field_cfg.length / dc.single_relay_radius))
+    run = _Run(deployment, phy, policy, detection_constant(phy).u,
+               phy.t_p + phy.t_guard)
     max_slots = slot_budget(field_cfg, phy, policy)
 
+    dst = Point2D(field_cfg.length, 0.0)
     flows = [new_flow_state(run, Strip(src=src, dst=dst), field_cfg.w, b,
                             np.random.default_rng(ss), i * stagger_slots)
              for i, (src, ss) in enumerate(zip(srcs, flow_ss))]
 
     slot_idx = 0
     while slot_idx < max_slots:
-        live = [f for f in flows if not f.done and f.hop <= max_hops]
+        live = [f for f in flows if not f.done]
         if not live:
             break
         txers = [f for f in live if f.next_slot == slot_idx]
@@ -460,8 +460,7 @@ def _run_flows(
             np.vstack([g.relay_xy for g in txers if g is not f]), phy,
             interference_radius) if len(txers) > 1 else None for f in txers]
         for f, pn_fn in zip(txers, pn_fns):
-            retransmitted = run_flow_hop(f, pn_extra_fn=pn_fn)
-            f.next_slot += 2 if retransmitted else 1
+            run_flow_hop(f, pn_extra_fn=pn_fn)
         slot_idx += 1
     for f in flows:  # no forwarding decision reads xh0: one solve per flow
         k = [r.k_prev for r in f.records]
@@ -480,8 +479,7 @@ def run_trial(
     seed: int,
 ) -> TrialResult:
     """One packet from (0, 0) to (L, 0) on a fresh Poisson field."""
-    flows, _ = _run_flows(field_cfg, phy, policy, b, seed, [Point2D(0.0, 0.0)],
-                          Point2D(field_cfg.length, 0.0))
+    flows, _ = _run_flows(field_cfg, phy, policy, b, seed, [Point2D(0.0, 0.0)])
     return flows[0].result()
 
 
@@ -512,9 +510,8 @@ def run_two_packet_trial(
     """
     check_stagger_slots(stagger_slots, field_cfg, phy, policy)
     flows, slots_used = _run_flows(field_cfg, phy, policy, b, seed,
-                                   [src_a, src_b],
-                                   Point2D(field_cfg.length, 0.0),
-                                   interference_radius, stagger_slots)
+                                   [src_a, src_b], interference_radius,
+                                   stagger_slots)
     # closed hops carry their tags in their records; a hop still open when
     # the slot budget ran out carries them in the state
     tagged = sum(f.n_r_interference

@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from omrsim import config
 from omrsim.baseline import BclConfig
 from omrsim.channel import PhyConfig, detection_constant
 from omrsim.cli import main
@@ -28,6 +29,13 @@ from omrsim.experiments import SUMMARY_COLUMNS, _SCENARIO_FUNCS, run
 from omrsim.field import FieldConfig, Point2D
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
+
+
+def test_option_counts_pinned():
+    # the size of the option surface: a change that adds a config key or an
+    # ExperimentSpec field edits these counts in plain view
+    assert len(config._KEYMAP) == 41
+    assert len(fields(ExperimentSpec)) == 20
 
 
 def test_golden_config_accepted():
@@ -312,6 +320,14 @@ def test_scenario_lists_match():
     # or escape the byte-identity check
     assert list(PLANS) == list(_SCENARIO_FUNCS) \
         == list(_check_identity().SCENARIOS)
+
+
+def test_check_identity_counts_source_lines_like_wc(tmp_path):
+    (tmp_path / "omrsim").mkdir()
+    (tmp_path / "omrsim" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "omrsim" / "b.py").write_text("z = 3")  # no final newline
+    (tmp_path / "omrsim" / "c.txt").write_text("\n\n")
+    assert _check_identity().line_count(tmp_path) == 2
 
 
 def test_check_identity_labels_csv_by_largest_relative_difference():

@@ -1,6 +1,7 @@
 """Forwarding engine: RACH rounds, decode/relay sets, trials, delay recursion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,26 +235,68 @@ def test_destination_skipped_only_beyond_reach(with_noise):
         and outcomes[False, False]
 
 
-def test_interference_tag_counts_requalifying_parked_node():
+def _jammed(xs, ys):
+    return np.full(np.shape(xs), 1e3)
+
+
+def _parked_node_state():
     # the only node that could relay is parked (decoded earlier, never
-    # relayed): under the interfered attempt nothing hears the source, on a
-    # clean channel the parked node re-qualifies, so the retransmission is
-    # tagged as caused by interference
+    # relayed); a jammed attempt reaches nobody, a clean one re-qualifies it
     dep = _tiny_deployment([0.5 * R1], [0.0])
     run = _Run(dep, PHY, RetransmitPolicy(), U, PHY.t_p + PHY.t_guard)
     state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
                            200.0, 16, np.random.default_rng(0))
     state.seen[0] = True  # decoded earlier; state.relayed[0] stays False
+    return state
 
-    def jammed(xs, ys):
-        return np.full(np.shape(xs), 1e3)
 
-    run_flow_hop(state, pn_extra_fn=jammed)
+def test_interference_tag_counts_requalifying_parked_node():
+    # under the interfered attempt nothing hears the source, on a clean
+    # channel the parked node re-qualifies, so the retransmission is tagged
+    # as caused by interference
+    state = _parked_node_state()
+    run_flow_hop(state, pn_extra_fn=_jammed)
     assert (state.hop, state.n_r, state.n_r_interference) == (1, 1, 1)
     # and on the clean channel the parked node does relay
     run_flow_hop(state)
     assert state.hop == 2 and state.records[-1].k == 1
     assert state.relayed[0]
+
+
+def test_hop_step_advances_both_clocks():
+    # the hop step owns a flow's grid slot and sleep clock: a retransmission
+    # moves next_slot by 2 and t by 2 t_p, an attempt that forms relays
+    # moves them by 1 and by one grid slot
+    state = _parked_node_state()
+    slot = state.run.slot
+    assert run_flow_hop(state, pn_extra_fn=_jammed) is None
+    assert (state.n_r, state.next_slot, state.t) == (1, 2, 2.0 * PHY.t_p)
+    run_flow_hop(state)
+    assert (state.hop, state.next_slot) == (2, 3)
+    assert state.t == 2.0 * PHY.t_p + slot
+    # FL-CLOCKS (docs/decisions.md): t lags the grid by 2 t_guard per
+    # retransmission. ROADMAP item 10 (one flow clock) changes exactly this
+    # assertion.
+    assert state.next_slot * slot - state.t == pytest.approx(2.0 * PHY.t_guard)
+
+
+def test_receiver_on_an_interferer_is_not_detected():
+    # a node sitting on another flow's transmitter gets infinite
+    # interference, without a division-by-zero warning, and cannot detect
+    # the source that it hears on a clean channel
+    xs, ys = [0.5 * R1, 0.3 * R1], [0.0, 20.0]
+    dep = _tiny_deployment(xs, ys)
+    relays = np.array([[0.0, 0.0]])
+    pn_fn = engine.interference_pn_fn(np.array([[0.5 * R1, 0.0]]), PHY, 600.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extra = pn_fn(dep.xs, dep.ys)
+        jammed = decode_set(dep, relays, 0.0, PHY, u=U, pn_extra_fn=pn_fn)
+    on_interferer = np.flatnonzero(dep.xs == 0.5 * R1)
+    assert np.isinf(extra[on_interferer]).all()
+    assert np.isfinite(np.delete(extra, on_interferer)).all()
+    assert on_interferer[0] in decode_set(dep, relays, 0.0, PHY, u=U)
+    assert on_interferer[0] not in jammed
 
 
 def test_two_packet_tags_count_each_retransmission_once():
@@ -423,21 +466,28 @@ def test_retransmission_statistics_hop1_geometric():
 
 def test_false_alarm_straggler_bookkeeping():
     # a false-alarming listener of relay set R_i rejoins exactly the sets
-    # R_{i+2} .. R_{i+n_r_max+1}, one extra member each
-    from omrsim.engine import _FlowState, _register_false_alarms
+    # R_{i+2} .. R_{i+n_r_max+1}, one extra member each, in registration order
+    from omrsim.engine import _advance_relays, _register_false_alarms
 
     pol = RetransmitPolicy(n_r_max=3, fa_rate=0.999)
-    state = _FlowState.__new__(_FlowState)
-    state.run = _Run(None, PHY, pol, U, PHY.t_p + PHY.t_guard)
-    state.hop = 5          # the listeners form R_4
-    state.stragglers = {}
-    state.rng = np.random.default_rng(0)
-    xy = np.array([[100.0, 0.0]])
-    dp = np.array([123.0])
-    _register_false_alarms(state, xy, dp)
-    assert sorted(state.stragglers) == [6, 7, 8]  # R_{4+2} .. R_{4+4}
-    for entries in state.stragglers.values():
-        assert entries == [(100.0, 0.0, 123.0)]
+    run = _Run(_tiny_deployment([500.0], [0.0]), PHY, pol, U,
+               PHY.t_p + PHY.t_guard)
+    state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
+                           200.0, 16, np.random.default_rng(0))
+    # a and b lie equally far from dst, so only registration orders them
+    a, b = (100.0, 10.0, 123.0), (100.0, -10.0, 456.0)
+    listeners = {5: a, 6: b}  # hop 5 closes R_4, hop 6 closes R_5
+    joined = {}
+    for hop in range(4, 12):
+        state.hop = hop
+        _advance_relays(state, np.array([0]))  # R_hop: node 0 plus stragglers
+        joined[hop] = [(x, y, dp) for (x, y), dp in
+                       zip(state.relay_xy[1:].tolist(), state.dp[1:].tolist())]
+        if hop in listeners:
+            x, y, dp = listeners[hop]
+            _register_false_alarms(state, np.array([[x, y]]), np.array([dp]))
+    assert joined == {4: [], 5: [], 6: [a], 7: [a, b], 8: [a, b], 9: [b],
+                      10: [], 11: []}
 
 
 def test_false_alarm_trial_runs_and_inflation_bounded():

@@ -30,8 +30,9 @@ k = 1..399 at b = 3, 5, 24 and 40. A fifth digest covers the records of
 b = 16, on the golden field with seeds 0-149 at 24 and 33 dBm, where
 stragglers rejoin later relay sets. The digests must be equal;
 floats are compared by their exact ``repr``, pmfs by their bytes. The exit
-code is 1 if any run or digest differs. The tool itself uses the standard
-library only; the digests run under each side's omrsim.
+code is 1 if any run or digest differs. A last line gives the line count
+of ``src/omrsim/*.py`` on each side, as ``wc -l`` counts it. The tool itself
+uses the standard library only; the digests run under each side's omrsim.
 """
 
 from __future__ import annotations
@@ -160,6 +161,12 @@ def digests() -> dict[str, str]:
             "false-alarm trials": false_alarms.hexdigest()}
 
 
+def line_count(src: Path) -> int:
+    """Lines of the omrsim modules under src, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (src / "omrsim").glob("*.py"))
+
+
 def side_digests(src: Path) -> dict[str, str]:
     """digests() under the omrsim in src, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -262,11 +269,14 @@ def main(argv: list[str]) -> int:
         runs = len(SCENARIOS) * len(TRIALS) * len(WORKERS)
         print(f"{runs - failed} of {runs} runs identical to {rev}", flush=True)
         want, got = (side_digests(src) for src in sides.values())
+        lines = {side: line_count(src) for side, src in sides.items()}
     for name in want:
         same = want[name] == got[name]
         failed += not same
         print(f"{name:<18} digest {got[name][:16]}  "
               f"{'identical' if same else 'DIFFERS from ' + want[name][:16]}")
+    print(f"src/omrsim/*.py lines: {lines['rev']} at {rev}, "
+          f"{lines['head']} in this checkout")
     return 1 if failed else 0
 
 
