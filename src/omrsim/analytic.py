@@ -459,7 +459,11 @@ def init_recursion(
     lam_k = field_cfg.epsilon * field_cfg.rho * a_relay
     lam_l = field_cfg.epsilon * field_cfg.rho * a_decode
     one = np.ones(1)  # a single component
-    dist_k1 = poisson_mixture(np.array([lam_k]), one).zero_truncated().truncated()
+    dist_k1 = poisson_mixture(np.array([lam_k]), one)
+    if dist_k1.support < 2:  # no relay count above 0 within the tolerance
+        raise TruncationError(f"the hop-1 relay mean {lam_k!r} is zero to the "
+                              f"tail tolerance: no first relay set can form")
+    dist_k1 = dist_k1.zero_truncated().truncated()
     dist_l1 = poisson_mixture(np.array([lam_l]), one)
     row = HopRow(
         hop=1,

@@ -48,6 +48,14 @@ class PhyConfig:
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        try:
+            u = detection_constant(self).u
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"the detection constant u cannot be computed "
+                             f"from tau and alpha: {exc}") from None
+        if not (0.0 < u < math.inf):
+            raise ValueError(f"the detection constant u must be finite and "
+                             f"positive, got {u}")
 
     def with_tx_power(self, p_t: float) -> "PhyConfig":
         return replace(self, p_t=p_t)
@@ -66,16 +74,60 @@ class DetectionConstant:
         return self.u ** (-1.0 / self.alpha)
 
 
+def group_pairs(a_sizes, b_sizes, b_first=None) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """Index pairs (i, j) matching each a-member of a group with each
+    b-member of the same group. Members are numbered across the groups,
+    group after group, b-members from b_first per group where given; the
+    pairs run a-member by a-member, each meeting its group's b-members in
+    ascending order."""
+    a_sizes, b_sizes = np.asarray(a_sizes), np.asarray(b_sizes)
+    if b_first is None:
+        b_first = b_sizes.cumsum() - b_sizes
+    per_a = b_sizes.repeat(a_sizes)
+    first_pair = per_a.cumsum() - per_a
+    j = (b_first.repeat(a_sizes) - first_pair).repeat(per_a)
+    j += np.arange(j.size)
+    return np.arange(per_a.size).repeat(per_a), j
+
+
+# a group with this many receiver-transmitter pairs or more is summed as its
+# own (K, N) array, which stays in cache; smaller ones are paired in one pass
+_GROUP_PAIRS = 1024
+
+
 def aggregate_power(xs, ys, relay_xs: np.ndarray, relay_ys: np.ndarray,
-                    alpha: float) -> np.ndarray:
+                    alpha: float, sizes=None) -> np.ndarray:
     """Unscaled aggregate H = sum_k d_k^-alpha at each receiver.
 
-    xs, ys hold N receivers (or one, as scalars); d^2 is built as a (K, N)
-    array over the K transmitters and summed over axis 0. A receiver on a
-    transmitter gets inf (numpy flags the division by zero).
+    xs, ys hold N receivers (or one, as scalars), relay_xs, relay_ys the K
+    transmitters; d^2 is built as a (K, N) array and summed over axis 0. A
+    receiver on a transmitter gets inf (numpy flags the division by zero).
+    With sizes = (receivers, transmitters) per group, both come in groups and
+    a receiver hears only its own group's transmitters, with the rounding of
+    its group's own (K, N) sum: numpy adds a C-order (K, N) array term by
+    term in transmitter order, but the K terms of a lone receiver run along
+    the contiguous axis, which it sums pairwise from 8 terms on.
     """
-    d2 = (xs - relay_xs[:, None]) ** 2 + (ys - relay_ys[:, None]) ** 2
-    return np.add.reduce(d2 ** (-alpha / 2.0), axis=0)
+    if sizes is None:
+        d2 = (xs - relay_xs[:, None]) ** 2 + (ys - relay_ys[:, None]) ** 2
+        return np.add.reduce(d2 ** (-alpha / 2.0), axis=0)
+    n_rx, n_tx = (np.asarray(n) for n in sizes)
+    own = (n_rx * n_tx >= _GROUP_PAIRS) | (n_rx == 1)
+    # the other groups' pairs, transmitter by transmitter: a bincount adds
+    # each receiver's terms in pair order
+    r_end, t_end = n_rx.cumsum(), n_tx.cumsum()
+    tx, rx = group_pairs(n_tx, np.where(own, 0, n_rx), r_end - n_rx)
+    d2 = (xs.take(rx) - relay_xs.take(tx)) ** 2 \
+        + (ys.take(rx) - relay_ys.take(tx)) ** 2
+    # (with no pairs at all, bincount returns integers)
+    h = np.bincount(rx, weights=d2 ** (-alpha / 2.0),
+                    minlength=xs.size).astype(float, copy=False)
+    for i in own.nonzero()[0].tolist():
+        r, t = slice(r_end[i] - n_rx[i], r_end[i]), \
+            slice(t_end[i] - n_tx[i], t_end[i])
+        h[r] = aggregate_power(xs[r], ys[r], relay_xs[t], relay_ys[t], alpha)
+    return h
 
 
 def detection_constant(phy: PhyConfig) -> DetectionConstant:

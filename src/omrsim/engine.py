@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import (SPEED_OF_LIGHT, PhyConfig, aggregate_power,
-                      coverage_contour, detection_constant)
+                      coverage_contour, detection_constant, group_pairs)
 from .field import Deployment, FieldConfig, Point2D, Strip, awake_mask, deploy
 
 
@@ -49,28 +50,49 @@ class HopRecord(NamedTuple):
     n_r_interference: int = 0  # retransmissions attributable to cross-flow interference
 
 
+# why a flow stopped: its destination detected, its retransmission cap was
+# spent, or its run's slot budget ran out first
+DELIVERED = "delivered"
+RETRANSMISSION_CAP = "retransmission cap"
+SLOT_BUDGET = "slot budget"
+
+
 @dataclass
 class TrialResult:
     records: list[HopRecord]
     reached: bool
     q: int                    # hops traversed (delivery hop when reached)
     delay_spread_s: float     # forwarding delay spread at the destination
+    ended: str                # why it stopped: DELIVERED,
+                              # RETRANSMISSION_CAP or SLOT_BUDGET
 
 
-def rach_round(k: int, b: int, n: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n independent RACH rounds of k relays over b slots, drawn uniformly;
-    singleton slots are resolvable.
+def rach_round(k, b: int, n, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n independent RACH rounds of k relays over b slots, drawn uniformly
+    from rng in one (n, k) draw; singleton slots are resolvable. k, n and
+    rng may also be lists, one entry per generator, whose rounds follow
+    one another.
 
-    Returns the (n, k) resolvable flags (in destination-distance order) and
-    the (n,) 1-based indices of the first resolvable relay, 0 where all
-    collided. A relay is resolvable when no other relay of its round drew
-    its slot, so its slot equals one of the round's k slots: its own.
+    Returns the resolvable flags of every round (in destination-distance
+    order; shaped (n, k) for one generator) and the 1-based index of each
+    round's first resolvable relay, 0 where all collided. Slot s of round r
+    is cell r b + s, so a relay is resolvable when no other relay shares
+    its cell.
     """
     check_rach_slots(b)
-    slots = rng.integers(0, b, size=(n, k))
-    resolvable = (slots[:, :, None] == slots[:, None, :]).sum(axis=2) == 1
-    return resolvable, (resolvable.argmax(axis=1) + 1) * resolvable.any(axis=1)
+    one = not isinstance(k, (list, tuple))
+    ks, ns, rngs = ([k], [n], [rng]) if one else (k, n, rng)
+    slots = [g.integers(0, b, size=m * kg) for kg, m, g in zip(ks, ns, rngs)]
+    per_round = [kg for kg, m in zip(ks, ns) for _ in range(m)]
+    cell = slots[0] if len(per_round) == 1 else np.arange(
+        0, len(per_round) * b, b).repeat(per_round) + np.concatenate(slots)
+    resolvable = np.bincount(cell).take(cell) == 1
+    flags, js, end = resolvable.tolist(), [], 0
+    for kr in per_round:
+        flags_r = flags[end:end + kr]
+        js.append(flags_r.index(True) + 1 if True in flags_r else 0)
+        end += kr
+    return resolvable.reshape(n, k) if one else resolvable, np.array(js)
 
 
 def decision_distance(relay_d: np.ndarray, j: int) -> float:
@@ -84,10 +106,11 @@ def decision_distance(relay_d: np.ndarray, j: int) -> float:
     return float(relay_d[j - 1])
 
 
-def eligible(d_dst, lateral, d_ref: float, width: float) -> np.ndarray:
+def eligible(d_dst, lateral, d_ref, width) -> np.ndarray:
     """Relay rule on nodes' distances to dst and lateral offsets: strictly
     closer to dst than the decision arc, and inside the strip of the given
-    (possibly widened) width, boundary included."""
+    (possibly widened) width, boundary included. d_ref and width are one
+    value, or one per node."""
     return (d_dst < d_ref) & (np.abs(lateral) <= width / 2.0)
 
 
@@ -98,50 +121,112 @@ def reach(k: int, u: float, alpha: float) -> float:
     return (k / u) ** (1.0 / alpha) * (1.0 + 1e-6)
 
 
+def _threshold(xs, ys, phy: PhyConfig, u: float, pn_extra_fn=None):
+    """Detection threshold at receivers (xs, ys): u, raised to
+    u (p_n + extra) / p_n by extra noise-plus-interference from
+    pn_extra_fn(xs, ys)."""
+    if pn_extra_fn is None:
+        return u
+    return u * (phy.p_n + pn_extra_fn(xs, ys)) / phy.p_n
+
+
 def _detects(xs, ys, relay_xy: np.ndarray, phy: PhyConfig, u: float,
              pn_extra_fn=None) -> np.ndarray:
-    """Detection test at receivers (xs, ys) for a transmission by relay_xy.
-
-    Extra noise-plus-interference from pn_extra_fn(xs, ys) raises the
-    threshold to u (p_n + extra) / p_n.
-    """
+    """Detection test at receivers (xs, ys) for a transmission by relay_xy."""
     h = aggregate_power(xs, ys, relay_xy[:, 0], relay_xy[:, 1], phy.alpha)
-    if pn_extra_fn is None:
-        return h >= u
-    return h >= u * (phy.p_n + pn_extra_fn(xs, ys)) / phy.p_n
+    return h >= _threshold(xs, ys, phy, u, pn_extra_fn)
 
 
-def decode_set(
-    deployment: Deployment,
-    relays: np.ndarray,
-    t_now: float,
-    phy: PhyConfig,
-    *,
-    u: float,
-    seen: np.ndarray | None = None,
-    pn_extra_fn=None,
-) -> np.ndarray:
-    """Indices, ascending, of nodes that hear a transmission by `relays`
-    starting at t_now.
+class _Nodes(NamedTuple):
+    """A run's node table: each flow's copy of its field, flow after flow.
 
-    A node hears it iff it is awake at the transmission start, it is not
-    masked by `seen`, and the aggregate mean channel power from the
-    transmitters meets the detection threshold. `pn_extra_fn(xs, ys)` may
-    supply additive per-node noise-plus-interference power (per subcarrier).
+    A flow's decoded and relayed flags and its nodes' distances live here,
+    so one index array reaches the nodes of every flow of a step. Each
+    flow's segment is sorted by x, and key = x + the flow's shift orders
+    every segment after the one before it: no node or source lies an
+    extent or more from x = 0, a receive window reaches at most an extent
+    past its relays, and the shifts are 4 extents apart, so a window's keys
+    never meet another segment's.
     """
-    relays = np.asarray(relays, dtype=float).reshape(-1, 2)
-    # a node beyond reach of every transmitter cannot hear them
-    d_cut = reach(relays.shape[0], u, phy.alpha)
-    relay_xs = relays[:, 0].tolist()
-    i0, i1 = deployment.window(min(relay_xs) - d_cut, max(relay_xs) + d_cut)
-    mask = awake_mask(
-        deployment.sleep_phases[i0:i1], t_now, phy.t_p, deployment.cfg.epsilon
-    )
-    if seen is not None:
-        mask &= ~seen[i0:i1]
-    idx = mask.nonzero()[0] + i0
-    return idx[_detects(deployment.xs[idx], deployment.ys[idx], relays, phy, u,
-                        pn_extra_fn)]
+
+    xs: np.ndarray
+    ys: np.ndarray
+    xy: np.ndarray                # (n, 2) positions
+    phases: np.ndarray            # sleep phases
+    d_dst: np.ndarray             # distance to the segment's flow's dst
+    lateral: np.ndarray           # lateral offset from that flow's axis
+    seen: np.ndarray              # decoded at least once by that flow
+    relayed: np.ndarray           # was in a relay set of that flow; nodes
+                                  # seen and not relayed are parked
+    key: np.ndarray
+    extent: float
+
+
+class _Run(NamedTuple):
+    """What every flow of one kernel run shares."""
+
+    phy: PhyConfig
+    policy: RetransmitPolicy
+    b: int                        # RACH slot count
+    u: float                      # detection threshold
+    slot: float                   # grid slot, t_p + t_guard
+    epsilon: float                # awake fraction of every field of the run
+    nodes: _Nodes
+    shared: bool                  # some field carries more than one flow
+
+
+def decode_set(run: _Run, flows: list, reaches: list,
+               pn_extra_fns=None) -> np.ndarray:
+    """Indices into the run's node table, ascending, of the nodes that hear
+    the transmissions of flows, each by its relay set at its time t.
+
+    A node hears its flow's transmission iff it is awake at the
+    transmission start, it has not relayed for that flow, and the aggregate
+    mean channel power from the flow's transmitters meets the detection
+    threshold; none can beyond the reach of its flow's transmit set, given
+    in reaches. pn_extra_fns[i](xs, ys), where given, supplies flow i's
+    receivers additive per-node noise-plus-interference power (per
+    subcarrier). One call serves every flow transmitting in a step.
+    """
+    nodes, phy = run.nodes, run.phy
+    if len(flows) == 1:  # one window, a slice of the table
+        f, = flows
+        x = f.relay_xy[:, 0].tolist()
+        d_cut = min(reaches[0], nodes.extent)
+        i0 = nodes.key.searchsorted(min(x) - d_cut + f.shift)
+        i1 = nodes.key.searchsorted(max(x) + d_cut + f.shift, side="right")
+        mask = awake_mask(nodes.phases[i0:i1], f.t, phy.t_p, run.epsilon)
+        mask &= ~nodes.relayed[i0:i1]
+        idx = mask.nonzero()[0] + i0
+        relays, m = f.relay_xy, None
+    else:
+        relays = np.concatenate([f.relay_xy for f in flows])
+        ks = [f.relay_xy.shape[0] for f in flows]
+        first = np.cumsum(ks) - ks
+        d_cut = np.minimum(reaches, nodes.extent)
+        shift = [f.shift for f in flows]
+        i0 = nodes.key.searchsorted(
+            np.minimum.reduceat(relays[:, 0], first) - d_cut + shift)
+        i1 = nodes.key.searchsorted(
+            np.maximum.reduceat(relays[:, 0], first) + d_cut + shift,
+            side="right")
+        n = i1 - i0
+        cand = np.arange(n.sum()) + (i0 - n.cumsum() + n).repeat(n)
+        t = np.array([f.t for f in flows]).repeat(n)
+        mask = awake_mask(nodes.phases.take(cand), t, phy.t_p, run.epsilon)
+        mask &= ~nodes.relayed.take(cand)
+        idx = cand[mask]
+        m = idx.searchsorted(i1) - idx.searchsorted(i0)
+    xs, ys = nodes.xs.take(idx), nodes.ys.take(idx)
+    h = aggregate_power(xs, ys, relays[:, 0], relays[:, 1], phy.alpha,
+                        None if m is None else (m, ks))
+    thr = run.u
+    if pn_extra_fns is not None and any(pn_extra_fns):
+        thr = np.full(idx.size, run.u)
+        ends = [idx.size] if m is None else m.cumsum().tolist()
+        for fn, a, b in zip(pn_extra_fns, [0] + ends, ends):
+            thr[a:b] = _threshold(xs[a:b], ys[a:b], phy, run.u, fn)
+    return idx[h >= thr]
 
 
 def interference_pn_fn(
@@ -167,31 +252,18 @@ def interference_pn_fn(
     return pn_extra
 
 
-class _Run(NamedTuple):
-    """What every flow of one run shares."""
-
-    deployment: Deployment
-    phy: PhyConfig
-    policy: RetransmitPolicy
-    u: float                      # detection threshold
-    slot: float                   # grid slot, t_p + t_guard
-
-
 @dataclass
 class _FlowState:
     """Mutable per-packet forwarding state (one flow)."""
 
-    run: _Run
+    deployment: Deployment        # its field; flows on one field interact
     strip: Strip
+    start: int                    # its segment of the run's node table
+    shift: float                  # and that segment's shift into key
     strip_width: float            # current width; retransmissions widen it
-    b: int                        # RACH slot count
-    d_dst: np.ndarray             # every node's distance to dst
-    lateral: np.ndarray           # every node's lateral offset from the axis
     relay_xy: np.ndarray          # transmitters of the next hop, global coords
     relay_d: np.ndarray           # their distances to dst, ascending
     dp: np.ndarray                # accumulated propagation path length, m
-    seen: np.ndarray              # decoded at least once
-    relayed: np.ndarray           # was in a relay set; seen & ~relayed are parked
     rng: np.random.Generator      # RACH draws and false alarms
     next_slot: int                # grid slot of the flow's next transmission
     t: float                      # sleep-schedule clock (see docs/decisions.md)
@@ -200,64 +272,92 @@ class _FlowState:
     n_r_interference: int = 0
     records: list = dc_field(default_factory=list)
     sent_xy: list = dc_field(default_factory=list)  # each record's transmitters
-    reached: bool = False
-    failed: bool = False
+    ended: str = ""               # why the flow stopped; "" while it runs
     delay_spread_s: float = math.nan
     stragglers: list = dc_field(default_factory=list)  # (first hop, x, y, dp)
-
-    @property
-    def done(self) -> bool:
-        return self.reached or self.failed
 
     def result(self) -> TrialResult:
         return TrialResult(
             records=self.records,
-            reached=self.reached,
+            reached=self.ended == DELIVERED,
             q=self.records[-1].hop if self.records else 0,
             delay_spread_s=self.delay_spread_s,
+            ended=self.ended,
         )
 
 
 class _Reception(NamedTuple):
+    """What one step's transmissions achieve, flow by flow (flow i is the
+    i-th transmitting flow; node arrays are grouped by flow)."""
+
     decoded: np.ndarray    # nodes hearing the packet for the first time
+    l: list                # per flow: how many
     relays: np.ndarray     # fresh and re-qualifying decoders that relay
-    dst_detected: bool
+    k: list                # per flow: how many
+    dst_detected: list
 
     @property
-    def progressed(self) -> bool:
-        return self.dst_detected or self.relays.size > 0
+    def progressed(self) -> list:
+        return [d or k > 0 for d, k in zip(self.dst_detected, self.k)]
 
 
-def _receive(state: _FlowState, d_ref: float, pn_extra_fn=None) -> _Reception:
-    """What one transmission by the current relay set achieves; reads the
-    state and changes nothing."""
-    run, relay_xy = state.run, state.relay_xy
+def _receive(run: _Run, flows: list, d_refs: list,
+             pn_extra_fns=None) -> _Reception:
+    """What one transmission by each flow's current relay set achieves;
+    reads the states and changes nothing."""
+    nodes, phy = run.nodes, run.phy
     # one detection pass over every node that has not relayed: fresh nodes
     # decode, and parked nodes (decoded on an earlier transmission, never
     # relayed) re-read the header and re-evaluate the position criteria,
     # which matters when a retransmission widened the strip or moved the arc
-    heard = decode_set(run.deployment, relay_xy, state.t, run.phy, u=run.u,
-                       seen=state.relayed, pn_extra_fn=pn_extra_fn)
-    decoded = heard[~state.seen[heard]]
-    relays = heard[eligible(state.d_dst[heard], state.lateral[heard], d_ref,
-                            state.strip_width)]
+    reaches = [reach(f.relay_xy.shape[0], run.u, phy.alpha) for f in flows]
+    heard = decode_set(run, flows, reaches, pn_extra_fns)
+    widths = [f.strip_width for f in flows]
+    if len(flows) == 1:
+        flow, d_ref, width = None, d_refs[0], widths[0]
+    else:
+        flow = np.array([f.start for f in flows]).searchsorted(
+            heard, side="right") - 1
+        d_ref, width = np.array(d_refs).take(flow), np.array(widths).take(flow)
+    fresh = ~nodes.seen.take(heard)
+    rule = eligible(nodes.d_dst.take(heard), nodes.lateral.take(heard), d_ref,
+                    width)
+    decoded, relays = heard[fresh], heard[rule]
+    if flow is None:
+        l, k = [decoded.size], [relays.size]
+    else:
+        l, k = (np.bincount(flow[mask], minlength=len(flows)).tolist()
+                for mask in (fresh, rule))
     # the destination is an always-awake receiver applying the same test,
     # which it can pass only within reach of the nearest transmitter (extra
     # noise only raises the threshold)
-    dst = state.strip.dst
-    heard = state.relay_d[0] <= reach(relay_xy.shape[0], run.u, run.phy.alpha) \
-        and _detects(np.array([dst.x]), np.array([dst.y]), relay_xy, run.phy,
-                     run.u, pn_extra_fn)[0]
-    return _Reception(decoded, relays, bool(heard))
+    dst = [bool(f.relay_d[0] <= d_reach
+                and _detects(np.array([f.strip.dst.x]),
+                             np.array([f.strip.dst.y]), f.relay_xy, phy,
+                             run.u, fn)[0])
+           for f, d_reach, fn in zip(flows, reaches,
+                                     pn_extra_fns or repeat(None))]
+    return _Reception(decoded, l, relays, k, dst)
 
 
 def _path_step(new_xy: np.ndarray, prev_xy: np.ndarray, prev_dp: np.ndarray,
-               delta_r: float) -> np.ndarray:
+               delta_r: float, sizes=None) -> np.ndarray:
     """First-arrival path length of each new relay: the minimum over previous
-    relays of (link distance + their path), plus the first-echo excess."""
-    link = np.hypot(new_xy[:, 0:1] - prev_xy[None, :, 0],
-                    new_xy[:, 1:2] - prev_xy[None, :, 1])
-    return np.minimum.reduce(link + prev_dp[None, :], axis=1) + delta_r
+    relays of (link distance + their path), plus the first-echo excess. With
+    sizes = (new, previous) per group, both come in groups and a new relay's
+    minimum runs over its own group's previous relays; a minimum is exact in
+    any grouping."""
+    if sizes is None:
+        link = np.hypot(new_xy[:, 0:1] - prev_xy[None, :, 0],
+                        new_xy[:, 1:2] - prev_xy[None, :, 1])
+        return np.minimum.reduce(link + prev_dp, axis=1) + delta_r
+    n_new, n_prev = sizes
+    i, j = group_pairs(n_new, n_prev)
+    link = np.hypot(new_xy[:, 0].take(i) - prev_xy[:, 0].take(j),
+                    new_xy[:, 1].take(i) - prev_xy[:, 1].take(j))
+    per_new = n_prev.repeat(n_new)
+    return np.minimum.reduceat(link + prev_dp.take(j),
+                               per_new.cumsum() - per_new) + delta_r
 
 
 def _delay_spread(d_dst: np.ndarray, dp: np.ndarray) -> float:
@@ -267,26 +367,57 @@ def _delay_spread(d_dst: np.ndarray, dp: np.ndarray) -> float:
     return float(arrivals.max() - arrivals.min()) / SPEED_OF_LIGHT
 
 
-def _advance_relays(state: _FlowState, r_idx: np.ndarray) -> int:
-    """Install the new relay set (sorted by distance to dst) and update delays."""
-    new_xy = state.run.deployment.xy[r_idx]
-    new_dp = _path_step(new_xy, state.relay_xy, state.dp,
-                        state.run.phy.delta_r)
-    d = state.d_dst[r_idx]
-    n_r_max, hop = state.run.policy.n_r_max, state.hop
-    extra = [e for e in state.stragglers if e[0] <= hop < e[0] + n_r_max]
+def _advance_relays(run: _Run, flows: list, r_idx: np.ndarray,
+                    n_new: list) -> list[int]:
+    """Install every new relay set at once: flow i's set is its n_new[i]
+    nodes of r_idx (grouped by flow) plus its due false-alarm stragglers,
+    sorted by distance to dst, with their path lengths. A flow with no new
+    nodes keeps its set. Returns each flow's new set size (0 where it kept
+    it)."""
+    nodes, n_r_max = run.nodes, run.policy.n_r_max
+    movers = [f for f, n in zip(flows, n_new) if n]
+    new_xy = nodes.xy.take(r_idx, axis=0)
+    if len(movers) == 1:
+        f = movers[0]
+        new_dp = _path_step(new_xy, f.relay_xy, f.dp, run.phy.delta_r)
+    else:
+        new_dp = _path_step(
+            new_xy, np.concatenate([f.relay_xy for f in movers]),
+            np.concatenate([f.dp for f in movers]), run.phy.delta_r,
+            (np.array([n for n in n_new if n]),
+             np.array([f.relay_xy.shape[0] for f in movers])))
+    d = nodes.d_dst.take(r_idx)
+    sizes, owner = list(n_new), None
+    if len(movers) > 1:
+        owner = np.arange(len(flows)).repeat(n_new)
+    extra = run.policy.fa_rate > 0.0 and [
+        (i, e) for i, f in enumerate(flows) if n_new[i]
+        for e in f.stragglers if e[0] <= f.hop < e[0] + n_r_max]
     if extra:  # false-alarm stragglers, not deployment nodes
-        extra_xy = np.array([e[1:3] for e in extra])
+        extra_xy = np.array([e[1:3] for _, e in extra])
+        dst = np.array([flows[i].strip.dst for i, _ in extra])
         new_xy = np.vstack([new_xy, extra_xy])
-        new_dp = np.concatenate([new_dp, [e[3] for e in extra]])
-        d = np.concatenate([d, np.hypot(*(extra_xy - state.strip.dst).T)])
-    order = d.argsort(kind="stable")
-    state.relay_xy, state.relay_d = new_xy[order], d[order]
-    state.dp = new_dp[order]
-    return new_xy.shape[0]
+        new_dp = np.concatenate([new_dp, [e[3] for _, e in extra]])
+        d = np.concatenate([d, np.hypot(*(extra_xy - dst).T)])
+        for i, _ in extra:
+            sizes[i] += 1
+        if owner is not None:
+            owner = np.concatenate([owner, [i for i, _ in extra]])
+    # stable within each flow: its nodes in index order, then its stragglers
+    order = d.argsort(kind="stable") if owner is None \
+        else np.lexsort((d, owner))
+    new_xy, d, new_dp = new_xy.take(order, axis=0), d.take(order), \
+        new_dp.take(order)
+    end = 0
+    for f, size in zip(flows, sizes):
+        if size:
+            f.relay_xy, f.relay_d = new_xy[end:end + size], d[end:end + size]
+            f.dp = new_dp[end:end + size]
+        end += size
+    return sizes
 
 
-def _register_false_alarms(state: _FlowState, old_xy: np.ndarray,
+def _register_false_alarms(run: _Run, state: _FlowState, old_xy: np.ndarray,
                            old_dp: np.ndarray) -> None:
     """Relays that miss the forwarded packet ID rejoin later transmit sets.
 
@@ -295,7 +426,7 @@ def _register_false_alarms(state: _FlowState, old_xy: np.ndarray,
     each). The listeners of the hop just completed form R_{hop-1}, so each
     is stored once with its first set, R_{hop+1}.
     """
-    fa_rate = state.run.policy.fa_rate
+    fa_rate = run.policy.fa_rate
     if fa_rate <= 0.0:
         return
     fa = state.rng.random(old_xy.shape[0]) < fa_rate
@@ -304,60 +435,81 @@ def _register_false_alarms(state: _FlowState, old_xy: np.ndarray,
                          for i in np.flatnonzero(fa)]
 
 
-def run_flow_hop(state: _FlowState, pn_extra_fn=None) -> None:
-    """Process one transmission attempt of a flow, mutating its state.
+def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> None:
+    """Process one transmission attempt of each of flows, all in one grid
+    slot, mutating their states; each draws from its own generator.
 
     On an empty relay set the attempt counts as a retransmission: the strip is
     widened, the flow's next transmission moves two grid slots on
     (listen-then-retransmit), and the RACH is redrawn. A retransmission that
     would have succeeded without cross-flow interference is tagged. Any other
     attempt takes one grid slot. The hop completes when a relay set forms or
-    the destination detects; it fails when the retransmission cap is spent.
+    the destination detects; the flow stops when the destination detects or
+    the retransmission cap is spent.
     """
-    policy = state.run.policy
-    old_xy, old_dp = state.relay_xy, state.dp
+    policy = run.policy
     # the source position travels in the header; it is always resolvable
-    j_prev = 1 if state.hop == 1 \
-        else int(rach_round(old_xy.shape[0], state.b, 1, state.rng)[1][0])
-    d_ref = decision_distance(state.relay_d, j_prev)
-    rx = _receive(state, d_ref, pn_extra_fn)
-    retransmit = not rx.progressed and state.n_r < policy.n_r_max
-    # tag the retransmission when the same attempt on a clean channel, from
-    # the same state, would have reached the destination or formed relays
-    if retransmit and pn_extra_fn is not None \
-            and _receive(state, d_ref).progressed:
-        state.n_r_interference += 1
-    state.seen[rx.decoded] = True
-    if retransmit:
-        state.n_r += 1
-        # width cap w0 + n_r_max * delta_w holds because retransmissions stop at the cap
-        state.strip_width += policy.delta_w
-        # FL-CLOCKS (docs/decisions.md): two grid slots, but 2 t_p of sleep clock
-        state.next_slot += 2
-        state.t += 2.0 * state.run.phy.t_p
-        return
-
-    k_new = 0
-    if rx.dst_detected:
-        state.delay_spread_s = _delay_spread(state.relay_d, old_dp)
-        state.reached = True
-    elif rx.relays.size:
-        state.relayed[rx.relays] = True
-        k_new = _advance_relays(state, rx.relays)
+    later = [f for f in flows if f.hop > 1]
+    if later:
+        drawn = iter(rach_round([f.relay_xy.shape[0] for f in later], run.b,
+                                [1] * len(later),
+                                [f.rng for f in later])[1].tolist())
+        js = [next(drawn) if f.hop > 1 else 1 for f in flows]
     else:
-        state.failed = True
-    state.records.append(HopRecord(
-        hop=state.hop, k_prev=old_xy.shape[0], j_prev=j_prev,
-        l=rx.decoded.size, k=k_new, n_r=state.n_r, xh0=math.nan,
-        n_r_interference=state.n_r_interference,
-    ))
-    state.sent_xy.append(old_xy)
-    state.n_r = state.n_r_interference = 0  # the record holds this hop's count
-    state.next_slot += 1
-    state.t += state.run.slot
-    if k_new:
-        _register_false_alarms(state, old_xy, old_dp)
-        state.hop += 1
+        js = [1] * len(flows)
+    d_refs = [decision_distance(f.relay_d, j) for f, j in zip(flows, js)]
+    rx = _receive(run, flows, d_refs, pn_extra_fns)
+    retransmit = [not (dst or k) and f.n_r < policy.n_r_max
+                  for f, dst, k in zip(flows, rx.dst_detected, rx.k)]
+    # tag a retransmission when the same attempt on a clean channel, from
+    # the same state, would have reached the destination or formed relays
+    jammed = pn_extra_fns and [i for i, fn in enumerate(pn_extra_fns)
+                               if fn is not None and retransmit[i]]
+    if jammed:
+        clean = _receive(run, [flows[i] for i in jammed],
+                         [d_refs[i] for i in jammed])
+        for i, progressed in zip(jammed, clean.progressed):
+            flows[i].n_r_interference += progressed
+    run.nodes.seen[rx.decoded] = True
+    # a flow whose destination detected installs no relay set
+    relays, n_new = rx.relays, rx.k
+    if any(rx.dst_detected) and any(d and k for d, k in zip(rx.dst_detected,
+                                                            n_new)):
+        relays = relays[~np.array(rx.dst_detected).repeat(n_new)]
+        n_new = [0 if d else k for d, k in zip(rx.dst_detected, n_new)]
+    old = [(f.relay_xy, f.dp) for f in flows]
+    k_new = n_new
+    if relays.size:
+        run.nodes.relayed[relays] = True
+        k_new = _advance_relays(run, flows, relays, n_new)
+    for f, j, l, k, dst, again, (old_xy, old_dp) in zip(
+            flows, js, rx.l, k_new, rx.dst_detected, retransmit, old):
+        if again:
+            f.n_r += 1
+            # width cap w0 + n_r_max * delta_w holds because retransmissions
+            # stop at the cap
+            f.strip_width += policy.delta_w
+            # FL-CLOCKS (docs/decisions.md): two grid slots, but 2 t_p of
+            # sleep clock
+            f.next_slot += 2
+            f.t += 2.0 * run.phy.t_p
+            continue
+        if dst:
+            f.delay_spread_s = _delay_spread(f.relay_d, old_dp)
+            f.ended = DELIVERED
+        elif not k:
+            f.ended = RETRANSMISSION_CAP
+        f.records.append(HopRecord(
+            hop=f.hop, k_prev=old_xy.shape[0], j_prev=j, l=l, k=k,
+            n_r=f.n_r, xh0=math.nan, n_r_interference=f.n_r_interference,
+        ))
+        f.sent_xy.append(old_xy)
+        f.n_r = f.n_r_interference = 0  # the record holds this hop's count
+        f.next_slot += 1
+        f.t += run.slot
+        if k:
+            _register_false_alarms(run, f, old_xy, old_dp)
+            f.hop += 1
 
 
 def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
@@ -377,29 +529,84 @@ def check_stagger_slots(stagger_slots: int, field_cfg: FieldConfig,
                          f"{stagger_slots}")
 
 
-def new_flow_state(run: _Run, strip: Strip, strip_width: float, b: int,
-                   rng: np.random.Generator, start_slot: int = 0) -> _FlowState:
-    """A packet at its source, first transmitting in grid slot start_slot
-    and drawing its protocol randomness from rng. Every node's distance to
-    dst and lateral offset are fixed for the flow, so they are computed
-    here once."""
-    xs, ys, dst = run.deployment.xs, run.deployment.ys, strip.dst
-    return _FlowState(
-        run=run,
-        strip=strip,
-        strip_width=strip_width,
-        b=b,
-        d_dst=np.hypot(xs - dst.x, ys - dst.y),
-        lateral=strip.frame(xs, ys)[1],
-        relay_xy=np.asarray([[strip.src.x, strip.src.y]], dtype=float),
-        relay_d=np.hypot([strip.src.x - dst.x], [strip.src.y - dst.y]),
-        dp=np.zeros(1),
-        seen=np.zeros(run.deployment.n, dtype=bool),
-        relayed=np.zeros(run.deployment.n, dtype=bool),
-        rng=rng,
-        next_slot=start_slot,
-        t=start_slot * run.slot,
+def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
+             strip_width: float, specs: list) -> tuple[_Run, list[_FlowState]]:
+    """A run's shared inputs and node table, and its flows at their sources.
+
+    specs holds one (deployment, strip, rng, start_slot) per flow: a packet
+    first transmitting in grid slot start_slot and drawing its protocol
+    randomness from rng. Every node's distance to dst and lateral offset are
+    fixed for the flow, so they are computed here once. The fields share
+    their configuration.
+    """
+    deps = [dep for dep, *_ in specs]
+    strips = [strip for _, strip, *_ in specs]
+    start = np.cumsum([0] + [dep.n for dep in deps]).tolist()
+    # each deployment is sorted by x, so its ends bound |x|
+    extent = 1.0 + max([abs(s.src.x) for s in strips]
+                       + [abs(float(x)) for dep in deps if dep.n
+                          for x in (dep.xs[0], dep.xs[-1])])
+
+    def table(arrays):  # one flow's arrays are its table's
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    n = start[-1]
+    nodes = _Nodes(
+        xs=table([dep.xs for dep in deps]),
+        ys=table([dep.ys for dep in deps]),
+        xy=table([dep.xy for dep in deps]),
+        phases=table([dep.sleep_phases for dep in deps]),
+        d_dst=table([np.hypot(dep.xs - s.dst.x, dep.ys - s.dst.y)
+                     for dep, s in zip(deps, strips)]),
+        lateral=table([s.frame(dep.xs, dep.ys)[1]
+                       for dep, s in zip(deps, strips)]),
+        seen=np.zeros(n, dtype=bool),
+        relayed=np.zeros(n, dtype=bool),
+        key=table([dep.xs + 4.0 * extent * i if i else dep.xs
+                   for i, dep in enumerate(deps)]),
+        extent=extent,
     )
+    run = _Run(phy, policy, b, detection_constant(phy).u,
+               phy.t_p + phy.t_guard, deps[0].cfg.epsilon, nodes,
+               len({id(dep) for dep in deps}) < len(deps))
+    flows = [_FlowState(
+        deployment=dep, strip=strip, start=start[i], shift=4.0 * extent * i,
+        strip_width=strip_width,
+        relay_xy=np.asarray([[strip.src.x, strip.src.y]], dtype=float),
+        relay_d=np.hypot([strip.src.x - strip.dst.x],
+                         [strip.src.y - strip.dst.y]),
+        dp=np.zeros(1), rng=rng, next_slot=start_slot,
+        t=start_slot * run.slot,
+    ) for i, (dep, strip, rng, start_slot) in enumerate(specs)]
+    return run, flows
+
+
+def _contend(run: _Run, txers: list, radius: float) -> tuple[list, list]:
+    """The flows due in a slot that transmit in it, and the
+    noise-plus-interference each one's receivers see.
+
+    Only flows on one field interact. A source that detects another flow's
+    relays transmitting defers one slot (carrier sense applies to sources
+    only); each remaining flow's receivers see the others' transmit sets as
+    added noise-plus-interference (within radius).
+    """
+    out, fns = [], []
+    for _, group in groupby(txers, key=lambda f: id(f.deployment)):
+        group = list(group)
+        for f in list(group):
+            if f.hop + f.n_r == 1 and any(
+                    g is not f and g.hop + g.n_r > 1
+                    and _detects(f.strip.src.x, f.strip.src.y, g.relay_xy,
+                                 run.phy, run.u)[0] for g in group):
+                f.next_slot += 1
+                f.t += run.slot
+                group.remove(f)
+        # built before any hop runs, since a hop replaces its relay set
+        fns += [interference_pn_fn(
+            np.vstack([g.relay_xy for g in group if g is not f]), run.phy,
+            radius) if len(group) > 1 else None for f in group]
+        out += group
+    return out, fns
 
 
 def _run_flows(
@@ -407,68 +614,77 @@ def _run_flows(
     phy: PhyConfig,
     policy: RetransmitPolicy,
     b: int,
-    seed: int,
-    srcs: list[Point2D],
+    fields: list[tuple[int, list[Point2D]]],
     interference_radius: float = 0.0,
     stagger_slots: int = 0,
 ) -> tuple[list[_FlowState], int]:
-    """Forward one packet per source toward (L, 0) on one field and slot grid.
+    """Forward one packet per source toward (L, 0), each (seed, sources)
+    pair on a field of its own, all flows on one slot grid and in lockstep:
+    each slot's transmissions run as one hop step.
 
-    Deterministic for a given seed: the first child stream deploys the field,
-    the others drive one flow each (RACH draws, false alarms). Flow i is
-    injected i * stagger_slots slots late. When flows transmit in the same
-    slot, each one's receivers see the others' transmit sets as added
-    noise-plus-interference (within interference_radius). A source defers
-    its injection while it detects another flow's relays transmitting (carrier
-    sense applies to sources only). A flow stops when it delivers or spends
-    its retransmission cap; the slot budget stops the run, as every attempt
-    takes a slot. Returns the flow states and the number of slots used.
+    Deterministic for a given seed: the first child stream deploys its
+    field, the others drive one flow each (RACH draws, false alarms). Flows
+    on different fields never interact, so a field's flows do not depend on
+    the other fields. Flow i of a field is injected i * stagger_slots slots
+    late; for flows on one field, see _contend. A flow stops when it
+    delivers or spends its retransmission cap; the slot budget stops the
+    rest, as every attempt takes a slot. Returns the flow states and the
+    number of slots used.
     """
     check_rach_slots(b)
-    dep_ss, *flow_ss = np.random.SeedSequence(seed).spawn(1 + len(srcs))
-    # one field covering every strip: size the lateral extent by the sources
+    dst = Point2D(field_cfg.length, 0.0)
     w_max = field_cfg.w + policy.n_r_max * policy.delta_w
-    lateral_span = 2.0 * max(abs(src.y) for src in srcs) + w_max
-    deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
-                        max_strip_width=lateral_span)
-    run = _Run(deployment, phy, policy, detection_constant(phy).u,
-               phy.t_p + phy.t_guard)
+    specs = []
+    for seed, srcs in fields:
+        dep_ss, *flow_ss = np.random.SeedSequence(seed).spawn(1 + len(srcs))
+        # one field covering every strip: size the lateral extent by the sources
+        lateral_span = 2.0 * max(abs(src.y) for src in srcs) + w_max
+        deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
+                            max_strip_width=lateral_span)
+        specs += [(deployment, Strip(src=src, dst=dst),
+                   np.random.default_rng(ss), i * stagger_slots)
+                  for i, (src, ss) in enumerate(zip(srcs, flow_ss))]
+    run, flows = _new_run(phy, policy, b, field_cfg.w, specs)
     max_slots = slot_budget(field_cfg, phy, policy)
 
-    dst = Point2D(field_cfg.length, 0.0)
-    flows = [new_flow_state(run, Strip(src=src, dst=dst), field_cfg.w, b,
-                            np.random.default_rng(ss), i * stagger_slots)
-             for i, (src, ss) in enumerate(zip(srcs, flow_ss))]
-
-    slot_idx = 0
-    while slot_idx < max_slots:
-        live = [f for f in flows if not f.done]
-        if not live:
-            break
+    live, slot_idx = flows, 0
+    while live and slot_idx < max_slots:
         txers = [f for f in live if f.next_slot == slot_idx]
-        for f in list(txers):
-            # a source that detects another flow's relays defers one slot
-            if f.hop + f.n_r == 1 and any(
-                    g is not f and g.hop + g.n_r > 1
-                    and _detects(f.strip.src.x, f.strip.src.y, g.relay_xy,
-                                 phy, run.u)[0] for g in txers):
-                f.next_slot += 1
-                f.t += run.slot
-                txers.remove(f)
-        # built before any hop runs, since a hop replaces its relay set
-        pn_fns = [interference_pn_fn(
-            np.vstack([g.relay_xy for g in txers if g is not f]), phy,
-            interference_radius) if len(txers) > 1 else None for f in txers]
-        for f, pn_fn in zip(txers, pn_fns):
-            run_flow_hop(f, pn_extra_fn=pn_fn)
+        pn_fns = None
+        if run.shared:
+            txers, pn_fns = _contend(run, txers, interference_radius)
+        if txers:
+            run_hop_step(run, txers, pn_fns)
+        if any(f.ended for f in txers):
+            live = [f for f in live if not f.ended]
         slot_idx += 1
-    for f in flows:  # no forwarding decision reads xh0: one solve per flow
-        k = [r.k_prev for r in f.records]
-        xy = np.concatenate([np.empty((0, 2))] + f.sent_xy)
-        xh0 = coverage_contour(*f.strip.frame(xy[:, 0], xy[:, 1]),
-                               np.cumsum(k) - k, run.u, phy.alpha)
-        f.records = [r._replace(xh0=float(x)) for r, x in zip(f.records, xh0)]
+    for f in live:
+        f.ended = SLOT_BUDGET
+    # no forwarding decision reads xh0: one solve for every flow's records
+    k = [r.k_prev for f in flows for r in f.records]
+    sent = [np.concatenate([np.empty((0, 2))] + f.sent_xy) for f in flows]
+    frames = [f.strip.frame(xy[:, 0], xy[:, 1]) for f, xy in zip(flows, sent)]
+    xh0 = iter(coverage_contour(np.concatenate([a for a, _ in frames]),
+                                np.concatenate([lat for _, lat in frames]),
+                                np.cumsum(k) - k, run.u, phy.alpha).tolist())
+    for f in flows:
+        f.records = [r._replace(xh0=next(xh0)) for r in f.records]
     return flows, slot_idx
+
+
+def run_trials(
+    field_cfg: FieldConfig,
+    phy: PhyConfig,
+    policy: RetransmitPolicy,
+    b: int,
+    seeds: list[int],
+) -> list[TrialResult]:
+    """One packet from (0, 0) to (L, 0) per seed, each on a fresh Poisson
+    field of its own, all run in lockstep; each result is the seed's
+    run_trial result."""
+    flows, _ = _run_flows(field_cfg, phy, policy, b,
+                          [(seed, [Point2D(0.0, 0.0)]) for seed in seeds])
+    return [f.result() for f in flows]
 
 
 def run_trial(
@@ -479,8 +695,7 @@ def run_trial(
     seed: int,
 ) -> TrialResult:
     """One packet from (0, 0) to (L, 0) on a fresh Poisson field."""
-    flows, _ = _run_flows(field_cfg, phy, policy, b, seed, [Point2D(0.0, 0.0)])
-    return flows[0].result()
+    return run_trials(field_cfg, phy, policy, b, [seed])[0]
 
 
 @dataclass
@@ -509,9 +724,9 @@ def run_two_packet_trial(
     that a clean channel would have avoided are tagged per flow.
     """
     check_stagger_slots(stagger_slots, field_cfg, phy, policy)
-    flows, slots_used = _run_flows(field_cfg, phy, policy, b, seed,
-                                   [src_a, src_b], interference_radius,
-                                   stagger_slots)
+    flows, slots_used = _run_flows(field_cfg, phy, policy, b,
+                                   [(seed, [src_a, src_b])],
+                                   interference_radius, stagger_slots)
     # closed hops carry their tags in their records; a hop still open when
     # the slot budget ran out carries them in the state
     tagged = sum(f.n_r_interference

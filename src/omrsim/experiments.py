@@ -6,7 +6,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .analytic import CalibrationError, calibrate_progress, run_recursion
 from .baseline import bcl_summary, bcl_walk, run_bcl  # noqa: F401
 from .channel import PhyConfig, detection_constant
 from .config import ConfigError, ExperimentSpec, Point, plan
-from .engine import TrialResult, run_trial, run_two_packet_trial
+from .engine import TrialResult, run_trials, run_two_packet_trial
 from .field import FieldConfig, Point2D
 from .metrics import edp_and_cost, point_e2e
 
@@ -54,35 +54,44 @@ def _write_figure(spec: ExperimentSpec, stem: str, header: list[str], rows,
     return path
 
 
-def _one_trial(args):
-    """One trial of a point: a BclWalk for the baseline, else run_trial's
-    TrialResult; both are costed where their rows are written."""
-    spec, point, tss = args
+TASK_TRIALS = 16  # consecutive trials of one point per task
+
+
+def _run_task(args):
+    """One task: consecutive trials of one point, as BclWalks for the
+    baseline or as run_trials' TrialResults, whose flows the engine runs in
+    lockstep; both are costed where their rows are written."""
+    spec, point, children = args
     if point.protocol == "bcl":
-        return bcl_walk(spec.bcl, point.field, point.phy, tss)
-    seed = int.from_bytes(tss.generate_state(4).tobytes(), "little")
-    return run_trial(point.field, point.phy, spec.policy, point.b, seed)
+        return [bcl_walk(spec.bcl, point.field, point.phy, tss)
+                for tss in children]
+    seeds = [int.from_bytes(tss.generate_state(4).tobytes(), "little")
+             for tss in children]
+    return run_trials(point.field, point.phy, spec.policy, point.b, seeds)
 
 
 def run_sweep(spec: ExperimentSpec, points: list[Point]) -> list[list]:
     """Run the trials of every point, OMR and BCL alike, in one worker pool
-    (inline when spec.workers == 1 or there are fewer than 8 trials in all).
+    (inline when spec.workers == 1 or there are fewer than 8 trials in all),
+    as tasks of up to TASK_TRIALS consecutive trials of one point.
 
     Returns one batch per point, in point order, each in trial order. Trial
     i of a point runs on child i of SeedSequence(point.seed); an OMR trial
-    seeds run_trial with that child's first four state words as one 128-bit
-    integer. So a batch depends neither on the other points nor on the
-    worker count.
+    seeds its flow with that child's first four state words as one 128-bit
+    integer, and no flow depends on the others of its task. So a batch
+    depends neither on the other points nor on the worker count.
     """
-    args = [(spec, point, tss) for point in points for tss in
-            np.random.SeedSequence(point.seed).spawn(point.trials)]
+    tasks = [(spec, point, children[i:i + TASK_TRIALS]) for point in points
+             for children in [np.random.SeedSequence(point.seed).spawn(
+                 point.trials)]
+             for i in range(0, point.trials, TASK_TRIALS)]
     workers = spec.workers if spec.workers > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(args) < 8:
-        out = [_one_trial(a) for a in args]
+    if workers == 1 or sum(point.trials for point in points) < 8:
+        out = [_run_task(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(_one_trial, args, chunksize=16))
-    rest = iter(out)
+            out = list(pool.map(_run_task, tasks))
+    rest = chain.from_iterable(out)
     return [list(islice(rest, point.trials)) for point in points]
 
 

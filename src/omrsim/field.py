@@ -70,11 +70,12 @@ def awake_mask(sleep_phases: np.ndarray, t: float, t_p: float, epsilon: float) -
 
     The schedule alternates a sleep block of length t_p with an awake block of
     length t_p * epsilon / (1 - epsilon), so the long-run awake fraction is
-    exactly epsilon. epsilon = 1 means always awake.
+    exactly epsilon. epsilon = 1 means always awake. t must be >= 0.
     """
     if epsilon >= 1.0:
         return np.ones(sleep_phases.shape, dtype=bool)
-    return (t + sleep_phases) % sleep_cycle(epsilon, t_p) >= t_p
+    # t and the phases are >= 0, where fmod is the remainder % takes
+    return np.fmod(t + sleep_phases, sleep_cycle(epsilon, t_p)) >= t_p
 
 
 @dataclass
@@ -130,7 +131,9 @@ def deploy(
     else:
         phases = rng.uniform(0.0, cycle, size=n)
 
-    order = np.argsort(xs, kind="stable")
+    order = np.argsort(xs)
+    if not (np.diff(xs.take(order)) > 0.0).all():
+        order = np.argsort(xs, kind="stable")  # ties keep their draw order
     return Deployment(
         xs=np.ascontiguousarray(xs[order]),
         ys=np.ascontiguousarray(ys[order]),

@@ -567,3 +567,34 @@ def test_error_manifest_on_failure(tmp_path):
     with pytest.raises(ValueError):
         run(spec)
     assert (tmp_path / "error_manifest.txt").exists()
+
+
+@pytest.mark.parametrize("text", ["tau = 1e-30", "alpha = 1e30"],
+                         ids=["tau", "alpha"])
+def test_cli_rejects_phy_without_finite_detection_constant(tmp_path, capsys,
+                                                           text):
+    # 1 - tau rounds to 1 below tau ~ 5.6e-17, so the reliability term
+    # log(1 / (1 - tau)) divides by zero; (4 pi / lambda)^alpha overflows
+    # for a huge alpha. Either PHY is refused in one line before any work.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "o"
+    rc = main(["--config", str(cfg), "--trials", "2", "--workers", "1",
+               "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith("config error: phy: the detection constant u")
+    assert not out.exists()
+
+
+def test_cli_zero_hop1_relay_mean_is_a_recursion_error(tmp_path, capsys):
+    # a strip too thin to hold a hop-1 relay leaves the recursion a Poisson
+    # point mass at 0, which it reports in its one line
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text("strip_width_m = 1e-30\n")
+    rc = main(["--config", str(cfg), "--scenario", "analytic", "--trials",
+               "2", "--workers", "1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("recursion error: the hop-1 relay mean")

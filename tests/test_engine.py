@@ -10,16 +10,16 @@ from omrsim import engine
 from omrsim.channel import PhyConfig, detection_constant
 from omrsim.engine import (
     RetransmitPolicy,
-    _Run,
     _delay_spread,
+    _new_run,
     _path_step,
     decision_distance,
     decode_set,
     eligible,
-    new_flow_state,
     rach_round,
-    run_flow_hop,
+    run_hop_step,
     run_trial,
+    run_trials,
     run_two_packet_trial,
 )
 from omrsim.field import Deployment, FieldConfig, Point2D, Strip, deploy
@@ -93,6 +93,22 @@ def test_rach_round_matches_offset_bincount_form(n, b):
         assert (resolvable == want_flags).all() and (j == want_j).all(), k
 
 
+@pytest.mark.parametrize("b", [2, 3, 24])
+def test_rach_rounds_of_several_generators_are_each_drawn_alone(b):
+    # the engine draws one round per flow, each from the flow's generator,
+    # in one call; every round is the one its generator draws alone
+    for k in range(1, 30):
+        ks = [k, 3, 1, 2 * k]
+        alone = [rach_round(kr, b, 1, np.random.default_rng(7 + i))
+                 for i, kr in enumerate(ks)]
+        flags, js = rach_round(ks, b, [1] * len(ks),
+                               [np.random.default_rng(7 + i)
+                                for i in range(len(ks))])
+        for (want_flags, want_j), got, jv in zip(
+                alone, np.split(flags, np.cumsum(ks)[:-1]), js):
+            assert jv == want_j[0] and (got == want_flags[0]).all()
+
+
 def test_rach_j_zero_possible_when_k_exceeds_b():
     rng = np.random.default_rng(3)
     js = rach_round(5, 3, 2000, rng)[1].tolist()
@@ -152,6 +168,28 @@ def _tiny_deployment(xs, ys, epsilon=1.0):
     )
 
 
+def _one_flow(dep, policy=RetransmitPolicy(), phy=PHY, dst=Point2D(2000, 0),
+              width=200.0, b=16, seed=0):
+    """A run of one flow from (0, 0) on dep, and the flow."""
+    run, (state,) = _new_run(phy, policy, b, width, [
+        (dep, Strip(src=Point2D(0, 0), dst=dst), np.random.default_rng(seed),
+         0)])
+    return run, state
+
+
+def _heard(dep, relays, t, relayed=None, pn_fn=None):
+    """decode_set for one flow transmitting from relays at time t; the
+    indices are dep's own, as the flow's segment starts the node table."""
+    run, state = _one_flow(dep)
+    state.relay_xy = np.asarray(relays, dtype=float).reshape(-1, 2)
+    state.t = t
+    if relayed is not None:
+        run.nodes.relayed[:] = relayed
+    d_reach = engine.reach(state.relay_xy.shape[0], U, PHY.alpha)
+    return decode_set(run, [state], [d_reach],
+                      None if pn_fn is None else [pn_fn])
+
+
 def test_decode_set_geometric_oracle():
     # all awake, one relay: exactly the nodes inside the detection disc decode
     rng = np.random.default_rng(8)
@@ -159,7 +197,7 @@ def test_decode_set_geometric_oracle():
     ys = rng.uniform(-150, 150, 400)
     dep = _tiny_deployment(xs, ys)
     relays = np.array([[50.0, 10.0]])
-    idx = decode_set(dep, relays, 0.0, PHY, u=U)
+    idx = _heard(dep, relays, 0.0)
     d = np.hypot(dep.xs - 50.0, dep.ys - 10.0)
     expect = np.flatnonzero(d <= R1)
     np.testing.assert_array_equal(np.sort(idx), np.sort(expect))
@@ -168,8 +206,8 @@ def test_decode_set_geometric_oracle():
 def test_decode_set_excludes_seen():
     dep = _tiny_deployment([10.0, 20.0, 30.0], [0.0, 0.0, 0.0])
     relays = np.array([[0.0, 0.0]])
-    seen = np.array([False, True, False])
-    idx = decode_set(dep, relays, 0.0, PHY, u=U, seen=seen)
+    relayed = np.array([False, True, False])
+    idx = _heard(dep, relays, 0.0, relayed=relayed)
     assert 1 not in set(dep.xs[idx])  # the node at x=20 was dropped
     assert set(dep.xs[idx]) == {10.0, 30.0}
 
@@ -177,7 +215,7 @@ def test_decode_set_excludes_seen():
 def test_decode_set_empty_when_out_of_range():
     dep = _tiny_deployment([1000.0], [0.0])
     relays = np.array([[0.0, 0.0]])
-    assert decode_set(dep, relays, 0.0, PHY, u=U).size == 0
+    assert _heard(dep, relays, 0.0).size == 0
 
 
 def test_decode_set_respects_sleep():
@@ -189,9 +227,9 @@ def test_decode_set_respects_sleep():
         cfg=cfg, bounds=(-100, 2100, -200, 200),
     )
     relays = np.array([[0.0, 0.0]])
-    assert decode_set(dep, relays, 0.0, PHY, u=U).size == 0
+    assert _heard(dep, relays, 0.0).size == 0
     # awake interval of the cycle
-    assert decode_set(dep, relays, 0.0105, PHY, u=U).size == 1
+    assert _heard(dep, relays, 0.0105).size == 1
 
 
 @pytest.mark.parametrize("with_noise", [False, True])
@@ -201,10 +239,7 @@ def test_destination_skipped_only_beyond_reach(with_noise):
     # 0.9-1.1x that reach, or whose members all lie on it, must get the
     # full test's answer, and a skipped test must be a miss
     dst = Point2D(2000.0, 0.0)
-    run = _Run(_tiny_deployment([0.0], [0.0]), PHY, RetransmitPolicy(), U,
-               PHY.t_p + PHY.t_guard)
-    state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=dst), 200.0, 16,
-                           np.random.default_rng(0))
+    run, state = _one_flow(_tiny_deployment([0.0], [0.0]), dst=dst)
     pn_fn = (lambda xs, ys: np.full(np.shape(xs), 0.3 * PHY.p_n)) \
         if with_noise else None
     rng = np.random.default_rng(17)
@@ -228,7 +263,9 @@ def test_destination_skipped_only_beyond_reach(with_noise):
                                      state.relay_xy, PHY, U, pn_fn)[0])
         skip = bool(state.relay_d[0] > engine.reach(k, U, PHY.alpha))
         assert not (skip and heard), (k, state.relay_d[0] / edge)
-        assert engine._receive(state, math.inf, pn_fn).dst_detected == heard
+        pn_fns = None if pn_fn is None else [pn_fn]
+        assert engine._receive(run, [state], [math.inf],
+                               pn_fns).dst_detected == [heard]
         outcomes[skip, heard] += 1
     # the bound is exercised on both sides
     assert outcomes[True, False] and outcomes[False, True] \
@@ -242,36 +279,33 @@ def _jammed(xs, ys):
 def _parked_node_state():
     # the only node that could relay is parked (decoded earlier, never
     # relayed); a jammed attempt reaches nobody, a clean one re-qualifies it
-    dep = _tiny_deployment([0.5 * R1], [0.0])
-    run = _Run(dep, PHY, RetransmitPolicy(), U, PHY.t_p + PHY.t_guard)
-    state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
-                           200.0, 16, np.random.default_rng(0))
-    state.seen[0] = True  # decoded earlier; state.relayed[0] stays False
-    return state
+    run, state = _one_flow(_tiny_deployment([0.5 * R1], [0.0]))
+    run.nodes.seen[0] = True  # decoded earlier; relayed[0] stays False
+    return run, state
 
 
 def test_interference_tag_counts_requalifying_parked_node():
     # under the interfered attempt nothing hears the source, on a clean
     # channel the parked node re-qualifies, so the retransmission is tagged
     # as caused by interference
-    state = _parked_node_state()
-    run_flow_hop(state, pn_extra_fn=_jammed)
+    run, state = _parked_node_state()
+    run_hop_step(run, [state], [_jammed])
     assert (state.hop, state.n_r, state.n_r_interference) == (1, 1, 1)
     # and on the clean channel the parked node does relay
-    run_flow_hop(state)
+    run_hop_step(run, [state])
     assert state.hop == 2 and state.records[-1].k == 1
-    assert state.relayed[0]
+    assert run.nodes.relayed[0]
 
 
 def test_hop_step_advances_both_clocks():
     # the hop step owns a flow's grid slot and sleep clock: a retransmission
     # moves next_slot by 2 and t by 2 t_p, an attempt that forms relays
     # moves them by 1 and by one grid slot
-    state = _parked_node_state()
-    slot = state.run.slot
-    assert run_flow_hop(state, pn_extra_fn=_jammed) is None
+    run, state = _parked_node_state()
+    slot = run.slot
+    assert run_hop_step(run, [state], [_jammed]) is None
     assert (state.n_r, state.next_slot, state.t) == (1, 2, 2.0 * PHY.t_p)
-    run_flow_hop(state)
+    run_hop_step(run, [state])
     assert (state.hop, state.next_slot) == (2, 3)
     assert state.t == 2.0 * PHY.t_p + slot
     # FL-CLOCKS (docs/decisions.md): t lags the grid by 2 t_guard per
@@ -291,11 +325,11 @@ def test_receiver_on_an_interferer_is_not_detected():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         extra = pn_fn(dep.xs, dep.ys)
-        jammed = decode_set(dep, relays, 0.0, PHY, u=U, pn_extra_fn=pn_fn)
+        jammed = _heard(dep, relays, 0.0, pn_fn=pn_fn)
     on_interferer = np.flatnonzero(dep.xs == 0.5 * R1)
     assert np.isinf(extra[on_interferer]).all()
     assert np.isfinite(np.delete(extra, on_interferer)).all()
-    assert on_interferer[0] in decode_set(dep, relays, 0.0, PHY, u=U)
+    assert on_interferer[0] in _heard(dep, relays, 0.0)
     assert on_interferer[0] not in jammed
 
 
@@ -394,6 +428,63 @@ def test_run_trial_sparse_failure_is_reported():
     fc = FieldConfig(rho=2e-6)  # 2 nodes per km^2
     res = run_trial(fc, PHY, RetransmitPolicy(n_r_max=1), b=16, seed=6)
     assert not res.reached
+    assert res.ended == "retransmission cap"
+
+
+def test_trial_records_why_it_ended():
+    fc = FieldConfig(length=0.5 * R1)
+    assert run_trial(fc, PHY, RetransmitPolicy(), b=16, seed=5).ended \
+        == "delivered"
+    # flow b is injected in the budget's last slot, so it is cut off with
+    # neither a delivery nor a spent retransmission cap
+    policy = RetransmitPolicy()
+    budget = engine.slot_budget(FieldConfig(), PhyConfig(), policy)
+    res = run_two_packet_trial(
+        FieldConfig(), PhyConfig(), policy, 24, 4400,
+        src_a=Point2D(0.0, 120.0), src_b=Point2D(0.0, -120.0),
+        stagger_slots=budget - 1)
+    assert res.slots_used == budget
+    assert res.flow_a.ended in ("delivered", "retransmission cap")
+    assert (res.flow_b.ended, res.flow_b.reached) == ("slot budget", False)
+    assert len(res.flow_b.records) <= 1
+
+
+def _repr_fields(res):
+    return repr((res.records, res.reached, res.q, res.delay_spread_s,
+                 res.ended))
+
+
+@pytest.mark.parametrize("policy,b", [(RetransmitPolicy(), 24),
+                                      (RetransmitPolicy(fa_rate=0.1), 16)],
+                         ids=["golden", "false-alarms"])
+@pytest.mark.parametrize("p_t_dbm", [24, 33])
+def test_batched_trials_equal_trials_run_alone(p_t_dbm, policy, b):
+    # the first 64 seeds of a reference pool, shuffled into batches of 1, 5
+    # and 16: each trial's result is the one it gets alone, to the last bit
+    import os
+    from omrsim.config import dbm_to_watts, load_config
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    spec = load_config(os.path.join(root, "configs", "golden.cfg"))
+    phy = spec.phy.with_tx_power(dbm_to_watts(float(p_t_dbm)))
+    with np.load(os.path.join(root, "perfbench", "reference",
+                              f"trials-{p_t_dbm}dBm.npz")) as ref:
+        seeds = ref["seeds"][:64].tolist()
+    order = np.random.default_rng(p_t_dbm).permutation(64).tolist()
+    batches, i = [], 0
+    for size in [1, 5, 16] * 8:
+        if i < 64:
+            batches.append([seeds[p] for p in order[i:i + size]])
+            i += size
+    got = {}
+    for batch in batches:
+        for seed, res in zip(batch, run_trials(spec.field, phy, policy, b,
+                                               batch)):
+            got[seed] = _repr_fields(res)
+    assert len(got) == 64
+    for seed in seeds:
+        assert got[seed] == _repr_fields(
+            run_trial(spec.field, phy, policy, b, seed)), seed
 
 
 def test_trial_invariants_ordering_duplicates_strip():
@@ -404,25 +495,24 @@ def test_trial_invariants_ordering_duplicates_strip():
     d_ss, p_ss = ss.spawn(2)
     dep = deploy(fc, d_ss, t_p=phy.t_p,
                  max_strip_width=fc.w + pol.n_r_max * pol.delta_w)
-    run = _Run(dep, phy, pol, detection_constant(phy).u, phy.t_p + phy.t_guard)
-    state = new_flow_state(run,
-                           Strip(src=Point2D(0, 0), dst=Point2D(fc.length, 0)),
-                           fc.w, 16, np.random.default_rng(p_ss))
+    run, (state,) = _new_run(phy, pol, 16, fc.w, [
+        (dep, Strip(src=Point2D(0, 0), dst=Point2D(fc.length, 0)),
+         np.random.default_rng(p_ss), 0)])
 
     decoded_once = np.zeros(dep.n, dtype=int)
     widths = [state.strip_width]
-    seen_before = state.seen.copy()
+    seen_before = run.nodes.seen.copy()
     for _ in range(600):
         prev_relays = state.relay_xy.copy()
-        run_flow_hop(state)
+        run_hop_step(run, [state])
         widths.append(state.strip_width)
-        newly = state.seen & ~seen_before
+        newly = run.nodes.seen & ~seen_before
         decoded_once += newly
-        seen_before = state.seen.copy()
+        seen_before = run.nodes.seen.copy()
         # relay ordering: ascending distance to destination
         d = np.hypot(state.relay_xy[:, 0] - fc.length, state.relay_xy[:, 1])
         assert np.all(np.diff(d) >= 0)
-        if state.done:
+        if state.ended:
             break
     assert decoded_once.max() <= 1          # no node decodes twice
     assert all(b >= a for a, b in zip(widths, widths[1:]))  # monotone width
@@ -470,22 +560,21 @@ def test_false_alarm_straggler_bookkeeping():
     from omrsim.engine import _advance_relays, _register_false_alarms
 
     pol = RetransmitPolicy(n_r_max=3, fa_rate=0.999)
-    run = _Run(_tiny_deployment([500.0], [0.0]), PHY, pol, U,
-               PHY.t_p + PHY.t_guard)
-    state = new_flow_state(run, Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
-                           200.0, 16, np.random.default_rng(0))
+    run, state = _one_flow(_tiny_deployment([500.0], [0.0]), policy=pol)
     # a and b lie equally far from dst, so only registration orders them
     a, b = (100.0, 10.0, 123.0), (100.0, -10.0, 456.0)
     listeners = {5: a, 6: b}  # hop 5 closes R_4, hop 6 closes R_5
     joined = {}
     for hop in range(4, 12):
         state.hop = hop
-        _advance_relays(state, np.array([0]))  # R_hop: node 0 plus stragglers
+        # R_hop: node 0 plus stragglers
+        _advance_relays(run, [state], np.array([0]), [1])
         joined[hop] = [(x, y, dp) for (x, y), dp in
                        zip(state.relay_xy[1:].tolist(), state.dp[1:].tolist())]
         if hop in listeners:
             x, y, dp = listeners[hop]
-            _register_false_alarms(state, np.array([[x, y]]), np.array([dp]))
+            _register_false_alarms(run, state, np.array([[x, y]]),
+                                   np.array([dp]))
     assert joined == {4: [], 5: [], 6: [a], 7: [a, b], 8: [a, b], 9: [b],
                       10: [], 11: []}
 

@@ -144,15 +144,15 @@ def test_golden_seeds_never_repeat(monkeypatch, scenario):
     # state of its child sequence, as an OMR trial's is
     drawn = []
 
-    def trial(field, phy, policy, b, seed):
-        drawn.append(seed)
-        return SimpleNamespace(reached=False, q=0, delay_spread_s=math.nan,
-                               records=[])
+    def trials(field, phy, policy, b, seeds):
+        drawn.extend(seeds)
+        return [SimpleNamespace(reached=False, q=0, delay_spread_s=math.nan,
+                                records=[]) for _ in seeds]
 
     def walk(bcl, field, phy, tss):
         drawn.append(int.from_bytes(tss.generate_state(4).tobytes(), "little"))
 
-    monkeypatch.setattr(experiments, "run_trial", trial)
+    monkeypatch.setattr(experiments, "run_trials", trials)
     monkeypatch.setattr(experiments, "bcl_walk", walk)
     spec = load_config(GOLDEN, scenario=scenario, workers=1)
     points, _ = plan(spec)
@@ -163,14 +163,14 @@ def test_golden_seeds_never_repeat(monkeypatch, scenario):
 
 
 def test_retransmissions_runs_sparse_point_once(tmp_path, monkeypatch):
-    real = experiments.run_trial
+    real = experiments.run_trials
     calls = []
 
-    def counting_trial(*args, **kwargs):
-        calls.append(args[-1])
+    def counting_trials(*args, **kwargs):
+        calls.extend(args[-1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_trial", counting_trial)
+    monkeypatch.setattr(experiments, "run_trials", counting_trials)
     spec = _spec(tmp_path, "retransmissions", trials=3)
     spec.rho_per_km2_list = [1500.0]
     spec.p_t_dbm_list = [33.0]
@@ -188,11 +188,27 @@ def test_compare_mcs_rejects_unknown_name_before_any_work(tmp_path,
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the MCS names were checked")
 
-    # every OMR and BCL trial of the sweep runner goes through _one_trial
-    monkeypatch.setattr(experiments, "_one_trial", no_work)
-    monkeypatch.setattr(experiments, "run_trial", no_work)
+    # every OMR and BCL trial of the sweep runner goes through _run_task
+    monkeypatch.setattr(experiments, "_run_task", no_work)
+    monkeypatch.setattr(experiments, "run_trials", no_work)
     spec = _spec(tmp_path, "compare-mcs", trials=2)
     spec.mcs_list = ["DQPSK", "NOT-A-SCHEME"]
     with pytest.raises(ValueError, match="unknown MCS 'NOT-A-SCHEME'"):
         run(spec)
     assert (tmp_path / "error_manifest.txt").exists()
+
+
+def test_compare_power_bytes_across_workers_when_points_span_tasks(tmp_path):
+    # 20 trials a point: each OMR point runs as tasks of 16 and 4 trials,
+    # and the figure is the same bytes inline and on two workers
+    data = []
+    for workers in (1, 2):
+        spec = _spec(tmp_path / f"w{workers}", "compare-power", trials=20,
+                     workers=workers)
+        spec.rho_per_km2_list = [1500.0]
+        spec.p_t_dbm_list = [27.0, 33.0]
+        (path,) = run(spec)
+        with open(path, "rb") as fh:
+            data.append(fh.read())
+    assert 20 > experiments.TASK_TRIALS
+    assert data[0] == data[1]

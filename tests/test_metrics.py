@@ -120,7 +120,8 @@ def _trial(reached: bool, *n_rs: int) -> TrialResult:
     records = [HopRecord(hop=h, k_prev=h, j_prev=1, l=10 + h, k=h + 1,
                          n_r=n_r, xh0=100.0 * h)
                for h, n_r in enumerate(n_rs, start=1)]
-    return TrialResult(records, reached, len(records), 0.0)
+    return TrialResult(records, reached, len(records), 0.0,
+                       "delivered" if reached else "retransmission cap")
 
 
 def test_point_e2e_charges_failed_energy_to_deliveries():

@@ -4,8 +4,10 @@ Usage: python tools/check_identity.py REV
 
 REV's ``src/`` is taken with ``git archive`` into a temporary directory (no
 worktree is created). Every scenario then runs on this checkout's
-``configs/golden.cfg`` with seed 5, ``--trials`` 4 and 12 and ``--workers`` 1
-and 2, once on REV's source and once on this checkout's ``src/``. A run is
+``configs/golden.cfg`` with seed 5, ``--trials`` 4, 12 and 40 and
+``--workers`` 1 and 2, once on REV's source and once on this checkout's
+``src/``. At 40 trials a sweep point runs as several tasks of the sweep
+runner (16 trials each), whose trials the engine advances in lockstep. A run is
 identical when both sides give the same exit code, the same stdout and stderr
 (with each side's output directory replaced by one placeholder) and the same
 set of written files, byte for byte. One verdict line is printed per run;
@@ -54,7 +56,7 @@ GOLDEN = ROOT / "configs" / "golden.cfg"
 SCENARIOS = ("omr-trials", "bcl-trials", "analytic", "compare-power",
              "compare-B", "compare-mcs", "delay-spread", "retransmissions",
              "two-packets", "calibrate")
-TRIALS = (4, 12)
+TRIALS = (4, 12, 40)
 WORKERS = (1, 2)
 SEED = 5
 OUT_PLACEHOLDER = "<out>"
