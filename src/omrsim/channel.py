@@ -93,6 +93,7 @@ def group_pairs(a_sizes, b_sizes, b_first=None) -> tuple[np.ndarray,
 
 # a group with this many receiver-transmitter pairs or more is summed as its
 # own (K, N) array, which stays in cache; smaller ones are paired in one pass
+# (the measured crossover: docs/decisions.md, ENG-LOCKSTEP)
 _GROUP_PAIRS = 1024
 
 

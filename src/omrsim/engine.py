@@ -69,30 +69,39 @@ class TrialResult:
 
 def rach_round(k, b: int, n, rng) -> tuple[np.ndarray, np.ndarray]:
     """n independent RACH rounds of k relays over b slots, drawn uniformly
-    from rng in one (n, k) draw; singleton slots are resolvable. k, n and
-    rng may also be lists, one entry per generator, whose rounds follow
-    one another.
+    from rng in one (n, k) draw; singleton slots are resolvable. k and rng
+    may also be lists, one entry per generator, each drawing n rounds, which
+    follow one another.
 
     Returns the resolvable flags of every round (in destination-distance
-    order; shaped (n, k) for one generator) and the 1-based index of each
-    round's first resolvable relay, 0 where all collided. Slot s of round r
-    is cell r b + s, so a relay is resolvable when no other relay shares
-    its cell.
+    order; shaped (n, k) for one generator given as such) and the 1-based
+    index of each round's first resolvable relay, 0 where all collided.
+    Slot s of round r is cell r b + s, so a relay is resolvable when no
+    other relay shares its cell.
     """
     check_rach_slots(b)
     one = not isinstance(k, (list, tuple))
-    ks, ns, rngs = ([k], [n], [rng]) if one else (k, n, rng)
-    slots = [g.integers(0, b, size=m * kg) for kg, m, g in zip(ks, ns, rngs)]
-    per_round = [kg for kg, m in zip(ks, ns) for _ in range(m)]
-    cell = slots[0] if len(per_round) == 1 else np.arange(
-        0, len(per_round) * b, b).repeat(per_round) + np.concatenate(slots)
+    ks, rngs = ([k], [rng]) if one else (k, rng)
+    if len(ks) == 1:  # one generator: its rounds are the rows of (n, k)
+        kg, = ks
+        cell = rngs[0].integers(0, b, size=n * kg)
+        if n > 1:
+            cell += np.arange(0, n * b, b).repeat(kg)
+        resolvable = np.bincount(cell).take(cell) == 1
+        rows = resolvable.reshape(n, kg)
+        js = (rows.argmax(axis=1) + 1) * rows.any(axis=1)
+        return (rows if one else resolvable), js
+    sizes = np.repeat(ks, n)  # relays per round
+    end = sizes.cumsum()
+    cell = np.concatenate([g.integers(0, b, size=n * kg)
+                           for kg, g in zip(ks, rngs)])
+    cell += np.arange(0, sizes.size * b, b).repeat(sizes)
     resolvable = np.bincount(cell).take(cell) == 1
-    flags, js, end = resolvable.tolist(), [], 0
-    for kr in per_round:
-        flags_r = flags[end:end + kr]
-        js.append(flags_r.index(True) + 1 if True in flags_r else 0)
-        end += kr
-    return resolvable.reshape(n, k) if one else resolvable, np.array(js)
+    # a round's first resolvable relay leaves the most relays to its
+    # round's end
+    left = np.where(resolvable, end.repeat(sizes) - np.arange(cell.size), 0)
+    most = np.maximum.reduceat(left, end - sizes)
+    return resolvable, np.where(most > 0, sizes - most + 1, 0)
 
 
 def decision_distance(relay_d: np.ndarray, j: int) -> float:
@@ -143,10 +152,8 @@ class _Nodes(NamedTuple):
     A flow's decoded and relayed flags and its nodes' distances live here,
     so one index array reaches the nodes of every flow of a step. Each
     flow's segment is sorted by x, and key = x + the flow's shift orders
-    every segment after the one before it: no node or source lies an
-    extent or more from x = 0, a receive window reaches at most an extent
-    past its relays, and the shifts are 4 extents apart, so a window's keys
-    never meet another segment's.
+    every segment after the one before it, so one search over key finds
+    every flow's receive window, which is then clipped to its segment.
     """
 
     xs: np.ndarray
@@ -159,7 +166,6 @@ class _Nodes(NamedTuple):
     relayed: np.ndarray           # was in a relay set of that flow; nodes
                                   # seen and not relayed are parked
     key: np.ndarray
-    extent: float
 
 
 class _Run(NamedTuple):
@@ -183,18 +189,19 @@ def decode_set(run: _Run, flows: list, reaches: list,
     A node hears its flow's transmission iff it is awake at the
     transmission start, it has not relayed for that flow, and the aggregate
     mean channel power from the flow's transmitters meets the detection
-    threshold; none can beyond the reach of its flow's transmit set, given
-    in reaches. pn_extra_fns[i](xs, ys), where given, supplies flow i's
-    receivers additive per-node noise-plus-interference power (per
-    subcarrier). One call serves every flow transmitting in a step.
+    threshold; none can at or beyond the reach of its flow's transmit set,
+    given in reaches, so a flow's window of candidates ends short of it.
+    pn_extra_fns[i](xs, ys), where given, supplies flow i's receivers
+    additive per-node noise-plus-interference power (per subcarrier). One
+    call serves every flow transmitting in a step.
     """
     nodes, phy = run.nodes, run.phy
     if len(flows) == 1:  # one window, a slice of the table
         f, = flows
-        x = f.relay_xy[:, 0].tolist()
-        d_cut = min(reaches[0], nodes.extent)
-        i0 = nodes.key.searchsorted(min(x) - d_cut + f.shift)
-        i1 = nodes.key.searchsorted(max(x) + d_cut + f.shift, side="right")
+        x, d_cut = f.relay_xy[:, 0].tolist(), reaches[0]
+        i0, i1 = nodes.key.searchsorted([min(x) - d_cut + f.shift,
+                                         max(x) + d_cut + f.shift]).tolist()
+        i0, i1 = min(max(i0, f.start), f.stop), min(max(i1, f.start), f.stop)
         mask = awake_mask(nodes.phases[i0:i1], f.t, phy.t_p, run.epsilon)
         mask &= ~nodes.relayed[i0:i1]
         idx = mask.nonzero()[0] + i0
@@ -203,19 +210,17 @@ def decode_set(run: _Run, flows: list, reaches: list,
         relays = np.concatenate([f.relay_xy for f in flows])
         ks = [f.relay_xy.shape[0] for f in flows]
         first = np.cumsum(ks) - ks
-        d_cut = np.minimum(reaches, nodes.extent)
         shift = [f.shift for f in flows]
-        i0 = nodes.key.searchsorted(
-            np.minimum.reduceat(relays[:, 0], first) - d_cut + shift)
-        i1 = nodes.key.searchsorted(
-            np.maximum.reduceat(relays[:, 0], first) + d_cut + shift,
-            side="right")
+        i0, i1 = np.minimum(np.maximum(nodes.key.searchsorted(
+            [np.minimum.reduceat(relays[:, 0], first) - reaches + shift,
+             np.maximum.reduceat(relays[:, 0], first) + reaches + shift]),
+            [f.start for f in flows]), [f.stop for f in flows])
         n = i1 - i0
         cand = np.arange(n.sum()) + (i0 - n.cumsum() + n).repeat(n)
         t = np.array([f.t for f in flows]).repeat(n)
-        mask = awake_mask(nodes.phases.take(cand), t, phy.t_p, run.epsilon)
-        mask &= ~nodes.relayed.take(cand)
-        idx = cand[mask]
+        idx = cand[awake_mask(nodes.phases.take(cand), t, phy.t_p,
+                              run.epsilon)]
+        idx = idx[~nodes.relayed.take(idx)]
         m = idx.searchsorted(i1) - idx.searchsorted(i0)
     xs, ys = nodes.xs.take(idx), nodes.ys.take(idx)
     h = aggregate_power(xs, ys, relays[:, 0], relays[:, 1], phy.alpha,
@@ -258,7 +263,8 @@ class _FlowState:
 
     deployment: Deployment        # its field; flows on one field interact
     strip: Strip
-    start: int                    # its segment of the run's node table
+    start: int                    # its segment of the run's node table,
+    stop: int                     # [start, stop),
     shift: float                  # and that segment's shift into key
     strip_width: float            # current width; retransmissions widen it
     relay_xy: np.ndarray          # transmitters of the next hop, global coords
@@ -268,6 +274,8 @@ class _FlowState:
     next_slot: int                # grid slot of the flow's next transmission
     t: float                      # sleep-schedule clock (see docs/decisions.md)
     hop: int = 1
+    j: int = 1                    # first resolvable transmitter of the
+                                  # attempt: the source's own at hop 1
     n_r: int = 0
     n_r_interference: int = 0
     records: list = dc_field(default_factory=list)
@@ -290,54 +298,53 @@ class _Reception(NamedTuple):
     """What one step's transmissions achieve, flow by flow (flow i is the
     i-th transmitting flow; node arrays are grouped by flow)."""
 
-    decoded: np.ndarray    # nodes hearing the packet for the first time
-    l: list                # per flow: how many
+    heard: np.ndarray      # nodes hearing the packet
+    l: list                # per flow: how many for the first time
     relays: np.ndarray     # fresh and re-qualifying decoders that relay
     k: list                # per flow: how many
     dst_detected: list
 
-    @property
-    def progressed(self) -> list:
-        return [d or k > 0 for d, k in zip(self.dst_detected, self.k)]
 
-
-def _receive(run: _Run, flows: list, d_refs: list,
-             pn_extra_fns=None) -> _Reception:
-    """What one transmission by each flow's current relay set achieves;
-    reads the states and changes nothing."""
-    nodes, phy = run.nodes, run.phy
+def _receive(run: _Run, flows: list, pn_extra_fns=None) -> _Reception:
+    """What one transmission by each flow's current relay set achieves, its
+    decision arc set by its first resolvable transmitter; reads the states
+    and changes nothing."""
+    nodes, phy, u = run.nodes, run.phy, run.u
+    reaches, dst = [], []
+    for f, fn in zip(flows, pn_extra_fns or repeat(None)):
+        d_reach = reach(f.relay_xy.shape[0], u, phy.alpha)
+        reaches.append(d_reach)
+        # the destination is an always-awake receiver applying the same
+        # test, which it can pass only within reach of the nearest
+        # transmitter (extra noise only raises the threshold)
+        dst.append(bool(f.relay_d[0] <= d_reach and _detects(
+            np.array([f.strip.dst.x]), np.array([f.strip.dst.y]),
+            f.relay_xy, phy, u, fn)[0]))
     # one detection pass over every node that has not relayed: fresh nodes
     # decode, and parked nodes (decoded on an earlier transmission, never
     # relayed) re-read the header and re-evaluate the position criteria,
     # which matters when a retransmission widened the strip or moved the arc
-    reaches = [reach(f.relay_xy.shape[0], run.u, phy.alpha) for f in flows]
     heard = decode_set(run, flows, reaches, pn_extra_fns)
-    widths = [f.strip_width for f in flows]
     if len(flows) == 1:
-        flow, d_ref, width = None, d_refs[0], widths[0]
+        f, = flows
+        flow, d_ref = None, decision_distance(f.relay_d, f.j)
+        width = f.strip_width
     else:
         flow = np.array([f.start for f in flows]).searchsorted(
             heard, side="right") - 1
-        d_ref, width = np.array(d_refs).take(flow), np.array(widths).take(flow)
-    fresh = ~nodes.seen.take(heard)
+        d_ref = np.array([decision_distance(f.relay_d, f.j)
+                          for f in flows]).take(flow)
+        width = np.array([f.strip_width for f in flows]).take(flow)
+    seen = nodes.seen.take(heard)
     rule = eligible(nodes.d_dst.take(heard), nodes.lateral.take(heard), d_ref,
                     width)
-    decoded, relays = heard[fresh], heard[rule]
+    relays = heard[rule]
     if flow is None:
-        l, k = [decoded.size], [relays.size]
+        l, k = [heard.size - int(np.count_nonzero(seen))], [relays.size]
     else:
         l, k = (np.bincount(flow[mask], minlength=len(flows)).tolist()
-                for mask in (fresh, rule))
-    # the destination is an always-awake receiver applying the same test,
-    # which it can pass only within reach of the nearest transmitter (extra
-    # noise only raises the threshold)
-    dst = [bool(f.relay_d[0] <= d_reach
-                and _detects(np.array([f.strip.dst.x]),
-                             np.array([f.strip.dst.y]), f.relay_xy, phy,
-                             run.u, fn)[0])
-           for f, d_reach, fn in zip(flows, reaches,
-                                     pn_extra_fns or repeat(None))]
-    return _Reception(decoded, l, relays, k, dst)
+                for mask in (~seen, rule))
+    return _Reception(heard, l, relays, k, dst)
 
 
 def _path_step(new_xy: np.ndarray, prev_xy: np.ndarray, prev_dp: np.ndarray,
@@ -375,10 +382,11 @@ def _advance_relays(run: _Run, flows: list, r_idx: np.ndarray,
     nodes keeps its set. Returns each flow's new set size (0 where it kept
     it)."""
     nodes, n_r_max = run.nodes, run.policy.n_r_max
-    movers = [f for f, n in zip(flows, n_new) if n]
+    movers = flows if len(flows) == 1 else [f for f, n in zip(flows, n_new)
+                                            if n]
     new_xy = nodes.xy.take(r_idx, axis=0)
     if len(movers) == 1:
-        f = movers[0]
+        f, = movers
         new_dp = _path_step(new_xy, f.relay_xy, f.dp, run.phy.delta_r)
     else:
         new_dp = _path_step(
@@ -408,6 +416,9 @@ def _advance_relays(run: _Run, flows: list, r_idx: np.ndarray,
         else np.lexsort((d, owner))
     new_xy, d, new_dp = new_xy.take(order, axis=0), d.take(order), \
         new_dp.take(order)
+    if len(flows) == 1:  # the whole is its set
+        f.relay_xy, f.relay_d, f.dp = new_xy, d, new_dp
+        return sizes
     end = 0
     for f, size in zip(flows, sizes):
         if size:
@@ -435,9 +446,10 @@ def _register_false_alarms(run: _Run, state: _FlowState, old_xy: np.ndarray,
                          for i in np.flatnonzero(fa)]
 
 
-def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> None:
+def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> bool:
     """Process one transmission attempt of each of flows, all in one grid
-    slot, mutating their states; each draws from its own generator.
+    slot, mutating their states; each draws from its own generator. Returns
+    whether any of them stopped.
 
     On an empty relay set the attempt counts as a retransmission: the strip is
     widened, the flow's next transmission moves two grid slots on
@@ -447,44 +459,38 @@ def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> None:
     the destination detects; the flow stops when the destination detects or
     the retransmission cap is spent.
     """
-    policy = run.policy
+    policy, stopped = run.policy, False
     # the source position travels in the header; it is always resolvable
     later = [f for f in flows if f.hop > 1]
     if later:
-        drawn = iter(rach_round([f.relay_xy.shape[0] for f in later], run.b,
-                                [1] * len(later),
-                                [f.rng for f in later])[1].tolist())
-        js = [next(drawn) if f.hop > 1 else 1 for f in flows]
-    else:
-        js = [1] * len(flows)
-    d_refs = [decision_distance(f.relay_d, j) for f, j in zip(flows, js)]
-    rx = _receive(run, flows, d_refs, pn_extra_fns)
-    retransmit = [not (dst or k) and f.n_r < policy.n_r_max
-                  for f, dst, k in zip(flows, rx.dst_detected, rx.k)]
+        js = rach_round([f.relay_xy.shape[0] for f in later], run.b, 1,
+                        [f.rng for f in later])[1]
+        for f, j in zip(later, js.tolist()):
+            f.j = j
+    rx = _receive(run, flows, pn_extra_fns)
     # tag a retransmission when the same attempt on a clean channel, from
     # the same state, would have reached the destination or formed relays
-    jammed = pn_extra_fns and [i for i, fn in enumerate(pn_extra_fns)
-                               if fn is not None and retransmit[i]]
+    jammed = pn_extra_fns and [
+        f for f, fn, dst, k in zip(flows, pn_extra_fns, rx.dst_detected, rx.k)
+        if fn is not None and not (dst or k) and f.n_r < policy.n_r_max]
     if jammed:
-        clean = _receive(run, [flows[i] for i in jammed],
-                         [d_refs[i] for i in jammed])
-        for i, progressed in zip(jammed, clean.progressed):
-            flows[i].n_r_interference += progressed
-    run.nodes.seen[rx.decoded] = True
+        clean = _receive(run, jammed)
+        for f, dst, k in zip(jammed, clean.dst_detected, clean.k):
+            f.n_r_interference += dst or k > 0
+    run.nodes.seen[rx.heard] = True
     # a flow whose destination detected installs no relay set
     relays, n_new = rx.relays, rx.k
-    if any(rx.dst_detected) and any(d and k for d, k in zip(rx.dst_detected,
-                                                            n_new)):
+    if True in rx.dst_detected:
         relays = relays[~np.array(rx.dst_detected).repeat(n_new)]
         n_new = [0 if d else k for d, k in zip(rx.dst_detected, n_new)]
     old = [(f.relay_xy, f.dp) for f in flows]
-    k_new = n_new
     if relays.size:
         run.nodes.relayed[relays] = True
-        k_new = _advance_relays(run, flows, relays, n_new)
-    for f, j, l, k, dst, again, (old_xy, old_dp) in zip(
-            flows, js, rx.l, k_new, rx.dst_detected, retransmit, old):
-        if again:
+        n_new = _advance_relays(run, flows, relays, n_new)
+    for f, l, k, dst, (old_xy, old_dp) in zip(flows, rx.l, n_new,
+                                              rx.dst_detected, old):
+        # k > 0 where fresh relays formed, stragglers counted
+        if not (dst or k) and f.n_r < policy.n_r_max:
             f.n_r += 1
             # width cap w0 + n_r_max * delta_w holds because retransmissions
             # stop at the cap
@@ -496,13 +502,11 @@ def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> None:
             continue
         if dst:
             f.delay_spread_s = _delay_spread(f.relay_d, old_dp)
-            f.ended = DELIVERED
+            f.ended, stopped = DELIVERED, True
         elif not k:
-            f.ended = RETRANSMISSION_CAP
-        f.records.append(HopRecord(
-            hop=f.hop, k_prev=old_xy.shape[0], j_prev=j, l=l, k=k,
-            n_r=f.n_r, xh0=math.nan, n_r_interference=f.n_r_interference,
-        ))
+            f.ended, stopped = RETRANSMISSION_CAP, True
+        f.records.append(HopRecord(f.hop, old_xy.shape[0], f.j, l, k, f.n_r,
+                                   math.nan, f.n_r_interference))
         f.sent_xy.append(old_xy)
         f.n_r = f.n_r_interference = 0  # the record holds this hop's count
         f.next_slot += 1
@@ -510,6 +514,7 @@ def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> None:
         if k:
             _register_false_alarms(run, f, old_xy, old_dp)
             f.hop += 1
+    return stopped
 
 
 def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
@@ -542,10 +547,10 @@ def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
     deps = [dep for dep, *_ in specs]
     strips = [strip for _, strip, *_ in specs]
     start = np.cumsum([0] + [dep.n for dep in deps]).tolist()
-    # each deployment is sorted by x, so its ends bound |x|
-    extent = 1.0 + max([abs(s.src.x) for s in strips]
-                       + [abs(float(x)) for dep in deps if dep.n
-                          for x in (dep.xs[0], dep.xs[-1])])
+    # each deployment is sorted by x, so its ends bound |x|: segment i's
+    # keys lie within extent of its shift, 2 i extent
+    extent = 1.0 + max([abs(float(x)) for dep in deps if dep.n
+                        for x in (dep.xs[0], dep.xs[-1])], default=0.0)
 
     def table(arrays):  # one flow's arrays are its table's
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -562,15 +567,15 @@ def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
                        for dep, s in zip(deps, strips)]),
         seen=np.zeros(n, dtype=bool),
         relayed=np.zeros(n, dtype=bool),
-        key=table([dep.xs + 4.0 * extent * i if i else dep.xs
+        key=table([dep.xs + 2.0 * extent * i if i else dep.xs
                    for i, dep in enumerate(deps)]),
-        extent=extent,
     )
     run = _Run(phy, policy, b, detection_constant(phy).u,
                phy.t_p + phy.t_guard, deps[0].cfg.epsilon, nodes,
                len({id(dep) for dep in deps}) < len(deps))
     flows = [_FlowState(
-        deployment=dep, strip=strip, start=start[i], shift=4.0 * extent * i,
+        deployment=dep, strip=strip, start=start[i], stop=start[i + 1],
+        shift=2.0 * extent * i,
         strip_width=strip_width,
         relay_xy=np.asarray([[strip.src.x, strip.src.y]], dtype=float),
         relay_d=np.hypot([strip.src.x - strip.dst.x],
@@ -647,15 +652,12 @@ def _run_flows(
     run, flows = _new_run(phy, policy, b, field_cfg.w, specs)
     max_slots = slot_budget(field_cfg, phy, policy)
 
-    live, slot_idx = flows, 0
+    live, slot_idx, pn_fns = flows, 0, None
     while live and slot_idx < max_slots:
         txers = [f for f in live if f.next_slot == slot_idx]
-        pn_fns = None
         if run.shared:
             txers, pn_fns = _contend(run, txers, interference_radius)
-        if txers:
-            run_hop_step(run, txers, pn_fns)
-        if any(f.ended for f in txers):
+        if txers and run_hop_step(run, txers, pn_fns):
             live = [f for f in live if not f.ended]
         slot_idx += 1
     for f in live:
@@ -668,7 +670,9 @@ def _run_flows(
                                 np.concatenate([lat for _, lat in frames]),
                                 np.cumsum(k) - k, run.u, phy.alpha).tolist())
     for f in flows:
-        f.records = [r._replace(xh0=next(xh0)) for r in f.records]
+        # (fields hop .. n_r, then xh0: built anew, as _replace is slower)
+        f.records = [HopRecord(*r[:6], next(xh0), r.n_r_interference)
+                     for r in f.records]
     return flows, slot_idx
 
 

@@ -70,12 +70,11 @@ def awake_mask(sleep_phases: np.ndarray, t: float, t_p: float, epsilon: float) -
 
     The schedule alternates a sleep block of length t_p with an awake block of
     length t_p * epsilon / (1 - epsilon), so the long-run awake fraction is
-    exactly epsilon. epsilon = 1 means always awake. t must be >= 0.
+    exactly epsilon. epsilon = 1 means always awake.
     """
     if epsilon >= 1.0:
         return np.ones(sleep_phases.shape, dtype=bool)
-    # t and the phases are >= 0, where fmod is the remainder % takes
-    return np.fmod(t + sleep_phases, sleep_cycle(epsilon, t_p)) >= t_p
+    return (t + sleep_phases) % sleep_cycle(epsilon, t_p) >= t_p
 
 
 @dataclass

@@ -165,6 +165,24 @@ def test_aggregate_power_matches_term_loops_bit_for_bit():
         assert power_sum(xs[0], ys[0], rx, ry, 3.0) == float(np.sum(d2 ** -1.5))
 
 
+def test_grouped_aggregate_power_is_each_groups_own_sum():
+    # groups of every shape, lone and empty receiver sets and sets of 8 or
+    # more transmitters included, get their own (K, N) sums to the last bit
+    rng = np.random.default_rng(13)
+    n_rx = np.array([1, 7, 0, 40, 1, 3, 200, 2])
+    n_tx = np.array([9, 1, 5, 30, 1, 12, 40, 64])
+    xs, ys = rng.uniform(-100, 400, n_rx.sum()), rng.uniform(-200, 200,
+                                                              n_rx.sum())
+    rx, ry = rng.uniform(0, 300, n_tx.sum()), rng.uniform(-150, 150,
+                                                          n_tx.sum())
+    got = aggregate_power(xs, ys, rx, ry, 3.0, (n_rx, n_tx))
+    r0, t0 = np.cumsum(n_rx) - n_rx, np.cumsum(n_tx) - n_tx
+    for a, m, b, k in zip(r0, n_rx, t0, n_tx):
+        np.testing.assert_array_equal(
+            got[a:a + m], aggregate_power(xs[a:a + m], ys[a:a + m],
+                                          rx[b:b + k], ry[b:b + k], 3.0))
+
+
 def test_contour_undefined_off_axis_lone_relay():
     u = detection_constant(PAPER_PHY).u
     r = u ** (-1.0 / 3.0)

@@ -101,7 +101,7 @@ def test_rach_rounds_of_several_generators_are_each_drawn_alone(b):
         ks = [k, 3, 1, 2 * k]
         alone = [rach_round(kr, b, 1, np.random.default_rng(7 + i))
                  for i, kr in enumerate(ks)]
-        flags, js = rach_round(ks, b, [1] * len(ks),
+        flags, js = rach_round(ks, b, 1,
                                [np.random.default_rng(7 + i)
                                 for i in range(len(ks))])
         for (want_flags, want_j), got, jv in zip(
@@ -264,7 +264,7 @@ def test_destination_skipped_only_beyond_reach(with_noise):
         skip = bool(state.relay_d[0] > engine.reach(k, U, PHY.alpha))
         assert not (skip and heard), (k, state.relay_d[0] / edge)
         pn_fns = None if pn_fn is None else [pn_fn]
-        assert engine._receive(run, [state], [math.inf],
+        assert engine._receive(run, [state],
                                pn_fns).dst_detected == [heard]
         outcomes[skip, heard] += 1
     # the bound is exercised on both sides
@@ -303,9 +303,9 @@ def test_hop_step_advances_both_clocks():
     # moves them by 1 and by one grid slot
     run, state = _parked_node_state()
     slot = run.slot
-    assert run_hop_step(run, [state], [_jammed]) is None
+    assert run_hop_step(run, [state], [_jammed]) is False  # nothing stopped
     assert (state.n_r, state.next_slot, state.t) == (1, 2, 2.0 * PHY.t_p)
-    run_hop_step(run, [state])
+    assert run_hop_step(run, [state]) is False
     assert (state.hop, state.next_slot) == (2, 3)
     assert state.t == 2.0 * PHY.t_p + slot
     # FL-CLOCKS (docs/decisions.md): t lags the grid by 2 t_guard per
