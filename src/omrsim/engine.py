@@ -89,7 +89,8 @@ def rach_round(k, b: int, n, rng) -> tuple[np.ndarray, np.ndarray]:
             cell += np.arange(0, n * b, b).repeat(kg)
         resolvable = np.bincount(cell).take(cell) == 1
         rows = resolvable.reshape(n, kg)
-        js = (rows.argmax(axis=1) + 1) * rows.any(axis=1)
+        # argmax is 0 on a row with no resolvable relay
+        js = rows.argmax(axis=1) + rows.any(axis=1)
         return (rows if one else resolvable), js
     sizes = np.repeat(ks, n)  # relays per round
     end = sizes.cumsum()
