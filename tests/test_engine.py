@@ -203,6 +203,28 @@ def test_decode_set_geometric_oracle():
     np.testing.assert_array_equal(np.sort(idx), np.sort(expect))
 
 
+def test_decode_set_windows_hold_each_flows_nodes_at_any_reach():
+    # three fields whose transmitters sit past their far end, with a reach
+    # of several fields: each flow hears every node of its own field, the
+    # nodes behind the field's start included, and none of the others'
+    phy = PhyConfig(p_n=1e-19)  # a lone transmitter reaches about 3.5 km
+    u = detection_constant(phy).u
+    deps = [_tiny_deployment([-50.0, 10.0, 1990.0], [0.0, 5.0, -5.0]),
+            _tiny_deployment([-40.0, 1000.0], [20.0, 0.0]),
+            _tiny_deployment([-60.0, 500.0, 1500.0, 1995.0], [0.0] * 4)]
+    run, flows = _new_run(phy, RetransmitPolicy(), 16, 200.0, [
+        (dep, Strip(src=Point2D(0, 0), dst=Point2D(2000, 0)),
+         np.random.default_rng(i), 0) for i, dep in enumerate(deps)])
+    for f in flows:
+        f.relay_xy = np.array([[2010.0, 0.0]])
+    reaches = [engine.reach(1, u, phy.alpha)] * 3
+    assert reaches[0] > 3000.0
+    assert decode_set(run, flows, reaches).tolist() == list(range(9))
+    for f in flows:
+        assert decode_set(run, [f], reaches[:1]).tolist() \
+            == list(range(f.start, f.stop))
+
+
 def test_decode_set_excludes_seen():
     dep = _tiny_deployment([10.0, 20.0, 30.0], [0.0, 0.0, 0.0])
     relays = np.array([[0.0, 0.0]])
