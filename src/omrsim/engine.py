@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import (SPEED_OF_LIGHT, PhyConfig, aggregate_power,
                       coverage_contour, detection_constant, group_pairs)
-from .field import Deployment, FieldConfig, Point2D, Strip, awake_mask, deploy
+from .field import FieldConfig, Point2D, Strip, awake_mask, deploy
 
 
 @dataclass(frozen=True)
@@ -179,11 +178,11 @@ class _Run(NamedTuple):
     slot: float                   # grid slot, t_p + t_guard
     epsilon: float                # awake fraction of every field of the run
     nodes: _Nodes
-    shared: bool                  # some field carries more than one flow
+    shared: bool                  # one field carries all of several flows
 
 
 def decode_set(run: _Run, flows: list, reaches: list,
-               pn_extra_fns=None) -> np.ndarray:
+               pn_extra_fn=None) -> np.ndarray:
     """Indices into the run's node table, ascending, of the nodes that hear
     the transmissions of flows, each by its relay set at its time t.
 
@@ -192,7 +191,7 @@ def decode_set(run: _Run, flows: list, reaches: list,
     mean channel power from the flow's transmitters meets the detection
     threshold; none can at or beyond the reach of its flow's transmit set,
     given in reaches, so a flow's window of candidates ends short of it.
-    pn_extra_fns[i](xs, ys), where given, supplies flow i's receivers
+    pn_extra_fn(xs, ys), given only for a lone flow, supplies its receivers
     additive per-node noise-plus-interference power (per subcarrier). One
     call serves every flow transmitting in a step.
     """
@@ -226,13 +225,7 @@ def decode_set(run: _Run, flows: list, reaches: list,
     xs, ys = nodes.xs.take(idx), nodes.ys.take(idx)
     h = aggregate_power(xs, ys, relays[:, 0], relays[:, 1], phy.alpha,
                         None if m is None else (m, ks))
-    thr = run.u
-    if pn_extra_fns is not None and any(pn_extra_fns):
-        thr = np.full(idx.size, run.u)
-        ends = [idx.size] if m is None else m.cumsum().tolist()
-        for fn, a, b in zip(pn_extra_fns, [0] + ends, ends):
-            thr[a:b] = _threshold(xs[a:b], ys[a:b], phy, run.u, fn)
-    return idx[h >= thr]
+    return idx[h >= _threshold(xs, ys, phy, run.u, pn_extra_fn)]
 
 
 def interference_pn_fn(
@@ -262,7 +255,6 @@ def interference_pn_fn(
 class _FlowState:
     """Mutable per-packet forwarding state (one flow)."""
 
-    deployment: Deployment        # its field; flows on one field interact
     strip: Strip
     start: int                    # its segment of the run's node table,
     stop: int                     # [start, stop),
@@ -306,13 +298,14 @@ class _Reception(NamedTuple):
     dst_detected: list
 
 
-def _receive(run: _Run, flows: list, pn_extra_fns=None) -> _Reception:
+def _receive(run: _Run, flows: list, pn_extra_fn=None) -> _Reception:
     """What one transmission by each flow's current relay set achieves, its
-    decision arc set by its first resolvable transmitter; reads the states
-    and changes nothing."""
+    decision arc set by its first resolvable transmitter, under the extra
+    noise of pn_extra_fn for a lone flow; reads the states and changes
+    nothing."""
     nodes, phy, u = run.nodes, run.phy, run.u
     reaches, dst = [], []
-    for f, fn in zip(flows, pn_extra_fns or repeat(None)):
+    for f in flows:
         d_reach = reach(f.relay_xy.shape[0], u, phy.alpha)
         reaches.append(d_reach)
         # the destination is an always-awake receiver applying the same
@@ -320,12 +313,12 @@ def _receive(run: _Run, flows: list, pn_extra_fns=None) -> _Reception:
         # transmitter (extra noise only raises the threshold)
         dst.append(bool(f.relay_d[0] <= d_reach and _detects(
             np.array([f.strip.dst.x]), np.array([f.strip.dst.y]),
-            f.relay_xy, phy, u, fn)[0]))
+            f.relay_xy, phy, u, pn_extra_fn)[0]))
     # one detection pass over every node that has not relayed: fresh nodes
     # decode, and parked nodes (decoded on an earlier transmission, never
     # relayed) re-read the header and re-evaluate the position criteria,
     # which matters when a retransmission widened the strip or moved the arc
-    heard = decode_set(run, flows, reaches, pn_extra_fns)
+    heard = decode_set(run, flows, reaches, pn_extra_fn)
     if len(flows) == 1:
         f, = flows
         flow, d_ref = None, decision_distance(f.relay_d, f.j)
@@ -447,10 +440,11 @@ def _register_false_alarms(run: _Run, state: _FlowState, old_xy: np.ndarray,
                          for i in np.flatnonzero(fa)]
 
 
-def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> bool:
+def run_hop_step(run: _Run, flows: list, pn_extra_fn=None) -> bool:
     """Process one transmission attempt of each of flows, all in one grid
     slot, mutating their states; each draws from its own generator. Returns
-    whether any of them stopped.
+    whether any of them stopped. pn_extra_fn, given only for a lone flow,
+    is the cross-flow noise-plus-interference its receivers see.
 
     On an empty relay set the attempt counts as a retransmission: the strip is
     widened, the flow's next transmission moves two grid slots on
@@ -468,16 +462,13 @@ def run_hop_step(run: _Run, flows: list, pn_extra_fns=None) -> bool:
                         [f.rng for f in later])[1]
         for f, j in zip(later, js.tolist()):
             f.j = j
-    rx = _receive(run, flows, pn_extra_fns)
+    rx = _receive(run, flows, pn_extra_fn)
     # tag a retransmission when the same attempt on a clean channel, from
     # the same state, would have reached the destination or formed relays
-    jammed = pn_extra_fns and [
-        f for f, fn, dst, k in zip(flows, pn_extra_fns, rx.dst_detected, rx.k)
-        if fn is not None and not (dst or k) and f.n_r < policy.n_r_max]
-    if jammed:
-        clean = _receive(run, jammed)
-        for f, dst, k in zip(jammed, clean.dst_detected, clean.k):
-            f.n_r_interference += dst or k > 0
+    if pn_extra_fn is not None and not (rx.dst_detected[0] or rx.k[0]) \
+            and flows[0].n_r < policy.n_r_max:
+        clean = _receive(run, flows)
+        flows[0].n_r_interference += clean.dst_detected[0] or clean.k[0] > 0
     run.nodes.seen[rx.heard] = True
     # a flow whose destination detected installs no relay set
     relays, n_new = rx.relays, rx.k
@@ -543,9 +534,13 @@ def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
     first transmitting in grid slot start_slot and drawing its protocol
     randomness from rng. Every node's distance to dst and lateral offset are
     fixed for the flow, so they are computed here once. The fields share
-    their configuration.
+    their configuration; either one field carries every flow, or each flow
+    has a field of its own.
     """
     deps = [dep for dep, *_ in specs]
+    fields = len({id(dep) for dep in deps})
+    if 1 < fields < len(deps):
+        raise ValueError("a shared field must carry every flow")
     strips = [strip for _, strip, *_ in specs]
     start = np.cumsum([0] + [dep.n for dep in deps]).tolist()
     # each deployment is sorted by x, so its ends bound |x|: segment i's
@@ -573,9 +568,9 @@ def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
     )
     run = _Run(phy, policy, b, detection_constant(phy).u,
                phy.t_p + phy.t_guard, deps[0].cfg.epsilon, nodes,
-               len({id(dep) for dep in deps}) < len(deps))
+               fields < len(deps))
     flows = [_FlowState(
-        deployment=dep, strip=strip, start=start[i], stop=start[i + 1],
+        strip=strip, start=start[i], stop=start[i + 1],
         shift=2.0 * extent * i,
         strip_width=strip_width,
         relay_xy=np.asarray([[strip.src.x, strip.src.y]], dtype=float),
@@ -587,32 +582,29 @@ def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
     return run, flows
 
 
-def _contend(run: _Run, txers: list, radius: float) -> tuple[list, list]:
-    """The flows due in a slot that transmit in it, and the
-    noise-plus-interference each one's receivers see.
+def _contend(run: _Run, txers: list, radius: float) -> list[tuple]:
+    """The flows due in a slot on a shared field that transmit in it,
+    each with the noise-plus-interference its receivers see (None for a
+    lone transmitter).
 
-    Only flows on one field interact. A source that detects another flow's
-    relays transmitting defers one slot (carrier sense applies to sources
-    only); each remaining flow's receivers see the others' transmit sets as
-    added noise-plus-interference (within radius).
+    A source that detects another flow's relays transmitting defers one slot
+    (carrier sense applies to sources only); each remaining flow's receivers
+    see the others' slot-start transmit sets as added noise-plus-interference
+    (within radius).
     """
-    out, fns = [], []
-    for _, group in groupby(txers, key=lambda f: id(f.deployment)):
-        group = list(group)
-        for f in list(group):
-            if f.hop + f.n_r == 1 and any(
-                    g is not f and g.hop + g.n_r > 1
-                    and _detects(f.strip.src.x, f.strip.src.y, g.relay_xy,
-                                 run.phy, run.u)[0] for g in group):
-                f.next_slot += 1
-                f.t += run.slot
-                group.remove(f)
-        # built before any hop runs, since a hop replaces its relay set
-        fns += [interference_pn_fn(
-            np.vstack([g.relay_xy for g in group if g is not f]), run.phy,
-            radius) if len(group) > 1 else None for f in group]
-        out += group
-    return out, fns
+    out = list(txers)
+    for f in txers:
+        if f.hop + f.n_r == 1 and any(
+                g is not f and g.hop + g.n_r > 1
+                and _detects(f.strip.src.x, f.strip.src.y, g.relay_xy,
+                             run.phy, run.u)[0] for g in out):
+            f.next_slot += 1
+            f.t += run.slot
+            out.remove(f)
+    # built before any flow steps, since a step replaces its relay set
+    return [(f, interference_pn_fn(
+        np.vstack([g.relay_xy for g in out if g is not f]), run.phy,
+        radius) if len(out) > 1 else None) for f in out]
 
 
 def _run_flows(
@@ -626,18 +618,20 @@ def _run_flows(
 ) -> tuple[list[_FlowState], int]:
     """Forward one packet per source toward (L, 0), each (seed, sources)
     pair on a field of its own, all flows on one slot grid and in lockstep:
-    each slot's transmissions run as one hop step.
+    either one field carries every flow, or each field carries one.
 
     Deterministic for a given seed: the first child stream deploys its
-    field, the others drive one flow each (RACH draws, false alarms). Flows
-    on different fields never interact, so a field's flows do not depend on
-    the other fields. Flow i of a field is injected i * stagger_slots slots
-    late; for flows on one field, see _contend. A flow stops when it
-    delivers or spends its retransmission cap; the slot budget stops the
-    rest, as every attempt takes a slot. Returns the flow states and the
+    field, the others drive one flow each (RACH draws, false alarms). Flow
+    i of a field is injected i * stagger_slots slots late. Flows on
+    different fields never interact, so a slot's transmissions are one hop
+    step; flows on one field take turns in it (see _contend). A flow stops
+    when it delivers or spends its retransmission cap; the slot budget stops
+    the rest, as every attempt takes a slot. Returns the flow states and the
     number of slots used.
     """
     check_rach_slots(b)
+    if not fields:  # nothing to deploy or forward
+        return [], 0
     dst = Point2D(field_cfg.length, 0.0)
     w_max = field_cfg.w + policy.n_r_max * policy.delta_w
     specs = []
@@ -653,12 +647,15 @@ def _run_flows(
     run, flows = _new_run(phy, policy, b, field_cfg.w, specs)
     max_slots = slot_budget(field_cfg, phy, policy)
 
-    live, slot_idx, pn_fns = flows, 0, None
+    live, slot_idx = flows, 0
     while live and slot_idx < max_slots:
         txers = [f for f in live if f.next_slot == slot_idx]
-        if run.shared:
-            txers, pn_fns = _contend(run, txers, interference_radius)
-        if txers and run_hop_step(run, txers, pn_fns):
+        if run.shared:  # one field's flows take turns
+            stopped = [run_hop_step(run, [f], fn) for f, fn in
+                       _contend(run, txers, interference_radius)]
+        else:
+            stopped = [run_hop_step(run, txers)] if txers else []
+        if True in stopped:
             live = [f for f in live if not f.ended]
         slot_idx += 1
     for f in live:

@@ -186,8 +186,7 @@ def _heard(dep, relays, t, relayed=None, pn_fn=None):
     if relayed is not None:
         run.nodes.relayed[:] = relayed
     d_reach = engine.reach(state.relay_xy.shape[0], U, PHY.alpha)
-    return decode_set(run, [state], [d_reach],
-                      None if pn_fn is None else [pn_fn])
+    return decode_set(run, [state], [d_reach], pn_fn)
 
 
 def test_decode_set_geometric_oracle():
@@ -285,9 +284,7 @@ def test_destination_skipped_only_beyond_reach(with_noise):
                                      state.relay_xy, PHY, U, pn_fn)[0])
         skip = bool(state.relay_d[0] > engine.reach(k, U, PHY.alpha))
         assert not (skip and heard), (k, state.relay_d[0] / edge)
-        pn_fns = None if pn_fn is None else [pn_fn]
-        assert engine._receive(run, [state],
-                               pn_fns).dst_detected == [heard]
+        assert engine._receive(run, [state], pn_fn).dst_detected == [heard]
         outcomes[skip, heard] += 1
     # the bound is exercised on both sides
     assert outcomes[True, False] and outcomes[False, True] \
@@ -311,7 +308,7 @@ def test_interference_tag_counts_requalifying_parked_node():
     # channel the parked node re-qualifies, so the retransmission is tagged
     # as caused by interference
     run, state = _parked_node_state()
-    run_hop_step(run, [state], [_jammed])
+    run_hop_step(run, [state], _jammed)
     assert (state.hop, state.n_r, state.n_r_interference) == (1, 1, 1)
     # and on the clean channel the parked node does relay
     run_hop_step(run, [state])
@@ -325,7 +322,7 @@ def test_hop_step_advances_both_clocks():
     # moves them by 1 and by one grid slot
     run, state = _parked_node_state()
     slot = run.slot
-    assert run_hop_step(run, [state], [_jammed]) is False  # nothing stopped
+    assert run_hop_step(run, [state], _jammed) is False  # nothing stopped
     assert (state.n_r, state.next_slot, state.t) == (1, 2, 2.0 * PHY.t_p)
     assert run_hop_step(run, [state]) is False
     assert (state.hop, state.next_slot) == (2, 3)
@@ -353,6 +350,64 @@ def test_receiver_on_an_interferer_is_not_detected():
     assert np.isfinite(np.delete(extra, on_interferer)).all()
     assert on_interferer[0] in _heard(dep, relays, 0.0)
     assert on_interferer[0] not in jammed
+
+
+def _shared_run(dep, srcs):
+    """A run of one flow per source, all on dep, and its flows."""
+    return _new_run(PHY, RetransmitPolicy(), 16, 200.0, [
+        (dep, Strip(src=src, dst=Point2D(2000, 0)), np.random.default_rng(i),
+         0) for i, src in enumerate(srcs)])
+
+
+@pytest.mark.parametrize("gap,defers", [(0.5, True), (2.0, False)])
+def test_source_defers_to_another_flows_relays_it_hears(gap, defers):
+    # carrier sense: a source at its first attempt that detects the other
+    # flow's relays (hop >= 2) moves one slot on both clocks and leaves the
+    # slot's transmitters; a source out of their reach transmits, its
+    # receivers seeing the other flow's set as interference
+    run, (a, b) = _shared_run(_tiny_deployment([500.0], [0.0]),
+                              [Point2D(0, 0)] * 2)
+    b.hop, b.relay_xy = 2, np.array([[gap * R1, 0.0]])
+    pairs = engine._contend(run, [a, b], 600.0)
+    if defers:
+        assert len(pairs) == 1 and pairs[0][0] is b and pairs[0][1] is None
+        assert (a.next_slot, a.t) == (1, run.slot)
+    else:
+        assert [id(f) for f, _ in pairs] == [id(a), id(b)]
+        assert None not in [fn for _, fn in pairs]
+        assert (a.next_slot, a.t) == (0, 0.0)
+    assert (b.next_slot, b.t) == (0, 0.0)
+
+
+def test_shared_field_flows_hear_slot_start_transmit_sets(monkeypatch):
+    # both flows relay through x at hop 1, and both transmit from it at hop
+    # 2 in one slot. Flow a steps first and installs y. Flow b's copy of y
+    # sits on that new set, which would jam it, but b's receivers are
+    # judged against a's slot-start set {x}, so y relays for b as well.
+    # Within the 1 m interference radius only a node on a transmitter is
+    # jammed, so no other attempt of either flow is
+    x, y = 0.5 * R1, 1.1 * R1
+    dep = _tiny_deployment([x, y], [0.0, 0.0])
+    monkeypatch.setattr(engine, "deploy", lambda *args, **kwargs: dep)
+    res = run_two_packet_trial(
+        FieldConfig(length=2000.0), PHY, RetransmitPolicy(), 16, 0,
+        src_a=Point2D(0.0, 20.0), src_b=Point2D(0.0, -20.0),
+        interference_radius=1.0)
+    for flow in (res.flow_a, res.flow_b):
+        assert [(r.hop, r.k_prev, r.l, r.k, r.n_r)
+                for r in flow.records[:2]] == [(1, 1, 1, 1, 0),
+                                               (2, 1, 1, 1, 0)]
+    on_y = engine.interference_pn_fn(np.array([[y, 0.0]]), PHY, 1.0)
+    assert np.isinf(on_y(np.array([y]), np.array([0.0]))).all()
+
+
+def test_a_shared_field_carries_every_flow_of_its_run():
+    dep, other = (_tiny_deployment([x], [0.0]) for x in (500.0, 600.0))
+    strip = Strip(src=Point2D(0, 0), dst=Point2D(2000, 0))
+    with pytest.raises(ValueError, match="shared field must carry every"):
+        _new_run(PHY, RetransmitPolicy(), 16, 200.0,
+                 [(d, strip, np.random.default_rng(0), 0)
+                  for d in (dep, dep, other)])
 
 
 def test_two_packet_tags_count_each_retransmission_once():
@@ -436,6 +491,10 @@ def test_run_trial_rejects_one_slot_before_deploying(monkeypatch):
     monkeypatch.setattr(engine, "deploy", no_deploy)
     with pytest.raises(ValueError, match="b must be >= 2, got 1"):
         run_trial(FieldConfig(), PHY, RetransmitPolicy(), b=1, seed=1)
+
+
+def test_run_trials_of_no_seeds_is_empty():
+    assert run_trials(FieldConfig(), PHY, RetransmitPolicy(), 16, []) == []
 
 
 def test_run_trial_adjacent_destination():

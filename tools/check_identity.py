@@ -16,12 +16,14 @@ relative difference over its numeric cells, so a declared numerical change
 can be read off one run.
 
 Each side then digests the records of every trial seed in the pools under
-``perfbench/reference/`` (6,144 trials at 24 and 33 dBm) and of 240
-two-packet runs: the golden field with seeds 4400-4439 and
-``FieldConfig(length=300.0)`` with seeds 0-199, on the golden PHY and
-policy. A third digest covers ``run_bcl(BclConfig(), ...)`` on the golden
-field at each density in ``rho_per_km2_list``, 100 trials each, under the
-golden PHY at ``bcl_p_t_dbm`` and under ``mcs_phy(spec, "QPSK-coherent")``.
+``perfbench/reference/`` (6,144 trials at 24 and 33 dBm) and of 280
+two-packet runs on the golden PHY and policy: the golden field with seeds
+4400-4439 at stagger 0 and 1 (a source defers to the other flow's relays 28
+times at stagger 1, never at stagger 0) and ``FieldConfig(length=300.0)``
+with seeds 0-199 at stagger 0. A third digest covers
+``run_bcl(BclConfig(), ...)`` on the golden field at each density in
+``rho_per_km2_list``, 100 trials each, under the golden PHY at
+``bcl_p_t_dbm`` and under ``mcs_phy(spec, "QPSK-coherent")``.
 A fourth digest covers the rows and the bytes of every ``dists_k`` and
 ``dists_l`` pmf of ``run_recursion`` on both ``perfbench`` reference inputs
 and, under the golden progress law, on ``FieldConfig`` at each density in
@@ -68,6 +70,7 @@ P_J_MAX_RELAYS = 399
 FA_RATE = 0.1
 FA_SLOTS = 16
 FA_SEEDS = range(150)
+TWO_PACKET_STAGGERS = (0, 1)  # golden field; stagger 1 exercises carrier sense
 DIGEST_ARG = "--digest"  # private: print this interpreter's digests as JSON
 
 
@@ -108,13 +111,15 @@ def digests() -> dict[str, str]:
                 res = run_trial(spec.field, phy, spec.policy, spec.b, seed)
                 trials.update(line(res).encode() + b"\n")
     two = hashlib.sha256()
-    for field, seeds in ((spec.field, range(4400, 4440)),
-                         (FieldConfig(length=300.0), range(200))):
-        for seed in seeds:
+    for field, seeds, staggers in (
+            (spec.field, range(4400, 4440), TWO_PACKET_STAGGERS),
+            (FieldConfig(length=300.0), range(200), (0,))):
+        for seed, stagger in ((s, g) for s in seeds for g in staggers):
             res = run_two_packet_trial(
                 field, spec.phy, spec.policy, spec.b, seed,
                 src_a=Point2D(0.0, 120.0), src_b=Point2D(0.0, -120.0),
-                interference_radius=spec.interference_radius)
+                interference_radius=spec.interference_radius,
+                stagger_slots=stagger)
             two.update(repr((line(res.flow_a), line(res.flow_b),
                              res.interference_tagged,
                              res.slots_used)).encode() + b"\n")
