@@ -54,11 +54,6 @@ class BclResult:
     per_hop: list  # (trial, hop, eta, m_e, m_n, progress)
 
 
-def default_range(phy: PhyConfig) -> float:
-    """Disc range aligned with the single-transmitter detection reach."""
-    return detection_constant(phy).single_relay_radius
-
-
 def xi_geometric(d_to_dst: float, d_m: float) -> float:
     """Fraction of the coverage disc offering positive progress.
 
@@ -162,27 +157,27 @@ def bcl_walk(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
     wins after any collision resolution. A hop with an empty forward lens even
     before sleep thinning deadlocks the trial.
     """
-    d_m = default_range(phy)
-    dst = np.array([field_cfg.length, 0.0])
+    d_m = detection_constant(phy).single_relay_radius
     dep_ss, proto_ss = tss.spawn(2)
     dep = deploy(field_cfg, dep_ss, t_p=phy.t_p, max_strip_width=6.0 * d_m)
     rng = np.random.default_rng(proto_ss)
-    holder = np.array([0.0, 0.0])
-    d_hold = float(np.linalg.norm(holder - dst))
+    # the holder (source at the origin, destination on the axis at length)
+    # copies its winning entries, so it never passes as its own candidate
+    x, y, d_hold = 0.0, 0.0, field_cfg.length
     rows = []
     max_hops = int(20.0 * field_cfg.length / d_m) + 100
     while d_hold > d_m:
         if len(rows) >= max_hops:
             return BclWalk(False, rows)  # micro-progress walk: undelivered
-        i0, i1 = dep.window(holder[0] - d_m, holder[0] + d_m)
+        i0, i1 = dep.window(x - d_m, x + d_m)
         xs, ys = dep.xs[i0:i1], dep.ys[i0:i1]
-        in_disc = (xs - holder[0]) ** 2 + (ys - holder[1]) ** 2 <= d_m * d_m
-        d_cand = np.hypot(xs - dst[0], ys - dst[1])
+        in_disc = (xs - x) ** 2 + (ys - y) ** 2 <= d_m * d_m
+        d_cand = np.hypot(xs - field_cfg.length, ys)
         forward = in_disc & (d_cand < d_hold)
         if not forward.any():  # structural deadlock: none can ever progress
             return BclWalk(False, rows)
-        fx, fy = xs[forward], ys[forward]
-        fprog = d_hold - d_cand[forward]
+        fx, fy, fd = xs[forward], ys[forward], d_cand[forward]
+        fprog = d_hold - fd
         for eta in range(MAX_CYCLES_PER_HOP + 1):  # eta: empty cycles
             awake_idx = np.flatnonzero(rng.random(fx.size) < field_cfg.epsilon)
             if awake_idx.size:
@@ -191,10 +186,9 @@ def bcl_walk(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
             return BclWalk(False, rows)
         outcome = contention_cycle(fprog[awake_idx], cfg.n_p, d_m, rng)
         winner = int(awake_idx[outcome.winner_index])
-        holder = np.array([fx[winner], fy[winner]])
-        d_hold = float(np.linalg.norm(holder - dst))
         rows.append((len(rows) + 1, eta, outcome.m_e, outcome.m_n,
                      float(fprog[winner])))
+        x, y, d_hold = float(fx[winner]), float(fy[winner]), float(fd[winner])
     # destination in range: it always answers on the first slot
     rows.append((len(rows) + 1, 0, 0, 1, d_hold))
     return BclWalk(True, rows)
@@ -212,7 +206,7 @@ def bcl_summary(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
     _, _, etas, mes, mns, _ = zip(*per_hop)
     e_eta, e_m_e, e_m_n = map(lambda v: float(np.mean(v)), (etas, mes, mns))
     e_hops = float(np.mean(hops_per_trial))
-    d_m = default_range(phy)
+    d_m = detection_constant(phy).single_relay_radius
     xi = xi_geometric(field_cfg.length / 2.0, d_m)
     hop_args = (e_eta, e_m_e, e_m_n, cfg, phy, field_cfg.epsilon,
                 field_cfg.rho, d_m, xi)

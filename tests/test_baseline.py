@@ -1,16 +1,18 @@
 """Contention baseline: cycle mechanics, energy/delay formulas, Monte Carlo walk."""
 
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from omrsim import baseline
 from omrsim.baseline import (
     BclConfig,
     CycleOutcome,
+    bcl_walk,
     contention_cycle,
-    default_range,
     hop_delay,
     hop_energy_rx,
     hop_energy_tx,
@@ -18,9 +20,15 @@ from omrsim.baseline import (
     xi_geometric,
 )
 from omrsim.channel import PhyConfig, detection_constant
-from omrsim.field import FieldConfig
+from omrsim.config import load_config, mcs_phy
+from omrsim.field import Deployment, FieldConfig
 
 PHY = PhyConfig()
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
+
+
+def _reach(phy: PhyConfig) -> float:
+    return detection_constant(phy).single_relay_radius
 
 
 def test_cycle_no_candidates():
@@ -186,17 +194,12 @@ def test_hop_delay_arithmetic():
     assert hop_delay(1.0, 2.0, cfg2) == pytest.approx(24e-3, rel=1e-12)
 
 
-def test_default_range_matches_detection_constant():
-    assert default_range(PHY) == pytest.approx(
-        detection_constant(PHY).single_relay_radius, rel=1e-12)
-
-
 def test_run_bcl_dense_no_empty_cycles():
     fc = FieldConfig(rho=3e-3, epsilon=1.0, length=1000.0, w=200.0)
     res = run_bcl(BclConfig(), fc, PHY, trials=30, seed=2)
     assert res.delivered == 30
     assert res.e_eta == pytest.approx(0.0, abs=1e-6)
-    assert all(p <= default_range(PHY) + 1e-9 for *_ , p in res.per_hop)
+    assert all(p <= _reach(PHY) + 1e-9 for *_ , p in res.per_hop)
 
 
 def test_run_bcl_first_hop_eta_matches_geometric_oracle():
@@ -205,8 +208,8 @@ def test_run_bcl_first_hop_eta_matches_geometric_oracle():
     # over the Poisson candidate count conditioned on N >= 1
     fc = FieldConfig(rho=3.2e-4, epsilon=0.25, length=150.0, w=200.0)
     # the range comes from the PHY: scale p_t so the reach is 100 m
-    phy = PHY.with_tx_power(PHY.p_t * (100.0 / default_range(PHY)) ** PHY.alpha)
-    assert default_range(phy) == pytest.approx(100.0, rel=1e-12)
+    phy = PHY.with_tx_power(PHY.p_t * (100.0 / _reach(PHY)) ** PHY.alpha)
+    assert _reach(phy) == pytest.approx(100.0, rel=1e-12)
     lam = fc.rho * xi_geometric(fc.length, 100.0) * math.pi * 100.0 ** 2
     from scipy.stats import poisson
 
@@ -226,6 +229,41 @@ def test_run_bcl_deadlock_reported():
     fc = FieldConfig(rho=1e-7, length=2000.0)
     res = run_bcl(BclConfig(), fc, PHY, trials=10, seed=5)
     assert res.delivered < 10
+
+
+def test_holder_is_never_its_own_candidate():
+    # the sparse QPSK-coherent reference of tools/check_identity.py, where
+    # a holder whose distance to the destination was taken by a second rule
+    # could pass as its own forward candidate and forward to itself
+    spec = load_config(GOLDEN)
+    field = FieldConfig(rho=900e-6)
+    phy = mcs_phy(spec, "QPSK-coherent")
+    max_hops = int(20.0 * field.length / _reach(phy)) + 100
+    walks = [bcl_walk(BclConfig(), field, phy, tss)
+             for tss in np.random.SeedSequence(5).spawn(100)]
+    for walk in walks:
+        assert len(walk.hops) < max_hops
+        forward = walk.hops[:-1] if walk.delivered else walk.hops
+        # a hop to itself gains only the rounding of its own distance,
+        # about 1e-13 m; a hop to another node gains millimetres at least
+        assert all(progress > 1e-6 for *_, progress in forward)
+
+
+def test_walk_stops_where_no_node_lies_ahead(monkeypatch):
+    # one node, in reach of the source, with nothing ahead of it in reach:
+    # the walk takes one hop and ends there as a structural deadlock. At
+    # (50, 0.4) np.linalg.norm puts the node one ulp farther from the
+    # destination than np.hypot does.
+    field = FieldConfig(epsilon=1.0)
+
+    def one_node(cfg, seed, t_p, max_strip_width):
+        return Deployment(np.array([50.0]), np.array([0.4]), np.zeros(1),
+                          cfg, (-100.0, 2100.0, -400.0, 400.0))
+
+    monkeypatch.setattr(baseline, "deploy", one_node)
+    walk = bcl_walk(BclConfig(), field, PHY, np.random.SeedSequence(0))
+    assert not walk.delivered
+    assert [row[4] for row in walk.hops] == [2000.0 - np.hypot(1950.0, 0.4)]
 
 
 def test_bcl_config_validation():
