@@ -18,7 +18,7 @@ class PhyConfig:
     alpha: float = 3.0          # path-loss exponent
     n_s: int = 64               # OFDM subcarriers
     p_n: float = 3.0e-15        # noise-plus-interference power per subcarrier, W
-    p_t: float = 2.0            # transmit power over the full band, W (33 dBm)
+    p_t: float = 10.0 ** 0.3    # transmit power over the full band, W (33 dBm)
     gamma_t: float = 10 ** 0.5  # detection SINR threshold, linear (5 dB)
     tau: float = 0.2            # detection reliability bound on outage probability
     t_cp: float = 1.0e-5        # cyclic prefix duration, s

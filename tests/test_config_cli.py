@@ -50,6 +50,13 @@ def test_golden_config_accepted():
     assert spec.b == 24
 
 
+def test_defaults_are_the_golden_config():
+    # one source for each reference value: the dataclass defaults and
+    # configs/golden.cfg describe the same run, 33 dBm included
+    assert load_config(GOLDEN) == ExperimentSpec()
+    assert PhyConfig().p_t == dbm_to_watts(33.0)
+
+
 def test_unit_conversions_roundtrip():
     assert dbm_to_watts(33.0) == pytest.approx(1.9953, rel=1e-4)
     assert watts_to_dbm(dbm_to_watts(27.5)) == pytest.approx(27.5, rel=1e-12)
