@@ -12,6 +12,7 @@ from .channel import PhyConfig, detection_constant
 from .field import FieldConfig, deploy
 
 MAX_CYCLES_PER_HOP = 512   # empty contention cycles before a hop deadlocks
+FIELD_REACHES = 6.0        # width of a walk's field, in transmission ranges
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def bcl_walk(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
     """
     d_m = detection_constant(phy).single_relay_radius
     dep_ss, proto_ss = tss.spawn(2)
-    dep = deploy(field_cfg, dep_ss, t_p=phy.t_p, max_strip_width=6.0 * d_m)
+    dep = deploy(field_cfg, dep_ss, t_p=phy.t_p, max_strip_width=FIELD_REACHES * d_m)
     rng = np.random.default_rng(proto_ss)
     # the holder (source at the origin, destination on the axis at length)
     # copies its winning entries, so it never passes as its own candidate

@@ -8,11 +8,15 @@ from functools import partial
 from typing import NamedTuple
 
 from .analytic import check_recursion_slots
-from .baseline import BclConfig
-from .channel import PhyConfig
-from .engine import RetransmitPolicy, check_rach_slots, check_stagger_slots
-from .field import FieldConfig
+from .baseline import FIELD_REACHES, BclConfig
+from .channel import PhyConfig, detection_constant
+from .engine import (RetransmitPolicy, check_rach_slots, check_stagger_slots,
+                     widest_strip)
+from .field import FieldConfig, field_extent
 from .metrics import db_to_linear, mcs_table
+
+MAX_FIELD_NODES = 1e7  # mean node count of the largest field a run may draw
+
 
 class ConfigError(ValueError):
     """Invalid configuration; carries line-referenced diagnostics."""
@@ -228,9 +232,21 @@ def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
                 diags.append(f"{key}: {exc}")
         return built
 
-    points = PLANS[spec.scenario](spec, axis, Point(
-        "omr", spec.field, spec.phy, spec.b, spec.trials, spec.seed,
-        spec.field.rho * 1e6, round(watts_to_dbm(spec.phy.p_t), 6)))
+    base = Point("omr", spec.field, spec.phy, spec.b, spec.trials, spec.seed,
+                 spec.field.rho * 1e6, round(watts_to_dbm(spec.phy.p_t), 6))
+    points = PLANS[spec.scenario](spec, axis, base)
+    # the field-size rule, over each field a point deploys (the two-packet
+    # run deploys the base point's): OMR's at its widest strip, BCL's
+    # FIELD_REACHES ranges wide
+    for p in points if spec.scenario != "two-packets" else [base]:
+        width = (FIELD_REACHES * detection_constant(p.phy).single_relay_radius
+                 if p.protocol == "bcl" else widest_strip(p.field, spec.policy))
+        nodes = field_extent(p.field, width)[1]
+        problem = (f"field size: the {p.protocol.upper()} field at "
+                   f"{p.rho_km2:g} per km2 holds {nodes:.3g} nodes on average, "
+                   f"more than {MAX_FIELD_NODES:.0e}")
+        if not (nodes <= MAX_FIELD_NODES) and problem not in diags:
+            diags.append(problem)
     # the one seed rule: a point's seed is its key's repr read as an integer,
     # so points with distinct coordinates never share a seed, and a point
     # keeps its seed when another value joins its axis

@@ -517,6 +517,11 @@ def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
     return max(512, int(16.0 * field_cfg.length / r1)) * (policy.n_r_max + 1)
 
 
+def widest_strip(field_cfg: FieldConfig, policy: RetransmitPolicy) -> float:
+    """The strip width after the last retransmission a hop may take."""
+    return field_cfg.w + policy.n_r_max * policy.delta_w
+
+
 def check_stagger_slots(stagger_slots: int, field_cfg: FieldConfig,
                         phy: PhyConfig, policy: RetransmitPolicy) -> None:
     """The stagger rule: a later flow is injected inside the slot budget."""
@@ -633,7 +638,7 @@ def _run_flows(
     if not fields:  # nothing to deploy or forward
         return [], 0
     dst = Point2D(field_cfg.length, 0.0)
-    w_max = field_cfg.w + policy.n_r_max * policy.delta_w
+    w_max = widest_strip(field_cfg, policy)
     specs = []
     for seed, srcs in fields:
         dep_ss, *flow_ss = np.random.SeedSequence(seed).spawn(1 + len(srcs))

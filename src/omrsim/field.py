@@ -101,6 +101,16 @@ class Deployment:
                 int(self.xs.searchsorted(x_hi, side="right")))
 
 
+def field_extent(cfg: FieldConfig, max_strip_width: float | None = None
+                 ) -> tuple[tuple[float, float, float, float], float]:
+    """The rectangle deploy scatters nodes over, (x_lo, x_hi, y_lo, y_hi):
+    the widest strip plus margin on every side; and its mean node count."""
+    w_max = cfg.w if max_strip_width is None else max(cfg.w, max_strip_width)
+    y_hi = w_max / 2.0 + cfg.field_margin
+    bounds = (-cfg.field_margin, cfg.length + cfg.field_margin, -y_hi, y_hi)
+    return bounds, cfg.rho * ((bounds[1] - bounds[0]) * (2.0 * y_hi))
+
+
 def deploy(
     cfg: FieldConfig,
     seed: int,
@@ -114,16 +124,13 @@ def deploy(
     populated. Node count ~ Poisson(rho * area), positions i.i.d. uniform,
     sleep phases uniform over one sleep/wake cycle.
     """
-    w_max = cfg.w if max_strip_width is None else max(cfg.w, max_strip_width)
-    x_lo = -cfg.field_margin
-    x_hi = cfg.length + cfg.field_margin
-    y_hi = w_max / 2.0 + cfg.field_margin
-    area = (x_hi - x_lo) * (2.0 * y_hi)
+    bounds, mean_nodes = field_extent(cfg, max_strip_width)
+    x_lo, x_hi, y_lo, y_hi = bounds
 
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(cfg.rho * area))
+    n = int(rng.poisson(mean_nodes))
     xs = rng.uniform(x_lo, x_hi, size=n)
-    ys = rng.uniform(-y_hi, y_hi, size=n)
+    ys = rng.uniform(y_lo, y_hi, size=n)
     cycle = sleep_cycle(cfg.epsilon, t_p)
     if math.isinf(cycle):
         phases = np.zeros(n)
@@ -138,5 +145,5 @@ def deploy(
         ys=np.ascontiguousarray(ys[order]),
         sleep_phases=np.ascontiguousarray(phases[order]),
         cfg=cfg,
-        bounds=(x_lo, x_hi, -y_hi, y_hi),
+        bounds=bounds,
     )

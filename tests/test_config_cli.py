@@ -14,6 +14,7 @@ from omrsim.baseline import BclConfig
 from omrsim.channel import PhyConfig, detection_constant
 from omrsim.cli import main
 from omrsim.config import (
+    MAX_FIELD_NODES,
     ConfigError,
     PLANS,
     ExperimentSpec,
@@ -26,7 +27,7 @@ from omrsim.config import (
 )
 from omrsim.engine import RetransmitPolicy, run_two_packet_trial, slot_budget
 from omrsim.experiments import SUMMARY_COLUMNS, _SCENARIO_FUNCS, run
-from omrsim.field import FieldConfig, Point2D
+from omrsim.field import FieldConfig, Point2D, field_extent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
 
@@ -187,6 +188,33 @@ def test_cli_swept_value_rejected(tmp_path, capsys, scenario, axis, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and value in err[0]
+
+
+@pytest.mark.parametrize("scenario", ["omr-trials", "analytic"])
+@pytest.mark.parametrize("key", ["rho_per_km2", "length_m", "field_margin_m",
+                                 "delta_w_m"])
+def test_cli_field_too_large_to_draw_rejected(tmp_path, capsys, scenario, key):
+    # each value is finite, but the field it sizes holds ~1e30 nodes or more,
+    # which deploy cannot draw
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"scenario = {scenario}\n{key} = 1e30\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: field size: the OMR field")
+
+
+def test_field_size_rule_bounds_the_mean_node_count():
+    # the baseline field is six reaches wide, so it outgrows the bound at a
+    # lower density than the OMR field at its widest strip
+    spec = ExperimentSpec(scenario="compare-power", rho_per_km2_list=[1500.0])
+    area = field_extent(spec.field, 6.0 * detection_constant(
+        spec.phy).single_relay_radius)[1] / spec.field.rho
+    rho_km2 = MAX_FIELD_NODES / area * 1e6
+    assert plan(replace(spec, rho_per_km2_list=[0.999 * rho_km2]))[1] == []
+    over = replace(spec, rho_per_km2_list=[1.001 * rho_km2])
+    assert [d.split(" per km2")[0] for d in plan(over)[1]] == [
+        f"field size: the BCL field at {1.001 * rho_km2:g}"]
 
 
 @pytest.mark.parametrize("text,field", [
