@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from omrsim import field
 from omrsim.engine import eligible
 from omrsim.field import (
     FieldConfig,
@@ -114,6 +115,38 @@ def test_deploy_sorted_and_windowed():
         assert d.xs[i0 - 1] < 500.0
     if i1 < d.n:
         assert d.xs[i1] > 600.0
+
+
+class _TiedX:
+    """A generator whose first uniform draw, the node x, is floored to
+    whole metres, so that many nodes share an x."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def poisson(self, lam):
+        return self._rng.poisson(lam)
+
+    def uniform(self, low, high, size):
+        draw = self._rng.uniform(low, high, size)
+        self.draws.append(np.floor(draw) if not self.draws else draw)
+        return self.draws[-1]
+
+
+def test_deploy_orders_tied_x_stably(monkeypatch):
+    # numpy's default argsort need not keep tied keys in draw order, so
+    # deploy falls back to the stable sort when two x are equal
+    rngs, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(field.np.random, "default_rng", lambda seed: rngs.append(
+        _TiedX(default_rng(seed))) or rngs[-1])
+    d = deploy(FieldConfig(), 3, t_p=0.01)
+    xs, ys, phases = rngs[0].draws
+    order = np.argsort(xs, kind="stable")
+    assert (np.diff(xs[order]) == 0.0).sum() > 100  # many ties
+    np.testing.assert_array_equal(d.xs, xs[order])
+    np.testing.assert_array_equal(d.ys, ys[order])
+    np.testing.assert_array_equal(d.sleep_phases, phases[order])
 
 
 def test_deploy_widened_strip_extent():
