@@ -160,7 +160,8 @@ def bcl_walk(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
     """
     d_m = detection_constant(phy).single_relay_radius
     dep_ss, proto_ss = tss.spawn(2)
-    dep = deploy(field_cfg, dep_ss, t_p=phy.t_p, max_strip_width=FIELD_REACHES * d_m)
+    dep = deploy(field_cfg, dep_ss, t_p=phy.t_p,
+                 max_strip_width=FIELD_REACHES * d_m)
     rng = np.random.default_rng(proto_ss)
     # the holder (source at the origin, destination on the axis at length)
     # copies its winning entries, so it never passes as its own candidate

@@ -27,10 +27,6 @@ PHY = PhyConfig()
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
 
 
-def _reach(phy: PhyConfig) -> float:
-    return detection_constant(phy).single_relay_radius
-
-
 def test_cycle_no_candidates():
     rng = np.random.default_rng(0)
     assert contention_cycle(np.array([]), 4, 100.0, rng) is None
@@ -199,7 +195,8 @@ def test_run_bcl_dense_no_empty_cycles():
     res = run_bcl(BclConfig(), fc, PHY, trials=30, seed=2)
     assert res.delivered == 30
     assert res.e_eta == pytest.approx(0.0, abs=1e-6)
-    assert all(p <= _reach(PHY) + 1e-9 for *_ , p in res.per_hop)
+    d_m = detection_constant(PHY).single_relay_radius
+    assert all(p <= d_m + 1e-9 for *_ , p in res.per_hop)
 
 
 def test_run_bcl_first_hop_eta_matches_geometric_oracle():
@@ -208,8 +205,10 @@ def test_run_bcl_first_hop_eta_matches_geometric_oracle():
     # over the Poisson candidate count conditioned on N >= 1
     fc = FieldConfig(rho=3.2e-4, epsilon=0.25, length=150.0, w=200.0)
     # the range comes from the PHY: scale p_t so the reach is 100 m
-    phy = PHY.with_tx_power(PHY.p_t * (100.0 / _reach(PHY)) ** PHY.alpha)
-    assert _reach(phy) == pytest.approx(100.0, rel=1e-12)
+    d_m = detection_constant(PHY).single_relay_radius
+    phy = PHY.with_tx_power(PHY.p_t * (100.0 / d_m) ** PHY.alpha)
+    assert detection_constant(phy).single_relay_radius == pytest.approx(
+        100.0, rel=1e-12)
     lam = fc.rho * xi_geometric(fc.length, 100.0) * math.pi * 100.0 ** 2
     from scipy.stats import poisson
 
@@ -238,7 +237,8 @@ def test_holder_is_never_its_own_candidate():
     spec = load_config(GOLDEN)
     field = FieldConfig(rho=900e-6)
     phy = mcs_phy(spec, "QPSK-coherent")
-    max_hops = int(20.0 * field.length / _reach(phy)) + 100
+    d_m = detection_constant(phy).single_relay_radius
+    max_hops = int(20.0 * field.length / d_m) + 100
     walks = [bcl_walk(BclConfig(), field, phy, tss)
              for tss in np.random.SeedSequence(5).spawn(100)]
     for walk in walks:

@@ -138,8 +138,9 @@ def test_deploy_orders_tied_x_stably(monkeypatch):
     # numpy's default argsort need not keep tied keys in draw order, so
     # deploy falls back to the stable sort when two x are equal
     rngs, default_rng = [], np.random.default_rng
-    monkeypatch.setattr(field.np.random, "default_rng", lambda seed: rngs.append(
-        _TiedX(default_rng(seed))) or rngs[-1])
+    monkeypatch.setattr(field.np.random, "default_rng",
+                        lambda seed: rngs.append(_TiedX(default_rng(seed)))
+                        or rngs[-1])
     d = deploy(FieldConfig(), 3, t_p=0.01)
     xs, ys, phases = rngs[0].draws
     order = np.argsort(xs, kind="stable")
