@@ -10,9 +10,9 @@ from typing import NamedTuple
 from .analytic import check_recursion_slots
 from .baseline import FIELD_REACHES, BclConfig
 from .channel import PhyConfig, detection_constant
-from .engine import (RetransmitPolicy, check_rach_slots, check_stagger_slots,
-                     widest_strip)
-from .field import FieldConfig, field_extent
+from .engine import (TWO_PACKET_SOURCES, RetransmitPolicy, check_rach_slots,
+                     check_stagger_slots, field_width)
+from .field import FieldConfig, Point2D, field_extent
 from .metrics import db_to_linear, mcs_table
 
 MAX_FIELD_NODES = 1e7  # mean node count of the largest field a run may draw
@@ -67,25 +67,9 @@ class ExperimentSpec:
     interference_radius: float = 600.0
 
     def validate(self) -> list[str]:
-        """All invariant violations as named diagnostics (empty when valid).
-
-        field, phy, policy and bcl are valid by construction; each value a
-        scenario builds its points from is checked by building its plan."""
-        diags = []
-        if self.scenario not in SCENARIOS:
-            diags.append(f"scenario must be one of {SCENARIOS}, got "
-                         f"'{self.scenario}'")
-        if self.trials < 1:
-            diags.append(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            diags.append(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 0:
-            diags.append("workers must be >= 0")
-        if self.scenario in PLANS:
-            diags += plan(self)[1]
-        if not (self.interference_radius > 0):
-            diags.append("interference_radius must be positive")
-        return diags
+        """Every rule the spec breaks, as plan's diagnostics (empty when
+        valid); field, phy, policy and bcl are valid by construction."""
+        return plan(self)[1]
 
 
 def mcs_phy(spec: ExperimentSpec, name: str) -> PhyConfig:
@@ -207,10 +191,20 @@ SCENARIOS = tuple(PLANS)
 
 
 def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
-    """The scenario's points in run order, and a `<config key>: <problem>`
-    diagnostic per value they cannot be built from, per repeated value and
+    """The scenario's points in run order, and the spec's one check: a
+    diagnostic per spec-level rule broken, and a `<config key>: <problem>`
+    one per value the points cannot be built from, per repeated value and
     per empty sweep axis; the points are only whole when there is none."""
     diags = []
+    if spec.scenario not in PLANS:
+        diags.append(f"scenario must be one of {SCENARIOS}, got "
+                     f"'{spec.scenario}'")
+    if spec.trials < 1:
+        diags.append(f"trials must be >= 1, got {spec.trials}")
+    if spec.seed < 0:
+        diags.append(f"seed must be >= 0, got {spec.seed}")
+    if spec.workers < 0:
+        diags.append("workers must be >= 0")
 
     def axis(key: str, build) -> list:
         """build(value) of each value of key that builds; a scalar is a
@@ -234,19 +228,24 @@ def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
 
     base = Point("omr", spec.field, spec.phy, spec.b, spec.trials, spec.seed,
                  spec.field.rho * 1e6, round(watts_to_dbm(spec.phy.p_t), 6))
-    points = PLANS[spec.scenario](spec, axis, base)
-    # the field-size rule, over each field a point deploys (the two-packet
-    # run deploys the base point's): OMR's at its widest strip, BCL's
-    # FIELD_REACHES ranges wide
-    for p in points if spec.scenario != "two-packets" else [base]:
+    points = (PLANS[spec.scenario](spec, axis, base)
+              if spec.scenario in PLANS else [])
+    # the field-size rule, over the field each point's run draws (for the
+    # two-packet run, the base point's): BCL's is FIELD_REACHES ranges wide
+    two = spec.scenario == "two-packets"
+    srcs = TWO_PACKET_SOURCES if two else [Point2D(0.0, 0.0)]
+    for p in [base] if two else points:
         width = (FIELD_REACHES * detection_constant(p.phy).single_relay_radius
-                 if p.protocol == "bcl" else widest_strip(p.field, spec.policy))
+                 if p.protocol == "bcl"
+                 else field_width(p.field, spec.policy, srcs))
         nodes = field_extent(p.field, width)[1]
         problem = (f"field size: the {p.protocol.upper()} field at "
                    f"{p.rho_km2:g} per km2 holds {nodes:.3g} nodes on average, "
                    f"more than {MAX_FIELD_NODES:.0e}")
         if not (nodes <= MAX_FIELD_NODES) and problem not in diags:
             diags.append(problem)
+    if not (spec.interference_radius > 0):
+        diags.append("interference_radius must be positive")
     # the one seed rule: a point's seed is its key's repr read as an integer,
     # so points with distinct coordinates never share a seed, and a point
     # keeps its seed when another value joins its axis

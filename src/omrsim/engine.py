@@ -55,6 +55,8 @@ DELIVERED = "delivered"
 RETRANSMISSION_CAP = "retransmission cap"
 SLOT_BUDGET = "slot budget"
 
+TWO_PACKET_SOURCES = (Point2D(0.0, 120.0), Point2D(0.0, -120.0))
+
 
 @dataclass
 class TrialResult:
@@ -517,9 +519,11 @@ def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
     return max(512, int(16.0 * field_cfg.length / r1)) * (policy.n_r_max + 1)
 
 
-def widest_strip(field_cfg: FieldConfig, policy: RetransmitPolicy) -> float:
-    """The strip width after the last retransmission a hop may take."""
-    return field_cfg.w + policy.n_r_max * policy.delta_w
+def field_width(field_cfg: FieldConfig, policy: RetransmitPolicy,
+                srcs) -> float:
+    """Width of the field drawn for srcs: their offsets and widest strip."""
+    return 2.0 * max(abs(src.y) for src in srcs) + (
+        field_cfg.w + policy.n_r_max * policy.delta_w)
 
 
 def check_stagger_slots(stagger_slots: int, field_cfg: FieldConfig,
@@ -638,14 +642,11 @@ def _run_flows(
     if not fields:  # nothing to deploy or forward
         return [], 0
     dst = Point2D(field_cfg.length, 0.0)
-    w_max = widest_strip(field_cfg, policy)
     specs = []
     for seed, srcs in fields:
         dep_ss, *flow_ss = np.random.SeedSequence(seed).spawn(1 + len(srcs))
-        # one field covering every strip: size the lateral extent by the sources
-        lateral_span = 2.0 * max(abs(src.y) for src in srcs) + w_max
-        deployment = deploy(field_cfg, dep_ss, t_p=phy.t_p,
-                            max_strip_width=lateral_span)
+        deployment = deploy(field_cfg, dep_ss, phy.t_p,
+                            field_width(field_cfg, policy, srcs))
         specs += [(deployment, Strip(src=src, dst=dst),
                    np.random.default_rng(ss), i * stagger_slots)
                   for i, (src, ss) in enumerate(zip(srcs, flow_ss))]

@@ -16,8 +16,9 @@ from .analytic import CalibrationError, calibrate_progress, run_recursion
 from .baseline import bcl_summary, bcl_walk, run_bcl  # noqa: F401
 from .channel import PhyConfig, detection_constant
 from .config import ConfigError, ExperimentSpec, Point, plan
-from .engine import TrialResult, run_trials, run_two_packet_trial
-from .field import FieldConfig, Point2D
+from .engine import (TWO_PACKET_SOURCES, TrialResult, run_trials,
+                     run_two_packet_trial)
+from .field import FieldConfig
 from .metrics import edp_and_cost, point_e2e
 
 TRACE_COLUMNS = ["trial_id", "hop", "K", "L", "j", "n_r", "xH0",
@@ -241,7 +242,7 @@ def scenario_retransmissions(spec: ExperimentSpec, results: list) -> list[str]:
 def scenario_two_packets(spec: ExperimentSpec, results: list) -> list[str]:
     res = run_two_packet_trial(
         spec.field, spec.phy, spec.policy, spec.b, spec.seed,
-        src_a=Point2D(0.0, 120.0), src_b=Point2D(0.0, -120.0),
+        *TWO_PACKET_SOURCES,
         interference_radius=spec.interference_radius,
         stagger_slots=spec.two_stagger_slots,
     )
@@ -288,10 +289,9 @@ def run(spec: ExperimentSpec) -> list[str]:
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     try:
-        diags = spec.validate()
+        points, diags = plan(spec)
         if diags:
             raise ConfigError(diags)
-        points, _ = plan(spec)
         return _SCENARIO_FUNCS[spec.scenario](
             spec, list(zip(points, run_sweep(spec, points))))
     except Exception as exc:

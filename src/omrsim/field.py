@@ -119,10 +119,10 @@ def deploy(
 ) -> Deployment:
     """Scatter a Poisson field over the strip rectangle plus margin.
 
-    max_strip_width is the widest strip the packet may ever use (after
-    retransmission widening); the field is sized so widened strips stay
-    populated. Node count ~ Poisson(rho * area), positions i.i.d. uniform,
-    sleep phases uniform over one sleep/wake cycle.
+    max_strip_width is the width the run's strips may ever cover (after
+    retransmission widening, about each flow's source); the field is sized
+    so widened strips stay populated. Node count ~ Poisson(rho * area),
+    positions i.i.d. uniform, sleep phases uniform over one sleep/wake cycle.
     """
     bounds, mean_nodes = field_extent(cfg, max_strip_width)
     x_lo, x_hi, y_lo, y_hi = bounds

@@ -203,6 +203,21 @@ def test_cli_field_too_large_to_draw_rejected(tmp_path, capsys, scenario, key):
     assert err[0].startswith("config error: field size: the OMR field")
 
 
+def test_cli_two_packet_field_checked_at_its_drawn_width(tmp_path, capsys):
+    # the two-packet run draws its field 240 m wider than a one-flow run's,
+    # for its sources 120 m either side of the axis: at this length the
+    # wider field holds 1.2e7 nodes on average, the one-flow field 8.8e6
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("length_m = 9e6\n")
+    assert main(["--config", str(cfg), "--scenario", "two-packets",
+                 "--validate-only"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: field size: the OMR field")
+    assert main(["--config", str(cfg), "--scenario", "omr-trials",
+                 "--validate-only"]) == 0
+
+
 def test_field_size_rule_bounds_the_mean_node_count():
     # the baseline field is six reaches wide, so it outgrows the bound at a
     # lower density than the OMR field at its widest strip
@@ -237,10 +252,13 @@ def test_field_size_rule_bounds_the_mean_node_count():
     ("seed = -1", "seed must be >= 0"),
     # a misspelt boolean would silently turn the dump off
     ("dump_pmfs = ture", "dump_pmfs"),
+    ("scenario = nope", "scenario must be one of"),
+    ("workers = -1", "workers must be >= 0"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
         "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
-        "p_t_dbm_list_overflow", "b_list", "seed", "dump_pmfs"])
+        "p_t_dbm_list_overflow", "b_list", "seed", "dump_pmfs", "scenario",
+        "workers"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
     cfg = tmp_path / "bad.cfg"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from omrsim import experiments
+from omrsim.analytic import run_recursion
 from omrsim.baseline import bcl_summary, run_bcl
 from omrsim.config import (
     PLANS,
@@ -181,6 +182,25 @@ def test_retransmissions_runs_sparse_point_once(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert rows and all(math.isnan(float(r["E_nr_analytic"])) for r in rows)
     assert len(calls) == spec.trials
+
+
+def test_retransmissions_fills_the_analytic_column(tmp_path):
+    # 80 trials give the progress fit its samples: the recursion's value
+    # fills every hop it reaches, and a hop past its last stays NaN
+    spec = _spec(tmp_path, "retransmissions", trials=80)
+    spec.rho_per_km2_list = [1500.0]
+    spec.p_t_dbm_list = [33.0]
+    (path,) = run(spec)
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    ((point,), _) = plan(spec)
+    model, _ = experiments._fit_progress(run_sweep(spec, [point])[0],
+                                         point.phy)
+    reached = {r.hop for r in run_recursion(point.field, model, spec.b).rows}
+    assert reached and any(int(r["hop"]) not in reached for r in rows)
+    for r in rows:
+        assert math.isfinite(float(r["E_nr_analytic"])) \
+            == (int(r["hop"]) in reached)
 
 
 def test_compare_mcs_rejects_unknown_name_before_any_work(tmp_path,

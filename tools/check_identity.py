@@ -15,6 +15,11 @@ for a CSV file that differs but keeps its shape, the line gives the largest
 relative difference over its numeric cells, so a declared numerical change
 can be read off one run.
 
+Each side then checks, with ``--validate-only``, each config of
+``VALIDATION_CASES``: ``configs/golden.cfg`` plus one or two override lines.
+A verdict is identical when both sides give the same exit code, stdout and
+stderr, so a changed validation rule shows as one verdict line.
+
 Each side then digests the records of every trial seed in the pools under
 ``perfbench/reference/`` (6,144 trials at 24 and 33 dBm) and of 280
 two-packet runs on the golden PHY and policy: the golden field with seeds
@@ -34,9 +39,10 @@ k = 1..399 at b = 3, 5, 24 and 40. A fifth digest covers the records of
 b = 16, on the golden field with seeds 0-149 at 24 and 33 dBm, where
 stragglers rejoin later relay sets. The digests must be equal;
 floats are compared by their exact ``repr``, pmfs by their bytes. The exit
-code is 1 if any run or digest differs. A last line gives the line count
-of ``src/omrsim/*.py`` on each side, as ``wc -l`` counts it. The tool itself
-uses the standard library only; the digests run under each side's omrsim.
+code is 1 if any run, verdict or digest differs. A last line gives the line
+count of ``src/omrsim/*.py`` on each side, as ``wc -l`` counts it. The tool
+itself uses the standard library only; the digests run under each side's
+omrsim.
 """
 
 from __future__ import annotations
@@ -72,6 +78,17 @@ FA_SLOTS = 16
 FA_SEEDS = range(150)
 TWO_PACKET_STAGGERS = (0, 1)  # golden field; stagger 1 exercises carrier sense
 DIGEST_ARG = "--digest"  # private: print this interpreter's digests as JSON
+# override lines appended to golden.cfg, each config checked on both sides:
+# the two-packet field at a length its sources' offsets push past the
+# field-size bound, the one-flow field at that length, a field too large to
+# draw, and two spec-level rules
+VALIDATION_CASES = (
+    ("scenario = two-packets", "length_m = 9e6"),
+    ("length_m = 9e6",),
+    ("rho_per_km2 = 1e30",),
+    ("scenario = nope",),
+    ("workers = -1",),
+)
 
 
 def archive_src(rev: str, dest: Path) -> Path:
@@ -115,6 +132,7 @@ def digests() -> dict[str, str]:
             (spec.field, range(4400, 4440), TWO_PACKET_STAGGERS),
             (FieldConfig(length=300.0), range(200), (0,))):
         for seed, stagger in ((s, g) for s in seeds for g in staggers):
+            # literal sources: older revisions' omrsim names no constant
             res = run_two_packet_trial(
                 field, spec.phy, spec.policy, spec.b, seed,
                 src_a=Point2D(0.0, 120.0), src_b=Point2D(0.0, -120.0),
@@ -199,6 +217,16 @@ def run_cli(src: Path, scenario: str, trials: int, workers: int,
             proc.stderr.replace(str(out), OUT_PLACEHOLDER), files)
 
 
+def run_validation(src: Path, cfg: Path) -> tuple[int, str, str, dict]:
+    """One ``--validate-only`` check of cfg on the omrsim under src: exit
+    code, stdout and stderr, and no files, in run_cli's shape."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "omrsim.cli", "--config",
+                           str(cfg), "--validate-only"], cwd=cfg.parent,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr, {}
+
+
 def csv_difference(a: bytes, b: bytes) -> str:
     """' (max rel diff X)' for two CSV files of the same shape: the largest
     |x - y| / max(|x|, |y|) over the cells that differ, with a count of
@@ -275,6 +303,22 @@ def main(argv: list[str]) -> int:
                           f"{verdict}", flush=True)
         runs = len(SCENARIOS) * len(TRIALS) * len(WORKERS)
         print(f"{runs - failed} of {runs} runs identical to {rev}", flush=True)
+        changed = 0
+        for i, case in enumerate(VALIDATION_CASES):
+            cfg = tmp / f"validate-{i}.cfg"
+            cfg.write_text(GOLDEN.read_text(encoding="utf-8")
+                           + "".join(line + "\n" for line in case),
+                           encoding="utf-8")
+            results = [run_validation(src, cfg) for src in sides.values()]
+            diffs = differences(*results)
+            changed += bool(diffs)
+            verdict = ("identical" if not diffs
+                       else "DIFFERS: " + ", ".join(diffs))
+            print(f"validate {'; '.join(case):<40} exit={results[1][0]}  "
+                  f"{verdict}", flush=True)
+        failed += changed
+        print(f"{len(VALIDATION_CASES) - changed} of {len(VALIDATION_CASES)} "
+              f"validation verdicts identical to {rev}", flush=True)
         want, got = (side_digests(src) for src in sides.values())
         lines = {side: line_count(src) for side, src in sides.items()}
     for name in want:
