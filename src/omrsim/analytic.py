@@ -209,10 +209,7 @@ def p_j(j: int, k: int, b: int) -> float:
 def p_j_pmf(k: int, b: int) -> np.ndarray:
     """Vector [p_j(0), .., p_j(k)] normalized to sum exactly to one."""
     vals = _p_j_weights(k, b)
-    s = vals.sum()
-    if s <= 0:
-        raise ValueError("degenerate resolvability pmf")
-    return vals / s
+    return vals / vals.sum()
 
 
 @dataclass(frozen=True)

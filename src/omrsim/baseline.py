@@ -12,7 +12,6 @@ from .channel import PhyConfig, detection_constant
 from .field import FieldConfig, deploy
 
 MAX_CYCLES_PER_HOP = 512   # empty contention cycles before a hop deadlocks
-FIELD_REACHES = 6.0        # width of a walk's field, in transmission ranges
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,11 @@ class BclWalk(NamedTuple):
     hops: list          # (hop, eta, m_e, m_n, progress) rows
 
 
+def field_width(phy: PhyConfig) -> float:
+    """Width of the field a walk draws: six transmission ranges."""
+    return 6.0 * detection_constant(phy).single_relay_radius
+
+
 def bcl_walk(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
              tss: np.random.SeedSequence) -> BclWalk:
     """Walk the contention baseline once over a deployment drawn from tss.
@@ -161,7 +165,7 @@ def bcl_walk(cfg: BclConfig, field_cfg: FieldConfig, phy: PhyConfig,
     d_m = detection_constant(phy).single_relay_radius
     dep_ss, proto_ss = tss.spawn(2)
     dep = deploy(field_cfg, dep_ss, t_p=phy.t_p,
-                 max_strip_width=FIELD_REACHES * d_m)
+                 max_strip_width=field_width(phy))
     rng = np.random.default_rng(proto_ss)
     # the holder (source at the origin, destination on the axis at length)
     # copies its winning entries, so it never passes as its own candidate

@@ -8,8 +8,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .analytic import check_recursion_slots
-from .baseline import FIELD_REACHES, BclConfig
-from .channel import PhyConfig, detection_constant
+from .baseline import BclConfig, field_width as bcl_field_width
+from .channel import PhyConfig
 from .engine import (TWO_PACKET_SOURCES, RetransmitPolicy, check_rach_slots,
                      check_stagger_slots, field_width)
 from .field import FieldConfig, Point2D, field_extent
@@ -231,12 +231,11 @@ def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
     points = (PLANS[spec.scenario](spec, axis, base)
               if spec.scenario in PLANS else [])
     # the field-size rule, over the field each point's run draws (for the
-    # two-packet run, the base point's): BCL's is FIELD_REACHES ranges wide
+    # two-packet run, the base point's)
     two = spec.scenario == "two-packets"
     srcs = TWO_PACKET_SOURCES if two else [Point2D(0.0, 0.0)]
     for p in [base] if two else points:
-        width = (FIELD_REACHES * detection_constant(p.phy).single_relay_radius
-                 if p.protocol == "bcl"
+        width = (bcl_field_width(p.phy) if p.protocol == "bcl"
                  else field_width(p.field, spec.policy, srcs))
         nodes = field_extent(p.field, width)[1]
         problem = (f"field size: the {p.protocol.upper()} field at "

@@ -180,7 +180,6 @@ class _Run(NamedTuple):
     slot: float                   # grid slot, t_p + t_guard
     epsilon: float                # awake fraction of every field of the run
     nodes: _Nodes
-    shared: bool                  # one field carries all of several flows
 
 
 def decode_set(run: _Run, flows: list, reaches: list,
@@ -486,8 +485,8 @@ def run_hop_step(run: _Run, flows: list, pn_extra_fn=None) -> bool:
         # k > 0 where fresh relays formed, stragglers counted
         if not (dst or k) and f.n_r < policy.n_r_max:
             f.n_r += 1
-            # width cap w0 + n_r_max * delta_w holds because retransmissions
-            # stop at the cap
+            # FL-WIDTH (docs/decisions.md): no hop resets the width, so
+            # it grows with the flow's retransmissions over all its hops
             f.strip_width += policy.delta_w
             # FL-CLOCKS (docs/decisions.md): two grid slots, but 2 t_p of
             # sleep clock
@@ -521,7 +520,8 @@ def slot_budget(field_cfg: FieldConfig, phy: PhyConfig,
 
 def field_width(field_cfg: FieldConfig, policy: RetransmitPolicy,
                 srcs) -> float:
-    """Width of the field drawn for srcs: their offsets and widest strip."""
+    """Width of the field drawn for srcs: their offsets and one hop's widest
+    strip (a flow's strip can outgrow it, FL-WIDTH in docs/decisions.md)."""
     return 2.0 * max(abs(src.y) for src in srcs) + (
         field_cfg.w + policy.n_r_max * policy.delta_w)
 
@@ -561,10 +561,10 @@ def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
     n = start[-1]
+    xs = table([dep.xs for dep in deps])
+    ys = table([dep.ys for dep in deps])
     nodes = _Nodes(
-        xs=table([dep.xs for dep in deps]),
-        ys=table([dep.ys for dep in deps]),
-        xy=table([dep.xy for dep in deps]),
+        xs=xs, ys=ys, xy=np.column_stack([xs, ys]),
         phases=table([dep.sleep_phases for dep in deps]),
         d_dst=table([np.hypot(dep.xs - s.dst.x, dep.ys - s.dst.y)
                      for dep, s in zip(deps, strips)]),
@@ -576,8 +576,7 @@ def _new_run(phy: PhyConfig, policy: RetransmitPolicy, b: int,
                    for i, dep in enumerate(deps)]),
     )
     run = _Run(phy, policy, b, detection_constant(phy).u,
-               phy.t_p + phy.t_guard, deps[0].cfg.epsilon, nodes,
-               fields < len(deps))
+               phy.t_p + phy.t_guard, deps[0].cfg.epsilon, nodes)
     flows = [_FlowState(
         strip=strip, start=start[i], stop=start[i + 1],
         shift=2.0 * extent * i,
@@ -656,7 +655,7 @@ def _run_flows(
     live, slot_idx = flows, 0
     while live and slot_idx < max_slots:
         txers = [f for f in live if f.next_slot == slot_idx]
-        if run.shared:  # one field's flows take turns
+        if len(fields) < len(flows):  # one field's flows take turns
             stopped = [run_hop_step(run, [f], fn) for f, fn in
                        _contend(run, txers, interference_radius)]
         else:

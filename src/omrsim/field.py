@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,10 +86,6 @@ class Deployment:
     sleep_phases: np.ndarray
     cfg: FieldConfig
     bounds: tuple[float, float, float, float]  # (x_lo, x_hi, y_lo, y_hi)
-    xy: np.ndarray = dc_field(init=False, repr=False)  # (n, 2) positions
-
-    def __post_init__(self) -> None:
-        self.xy = np.column_stack([self.xs, self.ys])
 
     @property
     def n(self) -> int:
@@ -119,9 +115,9 @@ def deploy(
 ) -> Deployment:
     """Scatter a Poisson field over the strip rectangle plus margin.
 
-    max_strip_width is the width the run's strips may ever cover (after
-    retransmission widening, about each flow's source); the field is sized
-    so widened strips stay populated. Node count ~ Poisson(rho * area),
+    max_strip_width is the strip width the field is sized for, if wider
+    than cfg.w (engine.field_width or baseline.field_width gives a run's; a
+    flow's strip can outgrow it, FL-WIDTH). Node count ~ Poisson(rho * area),
     positions i.i.d. uniform, sleep phases uniform over one sleep/wake cycle.
     """
     bounds, mean_nodes = field_extent(cfg, max_strip_width)
@@ -141,9 +137,9 @@ def deploy(
     if not (np.diff(xs.take(order)) > 0.0).all():
         order = np.argsort(xs, kind="stable")  # ties keep their draw order
     return Deployment(
-        xs=np.ascontiguousarray(xs[order]),
-        ys=np.ascontiguousarray(ys[order]),
-        sleep_phases=np.ascontiguousarray(phases[order]),
+        xs=xs[order],
+        ys=ys[order],
+        sleep_phases=phases[order],
         cfg=cfg,
         bounds=bounds,
     )

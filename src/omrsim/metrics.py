@@ -82,8 +82,6 @@ def e2e_delay(nr_per_hop, t_p: float) -> float:
 
 def edp_and_cost(e_e2e: float, l_e2e: float, r: float, t_p: float) -> tuple[float, float]:
     """Energy-delay product and its normalization per transported batch."""
-    if r <= 0 or t_p <= 0:
-        raise ValueError("rate and packet duration must be positive")
     edp = e_e2e * l_e2e
     return edp, edp / (r * t_p)
 

@@ -573,6 +573,13 @@ def test_recursion_divergence_error():
         run_recursion(FC, bad, b=16)
 
 
+def test_recursion_rejects_non_positive_varphi():
+    # a progress law that cannot advance the contour is refused up front
+    flat = ProgressModel(varphi=0.0, beta=0.9, u=(1 / 75.0) ** 3, alpha=3.0)
+    with pytest.raises(ValueError, match=r"^varphi must be positive$"):
+        run_recursion(FieldConfig(), flat, 16)
+
+
 def test_recursion_dense_point_is_warning_free():
     # a dense relay band overflows expm1 in the retransmission term, whose
     # value 1 / inf = 0 is right; the recursion warns about nothing

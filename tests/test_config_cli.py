@@ -123,6 +123,12 @@ def test_cli_validate_only(tmp_path, capsys):
     assert "configuration ok" in capsys.readouterr().out
 
 
+def test_cli_validate_only_without_config(capsys):
+    # no --config: the defaults, which are the golden config, are checked
+    assert main(["--validate-only"]) == 0
+    assert capsys.readouterr().out == "configuration ok\n"
+
+
 def test_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epsilon = 2.0\n")
@@ -254,11 +260,15 @@ def test_field_size_rule_bounds_the_mean_node_count():
     ("dump_pmfs = ture", "dump_pmfs"),
     ("scenario = nope", "scenario must be one of"),
     ("workers = -1", "workers must be >= 0"),
+    ("n_r_max = -1", "policy: n_r_max must be >= 0, got -1"),
+    # the detection constant u underflows to 0.0
+    ("lambda_m = 1e300", "phy: the detection constant u must be finite and "
+     "positive, got 0.0"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
         "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
         "p_t_dbm_list_overflow", "b_list", "seed", "dump_pmfs", "scenario",
-        "workers"])
+        "workers", "n_r_max", "lambda_m"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
     cfg = tmp_path / "bad.cfg"
@@ -380,6 +390,15 @@ def test_check_identity_counts_source_lines_like_wc(tmp_path):
     (tmp_path / "omrsim" / "b.py").write_text("z = 3")  # no final newline
     (tmp_path / "omrsim" / "c.txt").write_text("\n\n")
     assert _check_identity().line_count(tmp_path) == 2
+
+
+def test_check_identity_counts_each_module_like_wc(tmp_path):
+    (tmp_path / "omrsim").mkdir()
+    (tmp_path / "omrsim" / "b.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "omrsim" / "a.py").write_text("z = 3")  # no final newline
+    (tmp_path / "omrsim" / "c.txt").write_text("\n\n")
+    lines = _check_identity().module_lines(tmp_path)
+    assert list(lines.items()) == [("a.py", 0), ("b.py", 2)]
 
 
 def test_check_identity_labels_csv_by_largest_relative_difference():

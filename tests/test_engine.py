@@ -1,6 +1,7 @@
 """Forwarding engine: RACH rounds, decode/relay sets, trials, delay recursion."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from omrsim import engine
 from omrsim.channel import PhyConfig, detection_constant
+from omrsim.config import dbm_to_watts, load_config
 from omrsim.engine import (
     RetransmitPolicy,
     _delay_spread,
@@ -29,6 +31,13 @@ from rach_oracle import j_distribution
 PHY = PhyConfig(p_n=1e-14)
 U = detection_constant(PHY).u
 R1 = U ** (-1.0 / 3.0)
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _golden(p_t_dbm):
+    """The golden config and its PHY at p_t_dbm."""
+    spec = load_config(os.path.join(ROOT, "configs", "golden.cfg"))
+    return spec, spec.phy.with_tx_power(dbm_to_watts(float(p_t_dbm)))
 
 
 def test_rach_single_relay_always_resolvable():
@@ -333,6 +342,24 @@ def test_hop_step_advances_both_clocks():
     assert state.next_slot * slot - state.t == pytest.approx(2.0 * PHY.t_guard)
 
 
+def test_strip_widens_across_hops_past_the_field_width():
+    # FL-WIDTH (docs/decisions.md): a completed hop keeps its strip's
+    # width, so each retransmission of a flow widens the strip for every
+    # later hop, past the widest strip the field is drawn for. Reference
+    # seed 1 at 24 dBm is delivered after 46 hops, 8 of them with one
+    # retransmission each. ROADMAP item 10 changes exactly this assertion.
+    spec, phy = _golden(24)
+    src = [Point2D(0.0, 0.0)]
+    (flow,), _ = engine._run_flows(spec.field, phy, spec.policy, spec.b,
+                                   [(861166875, src)])
+    n_r = [r.n_r for r in flow.records]
+    assert (flow.ended, len(n_r), n_r.count(1), sum(n_r)) == (
+        engine.DELIVERED, 46, 8, 8)
+    assert flow.strip_width == spec.field.w + spec.policy.delta_w * sum(n_r) \
+        == 600.0
+    assert engine.field_width(spec.field, spec.policy, src) == 450.0
+
+
 def test_receiver_on_an_interferer_is_not_detected():
     # a node sitting on another flow's transmitter gets infinite
     # interference, without a division-by-zero warning, and cannot detect
@@ -542,13 +569,8 @@ def _repr_fields(res):
 def test_batched_trials_equal_trials_run_alone(p_t_dbm, policy, b):
     # the first 64 seeds of a reference pool, shuffled into batches of 1, 5
     # and 16: each trial's result is the one it gets alone, to the last bit
-    import os
-    from omrsim.config import dbm_to_watts, load_config
-
-    root = os.path.join(os.path.dirname(__file__), "..")
-    spec = load_config(os.path.join(root, "configs", "golden.cfg"))
-    phy = spec.phy.with_tx_power(dbm_to_watts(float(p_t_dbm)))
-    with np.load(os.path.join(root, "perfbench", "reference",
+    spec, phy = _golden(p_t_dbm)
+    with np.load(os.path.join(ROOT, "perfbench", "reference",
                               f"trials-{p_t_dbm}dBm.npz")) as ref:
         seeds = ref["seeds"][:64].tolist()
     order = np.random.default_rng(p_t_dbm).permutation(64).tolist()

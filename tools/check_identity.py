@@ -39,10 +39,10 @@ k = 1..399 at b = 3, 5, 24 and 40. A fifth digest covers the records of
 b = 16, on the golden field with seeds 0-149 at 24 and 33 dBm, where
 stragglers rejoin later relay sets. The digests must be equal;
 floats are compared by their exact ``repr``, pmfs by their bytes. The exit
-code is 1 if any run, verdict or digest differs. A last line gives the line
-count of ``src/omrsim/*.py`` on each side, as ``wc -l`` counts it. The tool
-itself uses the standard library only; the digests run under each side's
-omrsim.
+code is 1 if any run, verdict or digest differs. The last lines give the
+line count of ``src/omrsim/*.py`` on each side, as ``wc -l`` counts it: the
+total, then one line per module. The tool itself uses the standard library
+only; the digests run under each side's omrsim.
 """
 
 from __future__ import annotations
@@ -186,10 +186,16 @@ def digests() -> dict[str, str]:
             "false-alarm trials": false_alarms.hexdigest()}
 
 
+def module_lines(src: Path) -> dict[str, int]:
+    """Lines of each omrsim module under src, by file name, as ``wc -l``
+    counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((src / "omrsim").glob("*.py"))}
+
+
 def line_count(src: Path) -> int:
     """Lines of the omrsim modules under src, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n")
-               for p in (src / "omrsim").glob("*.py"))
+    return sum(module_lines(src).values())
 
 
 def side_digests(src: Path) -> dict[str, str]:
@@ -321,6 +327,7 @@ def main(argv: list[str]) -> int:
               f"validation verdicts identical to {rev}", flush=True)
         want, got = (side_digests(src) for src in sides.values())
         lines = {side: line_count(src) for side, src in sides.items()}
+        modules = {side: module_lines(src) for side, src in sides.items()}
     for name in want:
         same = want[name] == got[name]
         failed += not same
@@ -328,6 +335,9 @@ def main(argv: list[str]) -> int:
               f"{'identical' if same else 'DIFFERS from ' + want[name][:16]}")
     print(f"src/omrsim/*.py lines: {lines['rev']} at {rev}, "
           f"{lines['head']} in this checkout")
+    for name in sorted(modules["rev"].keys() | modules["head"].keys()):
+        print(f"  {name:<16} {modules['rev'].get(name, '-')} -> "
+              f"{modules['head'].get(name, '-')}")
     return 1 if failed else 0
 
 
