@@ -58,9 +58,7 @@ class ExperimentSpec:
     mcs_list: list = dc_field(
         default_factory=lambda: ["DQPSK", "8-DPSK", "16-DPSK"])
     w_list: list = dc_field(default_factory=lambda: [100.0, 150.0, 200.0])
-    bcl_p_t_dbm: float = 33.0
     coding_gain_db: float = 0.0
-    dump_pmfs: bool = False
 
     # two-packet demo timing and interference model
     two_stagger_slots: int = 0
@@ -111,14 +109,12 @@ def _slot_counts(spec: ExperimentSpec, axis, key: str = "b_rach_slots"):
 
 
 def _bcl_refs(spec: ExperimentSpec, axis, base: Point, mcs: str = ""):
-    """The baseline point at bcl_p_t_dbm that a cost-ratio sweep divides by,
-    on spec.phy or on MCS mcs's copy of it."""
+    """The baseline point that a cost-ratio sweep divides by, at the spec's
+    own power, on spec.phy or on MCS mcs's copy of it."""
+    phys = (axis("coding_gain_db", lambda _: mcs_phy(spec, mcs)) if mcs
+            else [spec.phy])
     return [base._replace(protocol="bcl", phy=phy, b=None, mcs=mcs,
-                          trials=max(100, spec.trials // 5),
-                          p_t_dbm=spec.bcl_p_t_dbm)
-            for phy in axis("bcl_p_t_dbm", lambda p: (
-                mcs_phy(spec, mcs) if mcs else spec.phy).with_tx_power(
-                    dbm_to_watts(p)))]
+                          trials=max(100, spec.trials // 5)) for phy in phys]
 
 
 def _plan_one(spec: ExperimentSpec, axis, base: Point) -> list[Point]:
@@ -253,14 +249,6 @@ def plan(spec: ExperimentSpec) -> tuple[list[Point], list[str]]:
         p.mcs, p.field.w)).encode(), "big")) for p in points], diags
 
 
-def _boolean(s: str) -> bool:
-    """true/yes/1 or false/no/0, in any case."""
-    word = s.lower()
-    if word not in ("true", "yes", "1", "false", "no", "0"):
-        raise ValueError(f"expected true/false/yes/no/1/0, got '{s}'")
-    return word in ("true", "yes", "1")
-
-
 def _list_of(conv):
     """Converter of a comma-separated list whose items convert with conv."""
     return lambda s: [conv(v.strip()) for v in s.split(",") if v.strip()]
@@ -275,9 +263,7 @@ _KEYMAP = {
     "out_dir": ("spec", "out_dir", str),
     "workers": ("spec", "workers", int),
     "b_rach_slots": ("spec", "b", int),
-    "bcl_p_t_dbm": ("spec", "bcl_p_t_dbm", float),
     "coding_gain_db": ("spec", "coding_gain_db", float),
-    "dump_pmfs": ("spec", "dump_pmfs", _boolean),
     "interference_radius_m": ("spec", "interference_radius", float),
     "two_stagger_slots": ("spec", "two_stagger_slots", int),
     "p_t_dbm_list": ("spec", "p_t_dbm_list", _list_of(float)),

@@ -172,11 +172,9 @@ def scenario_analytic(spec: ExperimentSpec, results: list) -> list[str]:
         [(r.hop, r.e_k, r.e_l, r.e_nr, r.xh0) for r in stats.rows],
         "Per-hop relay/decoder expectations", "hop", "E_K,E_L,E_nr",
         notes=f"progress fit MAPE = {mape:.4f}")]
-    if spec.dump_pmfs:
-        out += [_write_csv(spec, f"pmf_K_hop{i}.csv", ["k", "prob"],
-                           list(enumerate(dist.probs)))
-                for i, dist in enumerate(stats.dists_k, start=1)]
-    return out
+    return out + [_write_csv(spec, f"pmf_K_hop{i}.csv", ["k", "prob"],
+                             list(enumerate(dist.probs)))
+                  for i, dist in enumerate(stats.dists_k, start=1)]
 
 
 def _cost_ratio_scenario(stem: str, title: str, x: str, series: str = ""):

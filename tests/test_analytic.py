@@ -76,6 +76,13 @@ def test_p_j_single_relay():
     assert p_j(0, 1, 8) == 0.0
 
 
+def test_p_j_rejects_out_of_range_counts():
+    with pytest.raises(ValueError, match="relay count k must be >= 1"):
+        p_j_pmf(0, 8)
+    with pytest.raises(ValueError, match=r"j must be in \[0, 2\]"):
+        p_j(3, 2, 8)
+
+
 def test_p_j_pmf_normalized_and_monotonicity():
     for b in (3, 4, 8, 16):
         for k in (1, 2, 5, 9):
@@ -282,9 +289,17 @@ def test_calibrate_degenerate_inputs():
                            alpha=3.0)
     with pytest.raises(CalibrationError):
         calibrate_progress(np.arange(50), np.arange(50), u, alpha=3.0)
+    # one sample per relay count: no bin reaches MIN_BIN
+    with pytest.raises(CalibrationError, match="no relay-count bin"):
+        calibrate_progress(np.arange(100), np.arange(100), u, alpha=3.0)
 
 
 # -------------------------------------------------------------- x_c / areas
+
+def test_x_c_rejects_all_collided():
+    with pytest.raises(ValueError, match="j_prev must be >= 1"):
+        x_c(500.0, 0, 1.5e-3, 0.25)
+
 
 def test_x_c_clamped_at_j1():
     assert x_c(500.0, 1, 1.5e-3, 0.25) == 500.0
@@ -418,6 +433,17 @@ def test_intdist_zero_truncation():
     assert d.probs[0] == 0.0
     assert d.total() == pytest.approx(1.0, abs=1e-12)
     assert d.mean() == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), abs=1e-6)
+
+
+def test_intdist_guards():
+    with pytest.raises(TruncationError, match="pmf mass 0.5 outside"):
+        IntDist(np.array([0.25, 0.25])).check_normalized()
+    with pytest.raises(TruncationError, match="no probability mass left"):
+        IntDist(np.zeros(3)).truncated()
+    with pytest.raises(ValueError, match="point mass at 0"):
+        IntDist(np.array([1.0])).zero_truncated()
+    with pytest.raises(ValueError, match="all mass at zero"):
+        IntDist(np.array([1.0, 0.0])).zero_truncated()
 
 
 # ---------------------------------------------------------------- recursion
@@ -565,6 +591,16 @@ def test_recursion_dense_band_exceeds_support_cap():
     with pytest.raises(TruncationError,
                        match=r"^support 4587 exceeds cap 4096$"):
         run_recursion(fc, model, b=3)
+
+
+def test_recursion_that_never_arrives_is_a_truncation_error():
+    # r1 = 75 m against a 0.001 r1 step and 0.01 m per relay: 512 hops
+    # cover about 75 m of the 2000 m field
+    model = ProgressModel(varphi=0.01, beta=0.001, u=(1 / 75.0) ** 3,
+                          alpha=3.0)
+    with pytest.raises(TruncationError, match="^recursion did not reach the "
+                       "destination in 512 hops$"):
+        run_recursion(FieldConfig(), model, 16)
 
 
 def test_recursion_divergence_error():

@@ -266,6 +266,39 @@ def test_walk_stops_where_no_node_lies_ahead(monkeypatch):
     assert [row[4] for row in walk.hops] == [2000.0 - np.hypot(1950.0, 0.4)]
 
 
+def test_walk_ends_when_no_node_wakes():
+    # at a duty cycle of 1e-6 the first hop's forward nodes stay asleep
+    # through every contention cycle it may spend
+    walk = bcl_walk(BclConfig(), FieldConfig(epsilon=1e-6), PhyConfig(),
+                    np.random.SeedSequence(0))
+    assert walk == (False, [])
+
+
+def test_micro_progress_walk_is_undelivered(monkeypatch):
+    # a spiral around the destination, each node in reach of the next one
+    # only, with 1.05 ranges of progress per turn: every hop gains under
+    # 2 m, so the walk runs out of hops before the destination is in reach
+    d_m = detection_constant(PHY).single_relay_radius
+    field = FieldConfig(epsilon=1.0, length=10.0 * d_m)
+    r, theta, nodes = field.length - 1e-3, math.pi, []
+    while r > d_m:
+        theta += 0.6 * d_m / r
+        r -= 1.05 * d_m * (0.6 * d_m / r) / (2.0 * math.pi)
+        nodes.append((field.length + r * math.cos(theta), r * math.sin(theta)))
+    xs, ys = np.array(sorted(nodes)).T
+
+    def spiral(cfg, seed, t_p, max_strip_width):
+        return Deployment(xs, ys, np.zeros(xs.size), cfg,
+                          (-field.length, 2.0 * field.length,
+                           -field.length, field.length))
+
+    monkeypatch.setattr(baseline, "deploy", spiral)
+    walk = bcl_walk(BclConfig(), field, PHY, np.random.SeedSequence(0))
+    assert not walk.delivered
+    assert len(walk.hops) == int(20.0 * field.length / d_m) + 100
+    assert all(0.0 < progress < 2.0 for *_, progress in walk.hops)
+
+
 def test_bcl_config_validation():
     with pytest.raises(ValueError):
         BclConfig(n_p=0)

@@ -35,8 +35,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "..", "configs", "golden.cfg")
 def test_option_counts_pinned():
     # the size of the option surface: a change that adds a config key or an
     # ExperimentSpec field edits these counts in plain view
-    assert len(config._KEYMAP) == 41
-    assert len(fields(ExperimentSpec)) == 20
+    assert len(config._KEYMAP) == 39
+    assert len(fields(ExperimentSpec)) == 18
 
 
 def test_golden_config_accepted():
@@ -169,13 +169,16 @@ def test_cli_mcs_threshold_overflow_rejected(tmp_path, capsys):
 
 
 def test_cli_mcs_threshold_overflow_names_each_scheme(tmp_path, capsys):
+    # each swept scheme under mcs_list; the baseline's coherent QPSK, which
+    # no key sweeps, under the coding gain that overflows it
     cfg = tmp_path / "mcs.cfg"
     cfg.write_text("scenario = compare-mcs\ncoding_gain_db = -3100\n")
     assert main(["--config", str(cfg), "--validate-only"]) == 2
-    err = [line for line in capsys.readouterr().err.splitlines()
-           if "mcs_list:" in line]
-    assert [line.split("mcs_list: ")[1].split(" at ")[0] for line in err] \
-        == ["DQPSK", "8-DPSK", "16-DPSK"]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" at ")[0] for line in err] == [
+        "config error: mcs_list: DQPSK", "config error: mcs_list: 8-DPSK",
+        "config error: mcs_list: 16-DPSK",
+        "config error: coding_gain_db: QPSK-coherent"]
     assert all("coding_gain_db = -3100" in line for line in err)
 
 
@@ -247,7 +250,8 @@ def test_field_size_rule_bounds_the_mean_node_count():
     ("delta_r_m = -1", "delta_r"),
     ("interference_radius_m = nan", "interference_radius"),
     ("scenario = compare-power\np_t_dbm_list = nan", "p_t"),
-    ("scenario = bcl-trials\nbcl_p_t_dbm = nan", "p_t"),
+    ("scenario = bcl-trials\np_t_dbm = nan",
+     "phy: p_t must be positive, got nan"),
     # 10^(dB/10) overflows a float
     ("p_t_dbm = 100000", "p_t_dbm"),
     ("gamma_t_db = 100000", "gamma_t_db"),
@@ -256,8 +260,6 @@ def test_field_size_rule_bounds_the_mean_node_count():
     ("b_list = 8, x", "b_list"),
     # numpy's seed sequences take non-negative integers only
     ("seed = -1", "seed must be >= 0"),
-    # a misspelt boolean would silently turn the dump off
-    ("dump_pmfs = ture", "dump_pmfs"),
     ("scenario = nope", "scenario must be one of"),
     ("workers = -1", "workers must be >= 0"),
     ("n_r_max = -1", "policy: n_r_max must be >= 0, got -1"),
@@ -266,8 +268,8 @@ def test_field_size_rule_bounds_the_mean_node_count():
      "positive, got 0.0"),
 ], ids=["alpha", "p_n_w", "delta_w_m", "field_margin_m", "t_guard_s",
         "t_cp_s", "delta_r_m", "interference_radius_m", "p_t_dbm_list",
-        "bcl_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
-        "p_t_dbm_list_overflow", "b_list", "seed", "dump_pmfs", "scenario",
+        "bcl_trials_p_t_dbm", "p_t_dbm_overflow", "gamma_t_db_overflow",
+        "p_t_dbm_list_overflow", "b_list", "seed", "scenario",
         "workers", "n_r_max", "lambda_m"])
 def test_cli_bad_value_rejected_before_running(tmp_path, capsys, text, field):
     # each value breaks a rule of what it is built into, so no work may start
@@ -332,7 +334,7 @@ def test_stagger_past_slot_budget_rejected(tmp_path, capsys):
 
 def test_cli_analytic_prints_dumped_pmfs(tmp_path, capsys):
     cfg = tmp_path / "dump.cfg"
-    cfg.write_text("dump_pmfs = true\nlength_m = 800\n")
+    cfg.write_text("length_m = 800\n")
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--scenario", "analytic", "--trials",
                  "2", "--seed", "3", "--workers", "1", "--out",
@@ -504,6 +506,17 @@ def test_power_point_keeps_seed_when_axis_grows():
     after = seeds()
     assert len(after) == len(before) + len(DENSITIES)
     assert all(after[key] == seed for key, seed in before.items())
+
+
+@pytest.mark.parametrize("scenario", ["bcl-trials", "compare-power",
+                                      "compare-B", "compare-mcs"])
+def test_baseline_runs_at_p_t_dbm(scenario):
+    # no sweep moves the baseline: its walks run at the spec's own power
+    spec = load_config(GOLDEN, scenario=scenario)
+    spec.phy = spec.phy.with_tx_power(dbm_to_watts(30.0))
+    refs = [p for p in plan(spec)[0] if p.protocol == "bcl"]
+    assert refs and all(p.p_t_dbm == 30.0 for p in refs)
+    assert all(p.phy.p_t == dbm_to_watts(30.0) for p in refs)
 
 
 def test_cli_flag_overrides(tmp_path):

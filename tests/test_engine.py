@@ -619,7 +619,9 @@ def test_trial_invariants_ordering_duplicates_strip():
             break
     assert decoded_once.max() <= 1          # no node decodes twice
     assert all(b >= a for a, b in zip(widths, widths[1:]))  # monotone width
-    assert widths[-1] <= fc.w + pol.n_r_max * pol.delta_w + 1e-9
+    # FL-WIDTH: each retransmission of the flow, at any hop, widens the strip
+    assert state.strip_width == fc.w + pol.delta_w * (
+        sum(r.n_r for r in state.records) + state.n_r)
 
 
 def test_progress_strictly_decreasing_distance_large_b():

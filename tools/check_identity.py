@@ -27,8 +27,8 @@ two-packet runs on the golden PHY and policy: the golden field with seeds
 times at stagger 1, never at stagger 0) and ``FieldConfig(length=300.0)``
 with seeds 0-199 at stagger 0. A third digest covers
 ``run_bcl(BclConfig(), ...)`` on the golden field at each density in
-``rho_per_km2_list``, 100 trials each, under the golden PHY at
-``bcl_p_t_dbm`` and under ``mcs_phy(spec, "QPSK-coherent")``.
+``rho_per_km2_list``, 100 trials each, under the golden PHY and under
+``mcs_phy(spec, "QPSK-coherent")``.
 A fourth digest covers the rows and the bytes of every ``dists_k`` and
 ``dists_l`` pmf of ``run_recursion`` on both ``perfbench`` reference inputs
 and, under the golden progress law, on ``FieldConfig`` at each density in
@@ -37,7 +37,8 @@ and, under the golden progress law, on ``FieldConfig`` at each density in
 k = 1..399 at b = 3, 5, 24 and 40. A fifth digest covers the records of
 ``run_trial`` with false alarms on, ``RetransmitPolicy(fa_rate=0.1)`` at
 b = 16, on the golden field with seeds 0-149 at 24 and 33 dBm, where
-stragglers rejoin later relay sets. The digests must be equal;
+stragglers rejoin later relay sets. The two sides' digests are computed
+at once, in two processes. The digests must be equal;
 floats are compared by their exact ``repr``, pmfs by their bytes. The exit
 code is 1 if any run, verdict or digest differs. The last lines give the
 line count of ``src/omrsim/*.py`` on each side, as ``wc -l`` counts it: the
@@ -142,8 +143,7 @@ def digests() -> dict[str, str]:
                              res.interference_tagged,
                              res.slots_used)).encode() + b"\n")
     bcl = hashlib.sha256()
-    for phy in (spec.phy.with_tx_power(dbm_to_watts(spec.bcl_p_t_dbm)),
-                mcs_phy(spec, "QPSK-coherent")):
+    for phy in (spec.phy, mcs_phy(spec, "QPSK-coherent")):
         for rho_km2 in spec.rho_per_km2_list:
             res = run_bcl(BclConfig(), replace(spec.field, rho=rho_km2 * 1e-6),
                           phy, BCL_TRIALS, SEED)
@@ -198,12 +198,24 @@ def line_count(src: Path) -> int:
     return sum(module_lines(src).values())
 
 
-def side_digests(src: Path) -> dict[str, str]:
-    """digests() under the omrsim in src, in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, DIGEST_ARG], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+def side_digests(srcs: list[Path]) -> list[dict[str, str]]:
+    """digests() under the omrsim in each of srcs, each in a fresh
+    interpreter; the interpreters run at once, each with one OpenBLAS thread
+    so that their BLAS threads do not contend for the same cores (on a
+    2-core host the digests equal those at OpenBLAS's default count)."""
+    procs = [subprocess.Popen([sys.executable, __file__, DIGEST_ARG],
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       OPENBLAS_NUM_THREADS="1"),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for src in srcs]
+    results = []
+    for proc in procs:
+        out, err = proc.communicate()
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args,
+                                                out, err)
+        results.append(json.loads(out))
+    return results
 
 
 def run_cli(src: Path, scenario: str, trials: int, workers: int,
@@ -325,7 +337,7 @@ def main(argv: list[str]) -> int:
         failed += changed
         print(f"{len(VALIDATION_CASES) - changed} of {len(VALIDATION_CASES)} "
               f"validation verdicts identical to {rev}", flush=True)
-        want, got = (side_digests(src) for src in sides.values())
+        want, got = side_digests(list(sides.values()))
         lines = {side: line_count(src) for side, src in sides.items()}
         modules = {side: module_lines(src) for side, src in sides.items()}
     for name in want:
